@@ -28,6 +28,7 @@ use lir::{parse_module, FaultPolicy, Interp, Machine, Module};
 use servolite::{BrowserConfig, DispatchOptions};
 use workloads::{dromaeo, octane, profile_for, run_benchmark_dispatch, Benchmark};
 
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
 
 /// The memory-bound DOM trio (same hot set as `tlb_ablation`).
@@ -67,25 +68,19 @@ impl Phase {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"score_full\":{:.3},\"score_noic\":{:.3},",
-                "\"score_legacy\":{:.3},\"speedup\":{:.3},\"ic_speedup\":{:.3},",
-                "\"ic_hits\":{},\"ic_misses\":{},\"ic_hit_rate\":{:.4},",
-                "\"fused_ops\":{}}}"
-            ),
-            self.name,
-            self.score_full,
-            self.score_noic,
-            self.score_legacy,
-            self.speedup(),
-            self.ic_speedup(),
-            self.ic_hits,
-            self.ic_misses,
-            self.ic_hit_rate(),
-            self.fused_ops,
-        )
+    fn json(&self) -> JsonValue {
+        JsonValue::object([
+            ("phase", self.name.into()),
+            ("score_full", self.score_full.into()),
+            ("score_noic", self.score_noic.into()),
+            ("score_legacy", self.score_legacy.into()),
+            ("speedup", self.speedup().into()),
+            ("ic_speedup", self.ic_speedup().into()),
+            ("ic_hits", self.ic_hits.into()),
+            ("ic_misses", self.ic_misses.into()),
+            ("ic_hit_rate", self.ic_hit_rate().into()),
+            ("fused_ops", self.fused_ops.into()),
+        ])
     }
 }
 
@@ -227,8 +222,7 @@ fn main() {
     ];
 
     if std::env::args().any(|a| a == "--json") {
-        let rows: Vec<String> = phases.iter().map(Phase::json).collect();
-        println!("{{\"phases\":[{}]}}", rows.join(","));
+        println!("{}", JsonValue::object([("phases", phases.iter().map(Phase::json).collect())]));
     } else {
         header(
             "Dispatch ablation (score: 1/seconds)",

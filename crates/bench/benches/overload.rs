@@ -21,6 +21,7 @@
 //! `--test` shrinks the runs to a smoke pass.
 
 use bench::{header, smoke_mode};
+use pkru_provenance::json::JsonValue;
 use pkru_server::{serve, LatencySummary, ServeConfig, ServeReport, TrafficShape};
 
 struct Row {
@@ -50,21 +51,17 @@ impl Row {
         self.expired + self.rejected
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"offered\":{},\"served\":{},\"expired\":{},",
-                "\"rejected\":{},\"shed\":{},\"throughput_rps\":{:.3},\"latency\":{}}}"
-            ),
-            self.phase,
-            self.offered,
-            self.served,
-            self.expired,
-            self.rejected,
-            self.shed(),
-            self.throughput_rps,
-            self.latency.as_ref().map_or_else(|| "null".into(), LatencySummary::to_json),
-        )
+    fn json(&self) -> JsonValue {
+        JsonValue::object([
+            ("phase", self.phase.into()),
+            ("offered", self.offered.into()),
+            ("served", self.served.into()),
+            ("expired", self.expired.into()),
+            ("rejected", self.rejected.into()),
+            ("shed", self.shed().into()),
+            ("throughput_rps", self.throughput_rps.into()),
+            ("latency", self.latency.into()),
+        ])
     }
 }
 
@@ -160,8 +157,11 @@ fn main() {
     ];
 
     if std::env::args().any(|a| a == "--json") {
-        let json: Vec<String> = rows.iter().map(Row::json).collect();
-        println!("{{\"pace_us\":{pace_us},\"rows\":[{}]}}", json.join(","));
+        let report = JsonValue::object([
+            ("pace_us", pace_us.into()),
+            ("rows", rows.iter().map(Row::json).collect()),
+        ]);
+        println!("{report}");
     } else {
         header(
             "Overload: shed/served curves and latency under 2x offered load",

@@ -6,14 +6,13 @@
 //! −2.25% / 3.28%, 4.3e5, 16.57%.
 
 use bench::header;
+use pkru_provenance::json::JsonValue;
 use servolite::BrowserConfig;
-use workloads::{
-    dromaeo, jetstream2, kraken, octane, profile_for, report_json, run_matrix, SuiteSummary,
-};
+use workloads::{dromaeo, jetstream2, kraken, octane, profile_for, run_matrix, SuiteSummary};
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let mut json_reports: Vec<String> = Vec::new();
+    let mut json_reports = Vec::new();
     if !json {
         header(
             "Table 1: Servo mean benchmark overhead and statistics",
@@ -43,7 +42,7 @@ fn main() {
         workloads::runner::verify_checksums(&base, &mpk).expect("mpk determinism");
         if json {
             for (label, report) in [("base", &base), ("alloc", &alloc), ("mpk", &mpk)] {
-                json_reports.push(report_json(&format!("{name}/{label}"), report));
+                json_reports.push(report.to_json(&format!("{name}/{label}")));
             }
             continue;
         }
@@ -58,6 +57,6 @@ fn main() {
         );
     }
     if json {
-        println!("[{}]", json_reports.join(","));
+        println!("{}", JsonValue::Array(json_reports));
     }
 }

@@ -8,8 +8,9 @@
 use std::collections::BTreeMap;
 
 use bench::header;
+use pkru_provenance::json::JsonValue;
 use servolite::BrowserConfig;
-use workloads::{dromaeo, profile_for, report_json, run_matrix, ConfigReport};
+use workloads::{dromaeo, profile_for, run_matrix, ConfigReport};
 
 fn sub_rows<'a>(report: &'a ConfigReport, sub: &str) -> Vec<&'a workloads::RunResult> {
     report.rows.iter().filter(|r| r.sub == sub).collect()
@@ -30,9 +31,11 @@ fn main() {
     let [base, alloc, mpk]: [ConfigReport; 3] = reports.try_into().expect("three reports");
 
     if std::env::args().any(|a| a == "--json") {
-        let reports = [("base", &base), ("alloc", &alloc), ("mpk", &mpk)]
-            .map(|(label, report)| report_json(&format!("dromaeo/{label}"), report));
-        println!("[{}]", reports.join(","));
+        let reports: JsonValue = [("base", &base), ("alloc", &alloc), ("mpk", &mpk)]
+            .into_iter()
+            .map(|(label, report)| report.to_json(&format!("dromaeo/{label}")))
+            .collect();
+        println!("{reports}");
         return;
     }
 

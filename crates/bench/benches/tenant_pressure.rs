@@ -16,6 +16,7 @@
 //! (`BENCH_tenant.json`); `--test` shrinks the sweep to a smoke run.
 
 use bench::{header, smoke_mode};
+use pkru_provenance::json::JsonValue;
 use pkru_server::{serve, ServeConfig, VkeyPoolStats};
 
 /// One sweep point: a tenant count and everything the run reported.
@@ -31,26 +32,20 @@ impl Row {
         self.keys.hit_rate()
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tenants\":{},\"throughput_rps\":{:.3},\"binds\":{},",
-                "\"bind_hits\":{},\"bind_misses\":{},\"evictions\":{},",
-                "\"pages_retagged\":{},\"revocations\":{},\"deferred_reuses\":{},",
-                "\"bind_retries\":{},\"hit_rate\":{:.4}}}"
-            ),
-            self.tenants,
-            self.throughput_rps,
-            self.keys.binds,
-            self.keys.hits,
-            self.keys.misses,
-            self.keys.evictions,
-            self.keys.pages_retagged,
-            self.keys.revocations,
-            self.keys.deferred_reuses,
-            self.bind_retries,
-            self.hit_rate(),
-        )
+    fn json(&self) -> JsonValue {
+        JsonValue::object([
+            ("tenants", self.tenants.into()),
+            ("throughput_rps", self.throughput_rps.into()),
+            ("binds", self.keys.binds.into()),
+            ("bind_hits", self.keys.hits.into()),
+            ("bind_misses", self.keys.misses.into()),
+            ("evictions", self.keys.evictions.into()),
+            ("pages_retagged", self.keys.pages_retagged.into()),
+            ("revocations", self.keys.revocations.into()),
+            ("deferred_reuses", self.keys.deferred_reuses.into()),
+            ("bind_retries", self.bind_retries.into()),
+            ("hit_rate", self.hit_rate().into()),
+        ])
     }
 }
 
@@ -95,8 +90,7 @@ fn main() {
         sweep.iter().map(|&tenants| sweep_point(tenants, requests, repeats)).collect();
 
     if std::env::args().any(|a| a == "--json") {
-        let json: Vec<String> = rows.iter().map(Row::json).collect();
-        println!("{{\"rows\":[{}]}}", json.join(","));
+        println!("{}", JsonValue::object([("rows", rows.iter().map(Row::json).collect())]));
     } else {
         header(
             "Tenant pressure: key virtualization vs. tenant count",

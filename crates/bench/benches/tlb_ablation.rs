@@ -27,6 +27,7 @@ use pkru_server::{serve, ServeConfig};
 use servolite::BrowserConfig;
 use workloads::{dromaeo, profile_for, run_benchmark_tlb, Benchmark};
 
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
 
 /// The memory-bound DOM benchmarks: their inner loops are per-byte
@@ -59,22 +60,17 @@ impl Phase {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"score_on\":{:.3},\"score_off\":{:.3},",
-                "\"speedup\":{:.3},\"tlb_hits\":{},\"tlb_misses\":{},",
-                "\"tlb_flushes\":{},\"hit_rate\":{:.4}}}"
-            ),
-            self.name,
-            self.score_on,
-            self.score_off,
-            self.speedup(),
-            self.hits,
-            self.misses,
-            self.flushes,
-            self.hit_rate(),
-        )
+    fn json(&self) -> JsonValue {
+        JsonValue::object([
+            ("phase", self.name.into()),
+            ("score_on", self.score_on.into()),
+            ("score_off", self.score_off.into()),
+            ("speedup", self.speedup().into()),
+            ("tlb_hits", self.hits.into()),
+            ("tlb_misses", self.misses.into()),
+            ("tlb_flushes", self.flushes.into()),
+            ("hit_rate", self.hit_rate().into()),
+        ])
     }
 }
 
@@ -160,8 +156,7 @@ fn main() {
     ];
 
     if std::env::args().any(|a| a == "--json") {
-        let rows: Vec<String> = phases.iter().map(Phase::json).collect();
-        println!("{{\"phases\":[{}]}}", rows.join(","));
+        println!("{}", JsonValue::object([("phases", phases.iter().map(Phase::json).collect())]));
     } else {
         header(
             "Software-TLB ablation (score: serve=rps, dromaeo=1/seconds)",

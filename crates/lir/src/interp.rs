@@ -34,7 +34,8 @@ impl<'a> Interp<'a> {
     }
 
     /// Creates an interpreter pinned to the legacy match-per-instruction
-    /// loop (the `--no-threaded` ablation lane).
+    /// loop (the legacy lane of `dispatch_ablation`, and the oracle of
+    /// the dispatch coherence tests).
     pub fn legacy(module: &'a Module, machine: &'a mut Machine) -> Interp<'a> {
         Interp::with_dispatch(module, machine, false)
     }

@@ -185,7 +185,7 @@ impl Engine {
         &mut self.host_classes[id.0 as usize]
     }
 
-    /// Enables or disables the property inline caches (the `--no-ic`
+    /// Enables or disables the property inline caches (the no-IC
     /// ablation lane). Disabling leaves every site on the slow path;
     /// re-enabling starts from an invalidated cache.
     pub fn set_ic_enabled(&mut self, on: bool) {

@@ -1,6 +1,7 @@
 //! The bounded audit log: one record per serviced violation.
 
 use pkru_mpk::AccessKind;
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::AllocId;
 use pkru_vmem::VirtAddr;
 
@@ -33,33 +34,19 @@ pub struct AuditRecord {
     pub site: Option<AllocId>,
 }
 
-impl AuditRecord {
-    /// Serializes one record as a deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let site = match self.site {
-            Some(id) => {
-                format!("{{\"func\":{},\"block\":{},\"site\":{}}}", id.func, id.block, id.site)
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"worker\":{},\"seq\":{},\"addr\":{},\"pkey\":{},\"pkru\":{},\"access\":\"{}\",\"site\":{}}}",
-            self.worker, self.seq, self.addr, self.pkey, self.pkru, self.access, site
-        )
+/// The deterministic JSON object for one record.
+impl From<AuditRecord> for JsonValue {
+    fn from(r: AuditRecord) -> JsonValue {
+        JsonValue::object([
+            ("worker", r.worker.into()),
+            ("seq", r.seq.into()),
+            ("addr", r.addr.into()),
+            ("pkey", r.pkey.into()),
+            ("pkru", r.pkru.into()),
+            ("access", r.access.to_string().into()),
+            ("site", r.site.into()),
+        ])
     }
-}
-
-/// Serializes a slice of records as a deterministic JSON array.
-pub fn audit_log_json(records: &[AuditRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&record.to_json());
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
@@ -81,22 +68,14 @@ mod tests {
     #[test]
     fn record_json_schema() {
         assert_eq!(
-            record(Some(AllocId::new(7, 0, 3))).to_json(),
+            JsonValue::from(record(Some(AllocId::new(7, 0, 3)))).to_string(),
             "{\"worker\":2,\"seq\":5,\"addr\":2415923764,\"pkey\":1,\"pkru\":12,\
              \"access\":\"read\",\"site\":{\"func\":7,\"block\":0,\"site\":3}}"
         );
         assert_eq!(
-            record(None).to_json(),
+            JsonValue::from(record(None)).to_string(),
             "{\"worker\":2,\"seq\":5,\"addr\":2415923764,\"pkey\":1,\"pkru\":12,\
              \"access\":\"read\",\"site\":null}"
         );
-    }
-
-    #[test]
-    fn log_json_is_a_flat_array() {
-        assert_eq!(audit_log_json(&[]), "[]");
-        let one = record(None);
-        let expected = format!("[{},{}]", one.to_json(), one.to_json());
-        assert_eq!(audit_log_json(&[one, one]), expected);
     }
 }

@@ -31,7 +31,7 @@ mod audit;
 mod handler;
 mod policy;
 
-pub use audit::{audit_log_json, AuditRecord, AUDIT_LOG_CAP};
+pub use audit::{AuditRecord, AUDIT_LOG_CAP};
 pub use handler::{ViolationCounters, ViolationHandler};
 pub use policy::{MpkPolicy, DEFAULT_QUARANTINE_THRESHOLD};
 

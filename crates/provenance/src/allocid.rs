@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::json::JsonValue;
+
 /// A unique identifier for one allocator call site.
 ///
 /// The paper's LLVM pass assigns each call to the global allocator a tuple
@@ -29,6 +31,17 @@ impl AllocId {
 impl fmt::Display for AllocId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "f{}.b{}.s{}", self.func, self.block, self.site)
+    }
+}
+
+/// The `{"func":F,"block":B,"site":S}` object profiles and reports use.
+impl From<AllocId> for JsonValue {
+    fn from(id: AllocId) -> JsonValue {
+        JsonValue::object([
+            ("func", id.func.into()),
+            ("block", id.block.into()),
+            ("site", id.site.into()),
+        ])
     }
 }
 

@@ -98,27 +98,17 @@ impl Profile {
         self.faults_observed += other.faults_observed;
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to JSON.
     ///
     /// The schema is shared by dynamic and static profiles:
-    /// `{"shared_sites": [{"func": F, "block": B, "site": S}, ...],
-    /// "faults_observed": N}`.
+    /// `{"shared_sites":[{"func":F,"block":B,"site":S},...],
+    /// "faults_observed":N}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"shared_sites\": [");
-        for (i, id) in self.shared_sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{ \"func\": {}, \"block\": {}, \"site\": {} }}",
-                id.func, id.block, id.site
-            ));
-        }
-        if !self.shared_sites.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!("],\n  \"faults_observed\": {}\n}}", self.faults_observed));
-        out
+        JsonValue::object([
+            ("shared_sites", self.sites().collect()),
+            ("faults_observed", self.faults_observed.into()),
+        ])
+        .to_string()
     }
 
     /// Parses a profile from JSON.

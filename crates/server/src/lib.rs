@@ -49,8 +49,8 @@ mod worker;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultState};
 pub use overload::{Admit, FairScheduler, LatencySummary, OverloadState, TokenBucket, DRR_QUANTUM};
 pub use pkru_handler::{
-    audit_log_json, AuditRecord, MpkPolicy, Verdict, ViolationCounters, ViolationHandler,
-    AUDIT_LOG_CAP, DEFAULT_QUARANTINE_THRESHOLD,
+    AuditRecord, MpkPolicy, Verdict, ViolationCounters, ViolationHandler, AUDIT_LOG_CAP,
+    DEFAULT_QUARANTINE_THRESHOLD,
 };
 pub use pkru_tenant::{
     Tenant, TenantConfig, TenantError, TenantLease, TenantRegistry, VirtualPkey, VirtualPkeyError,

@@ -3,7 +3,7 @@
 //! queueing in front of the bounded queue.
 //!
 //! The runtime's overload story has three independent knobs, all off by
-//! default (and invisible in the report JSON when off):
+//! default:
 //!
 //! * **Request deadlines** (`deadline_ticks`): time is measured on a
 //!   logical clock that advances once per *disposed* request (served,
@@ -26,6 +26,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use pkru_provenance::json::JsonValue;
 
 use crate::request::{Request, RequestKind};
 
@@ -258,8 +260,8 @@ impl FairScheduler {
 
 /// Latency percentiles over the served requests of one run (wall
 /// milliseconds from admission to completion). Recorded only when
-/// [`ServeConfig::record_latency`](crate::ServeConfig) is set, and
-/// rendered in the JSON only then — the default schema never carries it.
+/// [`ServeConfig::record_latency`](crate::ServeConfig) is set; the
+/// report's `latency` is `null` otherwise.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencySummary {
     /// Samples summarized.
@@ -297,16 +299,19 @@ impl LatencySummary {
             max_ms: *samples.last().expect("non-empty"),
         })
     }
+}
 
-    /// The JSON object rendered into the serve report.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"count\":{},\"p50_ms\":{:.3},\"p90_ms\":{:.3},",
-                "\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"max_ms\":{:.3}}}"
-            ),
-            self.count, self.p50_ms, self.p90_ms, self.p99_ms, self.p999_ms, self.max_ms
-        )
+/// The serve report's `latency` object.
+impl From<LatencySummary> for JsonValue {
+    fn from(l: LatencySummary) -> JsonValue {
+        JsonValue::object([
+            ("count", l.count.into()),
+            ("p50_ms", l.p50_ms.into()),
+            ("p90_ms", l.p90_ms.into()),
+            ("p99_ms", l.p99_ms.into()),
+            ("p999_ms", l.p999_ms.into()),
+            ("max_ms", l.max_ms.into()),
+        ])
     }
 }
 
@@ -407,8 +412,8 @@ mod tests {
         assert_eq!(s.p999_ms, 999.0);
         assert_eq!(s.max_ms, 1000.0);
         assert!(LatencySummary::from_samples(&mut Vec::new()).is_none());
-        let json = s.to_json();
-        assert!(json.contains("\"p50_ms\":500.000"), "{json}");
+        let json = JsonValue::from(s).to_string();
+        assert!(json.contains("\"p50_ms\":500.0,"), "{json}");
     }
 
     #[test]

@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 use lir::SharedHost;
 use minijs::Value;
 use pkalloc::MAX_WORKERS;
-use pkru_handler::{audit_log_json, AuditRecord, MpkPolicy, ViolationHandler};
+use pkru_handler::{AuditRecord, MpkPolicy, ViolationHandler};
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::{AllocId, Profile};
 use pkru_tenant::{TenantError, TenantRegistry, VkeyPoolStats};
-use servolite::{Browser, BrowserConfig, DispatchOptions};
+use servolite::{Browser, BrowserConfig};
 use workloads::suites::micro_page;
 
 use crate::fault::{FaultPlan, FaultState};
@@ -99,13 +100,12 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Traffic seed.
     pub seed: u64,
-    /// Deterministic fault injections ([`FaultPlan::none`] for a clean
-    /// run — the default, and byte-identical in output to the plan-less
-    /// behaviour before fault injection existed).
+    /// Deterministic fault injections ([`FaultPlan::none`] — the
+    /// default — for a clean run).
     pub faults: FaultPlan,
     /// What happens when a worker's compartment boundary is violated
-    /// ([`MpkPolicy::Enforce`] — the default — is byte-identical in
-    /// behaviour and report JSON to the policy-less runtime before PR 4).
+    /// ([`MpkPolicy::Enforce`] — the default — denies the access and
+    /// counts it as an unexpected fault).
     pub mpk_policy: MpkPolicy,
     /// Extra shared sites merged into the catalog profile before workers
     /// start — typically sites absorbed from a previous run's audit log
@@ -115,28 +115,15 @@ pub struct ServeConfig {
     /// `false` is the ablation configuration the `tlb_ablation` bench
     /// measures). Observable behaviour is identical either way.
     pub tlb: bool,
-    /// Threaded (decode-once) dispatch plus fused bulk superinstructions
-    /// in every worker's interpreter (on by default; `false` is the
-    /// ablation lane the `dispatch_ablation` bench prices). Observable
-    /// behaviour is identical either way.
-    pub threaded: bool,
-    /// Shape-keyed, epoch-invalidated inline caches in every worker's
-    /// engine (on by default; `false` is the no-IC ablation lane).
-    /// Observable behaviour is identical either way — a cache hit still
-    /// performs the live PKRU-checked read.
-    pub ic: bool,
     /// Multi-tenant mode: the number of tenants to register (0 — the
-    /// default — serves the classic single-U stream and is byte-identical
-    /// in behaviour and report JSON to the pre-tenant runtime).
+    /// default — serves the classic single-U stream).
     pub tenants: usize,
     /// The per-tenant violation policy (every tenant of one run shares
     /// it; only consulted when `tenants > 0`).
     pub tenant_policy: MpkPolicy,
     /// Request deadline in logical ticks (completed requests): a queued
     /// request is shed as expired once `deadline_ticks` requests complete
-    /// after its admission. `0` — the default — disables deadlines and is
-    /// byte-identical in behaviour and report JSON to the pre-deadline
-    /// runtime.
+    /// after its admission. `0` — the default — disables deadlines.
     pub deadline_ticks: u64,
     /// Bounded-wait admission: how long the producer's push may stay
     /// blocked on a full queue before the request is rejected (counted)
@@ -163,8 +150,8 @@ pub struct ServeConfig {
     /// bench uses this to offer a controlled multiple of measured
     /// capacity.
     pub pace_us: u64,
-    /// Record admission→completion latency percentiles (adds a `latency`
-    /// object to the report JSON; off by default).
+    /// Record admission→completion latency percentiles (the report's
+    /// `latency`; off by default).
     pub record_latency: bool,
 }
 
@@ -179,8 +166,6 @@ impl Default for ServeConfig {
             mpk_policy: MpkPolicy::Enforce,
             extra_profile: None,
             tlb: true,
-            threaded: true,
-            ic: true,
             tenants: 0,
             tenant_policy: MpkPolicy::Enforce,
             deadline_ticks: 0,
@@ -322,213 +307,109 @@ impl ServeReport {
             && self.errors == 0
     }
 
-    /// Machine-readable form (hand-rolled; the workspace has no serde).
+    /// Machine-readable form: report schema 2.
     ///
-    /// Under [`MpkPolicy::Enforce`] the policy and violation fields are
-    /// omitted entirely, and with `tenants == 0` the tenant fields are
-    /// too — keeping the schema byte-identical to the pre-policy,
-    /// pre-tenant runtime (the fault-free schema is pinned by test).
-    /// The dispatch counters appear only when a fast path was ablated
-    /// (`threaded` or `ic` off), so the default schema stays pinned.
+    /// Every field renders on every run. A feature that is off reads as
+    /// `null` where its value is an `Option` (`admission_wait_ms`,
+    /// `tenant_rate`, `tenant_keys`, `latency`) and as 0, `[]` or
+    /// `"enforce"` everywhere else.
     pub fn to_json(&self) -> String {
-        // All insertion slots are empty strings in the default config.
-        let (policy, violations) = if self.config.mpk_policy == MpkPolicy::Enforce {
-            (String::new(), String::new())
-        } else {
-            let flagged: Vec<String> = self
-                .flagged_sites
-                .iter()
-                .map(|id| {
-                    format!("{{\"func\":{},\"block\":{},\"site\":{}}}", id.func, id.block, id.site)
-                })
-                .collect();
+        let config = &self.config;
+        let per_worker = self.workers.iter().map(|w| {
+            JsonValue::object([
+                ("worker", w.worker.into()),
+                ("requests", w.requests.into()),
+                ("page_loads", w.page_loads.into()),
+                ("scripts", w.scripts.into()),
+                ("transitions", w.transitions.into()),
+                ("pkey_faults", w.pkey_faults.into()),
+                ("errors", w.errors.into()),
+            ])
+        });
+        JsonValue::object([
+            ("schema", 2u64.into()),
+            ("workers", config.workers.into()),
+            ("requests", config.requests.into()),
+            ("queue_capacity", config.queue_capacity.into()),
+            ("seed", config.seed.into()),
+            ("mpk_policy", config.mpk_policy.to_string().into()),
+            ("elapsed_seconds", self.elapsed_seconds.into()),
+            ("throughput_rps", self.throughput_rps.into()),
             (
-                format!("\"mpk_policy\":\"{}\",", self.config.mpk_policy),
-                format!(
-                    concat!(
-                        "\"violations_enforced\":{},\"violations_audited\":{},",
-                        "\"violations_quarantined\":{},\"flagged_sites\":[{}],",
-                        "\"audit_dropped\":{},\"audit_log\":{},"
-                    ),
-                    self.violations_enforced,
-                    self.violations_audited,
-                    self.violations_quarantined,
-                    flagged.join(","),
-                    self.audit_dropped,
-                    audit_log_json(&self.audit_log)
-                ),
-            )
-        };
-        let tenants = if self.config.tenants == 0 {
-            String::new()
-        } else {
-            let rows: Vec<String> = self
-                .per_tenant
-                .iter()
-                .map(|t| {
-                    // Fairness counters render only when fairness ran, so
-                    // plain tenant runs keep their pinned row schema.
-                    let fairness = match self.config.tenant_rate {
-                        Some(_) => {
-                            format!(
-                                "\"offered\":{},\"rate_limited\":{},",
-                                t.offered, t.rate_limited
-                            )
-                        }
-                        None => String::new(),
-                    };
-                    format!(
-                        concat!(
-                            "{{\"tenant\":{},\"requests\":{},\"rejected\":{},",
-                            "\"bind_retries\":{},{}",
-                            "\"violations_enforced\":{},\"violations_audited\":{},",
-                            "\"violations_quarantined\":{},\"quarantined\":{}}}"
-                        ),
-                        t.tenant,
-                        t.requests,
-                        t.rejected,
-                        t.bind_retries,
-                        fairness,
-                        t.violations_enforced,
-                        t.violations_audited,
-                        t.violations_quarantined,
-                        t.quarantined
-                    )
-                })
-                .collect();
-            let keys = self.tenant_key_stats.unwrap_or_default();
-            let rate = match self.config.tenant_rate {
-                Some(burst) => format!("\"tenant_rate\":{burst},"),
-                None => String::new(),
-            };
-            format!(
-                concat!(
-                    "\"tenants\":{},\"tenant_policy\":\"{}\",{}",
-                    "\"tenant_keys\":{{\"binds\":{},\"hits\":{},\"misses\":{},",
-                    "\"evictions\":{},\"pages_retagged\":{},",
-                    "\"revocations\":{},\"deferred_reuses\":{},\"deferred_keys\":{}}},",
-                    "\"per_tenant\":[{}],"
-                ),
-                self.config.tenants,
-                self.config.tenant_policy,
-                rate,
-                keys.binds,
-                keys.hits,
-                keys.misses,
-                keys.evictions,
-                keys.pages_retagged,
-                keys.revocations,
-                keys.deferred_reuses,
-                keys.deferred_keys,
-                rows.join(",")
-            )
-        };
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    concat!(
-                        "{{\"worker\":{},\"requests\":{},\"page_loads\":{},",
-                        "\"scripts\":{},\"transitions\":{},\"pkey_faults\":{},\"errors\":{}}}"
-                    ),
-                    w.worker,
-                    w.requests,
-                    w.page_loads,
-                    w.scripts,
-                    w.transitions,
-                    w.pkey_faults,
-                    w.errors
-                )
-            })
-            .collect();
-        // Overload fields render only when their feature was active (or,
-        // for the watchdog, actually fired) — the default-config schema
-        // stays byte-identical to the pre-overload runtime.
-        let mut overload = String::new();
-        if self.config.deadline_ticks > 0 {
-            overload.push_str(&format!("\"deadline_ticks\":{},", self.config.deadline_ticks));
-        }
-        if let Some(wait) = self.config.admission_wait_ms {
-            overload.push_str(&format!("\"admission_wait_ms\":{wait},"));
-        }
-        if self.config.deadline_ticks > 0
-            || self.config.admission_wait_ms.is_some()
-            || self.config.tenant_rate.is_some()
-        {
-            overload.push_str(&format!(
-                "\"requests_expired\":{},\"requests_rejected\":{},",
-                self.requests_expired, self.requests_rejected
-            ));
-        }
-        if self.workers_stalled > 0 {
-            overload.push_str(&format!("\"workers_stalled\":{},", self.workers_stalled));
-        }
-        if let Some(latency) = &self.latency {
-            overload.push_str(&format!("\"latency\":{},", latency.to_json()));
-        }
-        // Dispatch counters only exist in ablation runs (a fast path
-        // turned off), keeping the default schema byte-identical to the
-        // pre-dispatch pins.
-        let dispatch = if self.config.threaded && self.config.ic {
-            String::new()
-        } else {
-            format!(
-                concat!(
-                    "\"dispatch_ic_hits\":{},\"dispatch_ic_misses\":{},",
-                    "\"superinstructions_fused\":{},"
-                ),
-                self.dispatch_ic_hits, self.dispatch_ic_misses, self.superinstructions_fused
-            )
-        };
-        // Same discipline for the queue's requeue counter: it only exists
-        // in runs where a crash-recovery requeue actually happened.
-        let requeued = if self.queue.requeued > 0 {
-            format!(",\"requeued\":{}", self.queue.requeued)
-        } else {
-            String::new()
-        };
-        format!(
-            concat!(
-                "{{\"workers\":{},\"requests\":{},\"queue_capacity\":{},\"seed\":{},{}",
-                "\"elapsed_seconds\":{:.6},\"throughput_rps\":{:.2},",
-                "\"queue\":{{\"enqueued\":{},\"max_depth\":{},\"backpressure_waits\":{}{}}},",
-                "\"requests_served\":{},\"transitions\":{},\"checksum_mismatches\":{},",
-                "\"unexpected_faults\":{},\"errors\":{},",
-                "\"workers_restarted\":{},\"requests_retried\":{},",
-                "\"requests_abandoned\":{},\"injected_faults\":{},{}",
-                "\"tlb_hits\":{},\"tlb_misses\":{},\"tlb_flushes\":{},{}",
-                "{}{}\"per_worker\":[{}]}}"
+                "queue",
+                JsonValue::object([
+                    ("enqueued", self.queue.enqueued.into()),
+                    ("max_depth", self.queue.max_depth.into()),
+                    ("backpressure_waits", self.queue.backpressure_waits.into()),
+                    ("requeued", self.queue.requeued.into()),
+                ]),
             ),
-            self.config.workers,
-            self.config.requests,
-            self.config.queue_capacity,
-            self.config.seed,
-            policy,
-            self.elapsed_seconds,
-            self.throughput_rps,
-            self.queue.enqueued,
-            self.queue.max_depth,
-            self.queue.backpressure_waits,
-            requeued,
-            self.requests_served,
-            self.transitions,
-            self.checksum_mismatches,
-            self.unexpected_faults,
-            self.errors,
-            self.workers_restarted,
-            self.requests_retried,
-            self.requests_abandoned,
-            self.injected_faults,
-            overload,
-            self.tlb_hits,
-            self.tlb_misses,
-            self.tlb_flushes,
-            dispatch,
-            violations,
-            tenants,
-            workers.join(",")
-        )
+            ("requests_served", self.requests_served.into()),
+            ("transitions", self.transitions.into()),
+            ("checksum_mismatches", self.checksum_mismatches.into()),
+            ("unexpected_faults", self.unexpected_faults.into()),
+            ("errors", self.errors.into()),
+            ("workers_restarted", self.workers_restarted.into()),
+            ("requests_retried", self.requests_retried.into()),
+            ("requests_abandoned", self.requests_abandoned.into()),
+            ("injected_faults", self.injected_faults.into()),
+            ("deadline_ticks", config.deadline_ticks.into()),
+            ("admission_wait_ms", config.admission_wait_ms.into()),
+            ("requests_expired", self.requests_expired.into()),
+            ("requests_rejected", self.requests_rejected.into()),
+            ("workers_stalled", self.workers_stalled.into()),
+            ("latency", self.latency.into()),
+            ("tlb_hits", self.tlb_hits.into()),
+            ("tlb_misses", self.tlb_misses.into()),
+            ("tlb_flushes", self.tlb_flushes.into()),
+            ("dispatch_ic_hits", self.dispatch_ic_hits.into()),
+            ("dispatch_ic_misses", self.dispatch_ic_misses.into()),
+            ("superinstructions_fused", self.superinstructions_fused.into()),
+            ("violations_enforced", self.violations_enforced.into()),
+            ("violations_audited", self.violations_audited.into()),
+            ("violations_quarantined", self.violations_quarantined.into()),
+            ("flagged_sites", self.flagged_sites.iter().copied().collect()),
+            ("audit_dropped", self.audit_dropped.into()),
+            ("audit_log", self.audit_log.iter().copied().collect()),
+            ("tenants", config.tenants.into()),
+            ("tenant_policy", config.tenant_policy.to_string().into()),
+            ("tenant_rate", config.tenant_rate.into()),
+            ("tenant_keys", self.tenant_key_stats.map(key_stats_json).into()),
+            ("per_tenant", self.per_tenant.iter().copied().collect()),
+            ("per_worker", per_worker.collect()),
+        ])
+        .to_string()
+    }
+}
+
+/// The report's `tenant_keys` object.
+fn key_stats_json(keys: VkeyPoolStats) -> JsonValue {
+    JsonValue::object([
+        ("binds", keys.binds.into()),
+        ("hits", keys.hits.into()),
+        ("misses", keys.misses.into()),
+        ("evictions", keys.evictions.into()),
+        ("pages_retagged", keys.pages_retagged.into()),
+        ("revocations", keys.revocations.into()),
+        ("deferred_reuses", keys.deferred_reuses.into()),
+        ("deferred_keys", keys.deferred_keys.into()),
+    ])
+}
+
+impl From<TenantReportRow> for JsonValue {
+    fn from(t: TenantReportRow) -> JsonValue {
+        JsonValue::object([
+            ("tenant", t.tenant.into()),
+            ("requests", t.requests.into()),
+            ("rejected", t.rejected.into()),
+            ("bind_retries", t.bind_retries.into()),
+            ("offered", t.offered.into()),
+            ("rate_limited", t.rate_limited.into()),
+            ("violations_enforced", t.violations_enforced.into()),
+            ("violations_audited", t.violations_audited.into()),
+            ("violations_quarantined", t.violations_quarantined.into()),
+            ("quarantined", t.quarantined.into()),
+        ])
     }
 }
 
@@ -771,8 +652,8 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
     let faults = FaultState::new(&config.faults, config.workers);
     let cells: Vec<Arc<WorkerCell>> =
         (0..config.workers).map(|w| Arc::new(WorkerCell::new(w))).collect();
-    // Under `enforce` no handler exists at all: workers run the exact
-    // pre-policy code path, so behaviour and report stay byte-identical.
+    // Under `enforce` no handler exists at all: workers run the plain
+    // deny-on-violation code path.
     let handlers: Option<Vec<Arc<ViolationHandler>>> = match config.mpk_policy {
         MpkPolicy::Enforce => None,
         policy => {
@@ -804,7 +685,6 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
             registry,
             overload: &overload,
             tlb: config.tlb,
-            dispatch: DispatchOptions { threaded: config.threaded, ic: config.ic },
             record_latency: config.record_latency,
         };
         let spawn_worker = |slot: usize, incarnation: u64| {

@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use servolite::{Browser, BrowserConfig, DispatchOptions, DispatchStats};
+use servolite::{Browser, BrowserConfig, DispatchStats};
 use workloads::suites::micro_page;
 
 use lir::SharedHost;
@@ -249,9 +249,6 @@ pub struct PoolCtx<'a> {
     pub overload: &'a OverloadState,
     /// Whether workers run the per-thread software TLB.
     pub tlb: bool,
-    /// The interpreter fast-path configuration every worker browser is
-    /// built with (threaded dispatch / inline caches).
-    pub dispatch: DispatchOptions,
     /// Whether to record admission→completion latency samples.
     pub record_latency: bool,
 }
@@ -290,7 +287,7 @@ pub fn run_worker(
     cell: &WorkerCell,
     handler: Option<&Arc<ViolationHandler>>,
 ) -> Result<(), ServeError> {
-    let PoolCtx { queue, host, profile, faults, registry, overload, tlb, dispatch, .. } = ctx;
+    let PoolCtx { queue, host, profile, faults, registry, overload, tlb, .. } = ctx;
     if let Some(handler) = handler {
         // A fresh incarnation starts with a clean quarantine breaker; the
         // per-site ledger and the audit log persist across respawns.
@@ -306,19 +303,13 @@ pub fn run_worker(
     // The incarnation's per-thread TLB over the shared host space is
     // configured at machine construction (disabled only in the ablation
     // configuration), so even browser setup traffic goes the right way.
-    let mut browser = Browser::with_dispatch(
-        BrowserConfig::Mpk,
-        Some(profile),
-        Some(host),
-        handler.cloned(),
-        tlb,
-        dispatch,
-    )
-    .map_err(|e| ServeError::Worker {
-        worker,
-        message: format!("browser setup: {e}"),
-        report: None,
-    })?;
+    let mut browser =
+        Browser::with_tlb(BrowserConfig::Mpk, Some(profile), Some(host), handler.cloned(), tlb)
+            .map_err(|e| ServeError::Worker {
+                worker,
+                message: format!("browser setup: {e}"),
+                report: None,
+            })?;
     browser.load_html(micro_page()).map_err(|e| ServeError::Worker {
         worker,
         message: format!("initial page: {e}"),

@@ -21,12 +21,10 @@
 //! normalized overhead, transition counts, and `%M_U` — the same columns
 //! as Tables 1–3.
 
-pub mod json;
 pub mod kernels;
 pub mod runner;
 pub mod suites;
 
-pub use json::report_json;
 pub use runner::{
     profile_for, run_benchmark, run_benchmark_dispatch, run_benchmark_tlb, run_config, run_matrix,
     ConfigReport, RunResult, SuiteSummary, WorkloadError,

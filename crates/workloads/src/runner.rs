@@ -4,6 +4,7 @@ use core::fmt;
 use std::time::Instant;
 
 use minijs::Value;
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
 use pkru_vmem::TlbStats;
 use servolite::{Browser, BrowserConfig, BrowserError, DispatchOptions, DispatchStats};
@@ -91,6 +92,37 @@ impl ConfigReport {
             return 0.0;
         }
         self.rows.iter().map(|r| r.percent_mu).sum::<f64>() / self.rows.len() as f64
+    }
+
+    /// The machine-readable report of this configuration under `label`:
+    /// one row per benchmark, carrying everything a downstream consumer
+    /// needs to recompute overheads (seconds, iterations, ns/iter) and
+    /// verify determinism (checksums).
+    pub fn to_json(&self, label: &str) -> JsonValue {
+        let rows = self.rows.iter().map(|row| {
+            let ns_per_iter = if row.iterations > 0 {
+                row.seconds * 1e9 / f64::from(row.iterations)
+            } else {
+                0.0
+            };
+            JsonValue::object([
+                ("suite", row.suite.into()),
+                ("sub", row.sub.into()),
+                ("name", row.name.into()),
+                ("seconds", row.seconds.into()),
+                ("iterations", row.iterations.into()),
+                ("ns_per_iter", ns_per_iter.into()),
+                ("transitions", row.transitions.into()),
+                ("percent_mu", row.percent_mu.into()),
+                ("checksum", row.checksum.into()),
+            ])
+        });
+        JsonValue::object([
+            ("config", label.into()),
+            ("rows", rows.collect()),
+            ("total_transitions", self.total_transitions().into()),
+            ("mean_percent_mu", self.mean_percent_mu().into()),
+        ])
     }
 }
 
@@ -307,4 +339,30 @@ pub fn verify_checksums(a: &ConfigReport, b: &ConfigReport) -> Result<(), Worklo
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_renders_rows_and_derived_rate() {
+        let row = RunResult {
+            name: "fft",
+            suite: "kraken",
+            sub: "",
+            seconds: 0.5,
+            iterations: 10,
+            transitions: 20,
+            percent_mu: 48.5,
+            checksum: 123.25,
+        };
+        let json = ConfigReport { rows: vec![row] }.to_json("mpk").to_string();
+        assert!(json.contains("\"config\":\"mpk\""));
+        assert!(json.contains("\"name\":\"fft\""));
+        assert!(json.contains("\"iterations\":10"));
+        assert!(json.contains("\"ns_per_iter\":50000000.0"));
+        assert!(json.contains("\"checksum\":123.25"));
+        assert!(json.contains("\"total_transitions\":20"));
+    }
 }

@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lir::{parse_module, verify_module, Module};
+use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
 use pkru_safe::{run_profiling, Annotations, Pipeline, ProfileInput};
 use pkru_server::{serve, Fault, MpkPolicy, ServeConfig, ServeError, TrafficShape};
@@ -90,13 +91,6 @@ serve options:
                          sites absorbed from a previous run's audit log)
   --no-tlb               disable the per-worker software TLB (ablation;
                          behaviour is identical, throughput is not)
-  --no-threaded          disable threaded dispatch and fused bulk
-                         superinstructions in worker interpreters
-                         (ablation; behaviour is identical; adds the
-                         dispatch counters to the JSON report)
-  --no-ic                disable the engines' shape-keyed inline caches
-                         (ablation; behaviour is identical; adds the
-                         dispatch counters to the JSON report)
   --tenants <n>          multi-tenant mode: serve a tenant-tagged request
                          mix across n isolated compartments, virtual keys
                          multiplexed onto the hardware key space (default
@@ -237,8 +231,6 @@ fn serve_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
                 config.extra_profile = Some(Profile::load(&path).map_err(|e| e.to_string())?);
             }
             "--no-tlb" => config.tlb = false,
-            "--no-threaded" => config.threaded = false,
-            "--no-ic" => config.ic = false,
             "--tenants" => config.tenants = parse_num("--tenants", argv.next())? as usize,
             "--tenant-policy" => {
                 let spec =
@@ -601,7 +593,7 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
 
     use pkru_analysis::redteam::{generate_any, vet, Catch};
     let (mut caught_static, mut caught_dynamic, mut uncaught) = (0u64, 0u64, 0u64);
-    let mut rows = Vec::new();
+    let mut results = Vec::new();
     for i in 0..samples {
         let attack = generate_any(seed.wrapping_add(i));
         let (layer, detail) = match vet(&attack.module()) {
@@ -621,20 +613,22 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
         if layer == "uncaught" && !json {
             eprintln!("UNCAUGHT {} (seed {}):\n{}", attack.kind.label(), attack.seed, attack.text);
         }
-        rows.push(format!(
-            "{{\"kind\":\"{}\",\"seed\":{},\"caught\":\"{layer}\",\"detail\":\"{}\"}}",
-            attack.kind.label(),
-            attack.seed,
-            json_escape(&detail)
-        ));
+        results.push(JsonValue::object([
+            ("kind", attack.kind.label().into()),
+            ("seed", attack.seed.into()),
+            ("caught", layer.into()),
+            ("detail", detail.into()),
+        ]));
     }
     if json {
-        println!(
-            "{{\"samples\":{samples},\"caught_static\":{caught_static},\
-             \"caught_dynamic\":{caught_dynamic},\"uncaught\":{uncaught},\
-             \"results\":[{}]}}",
-            rows.join(",")
-        );
+        let report = JsonValue::object([
+            ("samples", samples.into()),
+            ("caught_static", caught_static.into()),
+            ("caught_dynamic", caught_dynamic.into()),
+            ("uncaught", uncaught.into()),
+            ("results", JsonValue::Array(results)),
+        ]);
+        println!("{report}");
     } else {
         println!(
             "red team: {samples} attack(s): {caught_static} caught statically, \
@@ -650,38 +644,18 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
 
 /// The `scan --json` report: one object per finding, with the reachability
 /// witness as an array of function names (untrusted entry first).
-fn scan_report_json(findings: &[pkru_analysis::ScanFinding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let witness: Vec<String> =
-            f.witness.iter().map(|w| format!("\"{}\"", json_escape(w))).collect();
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"func\":\"{}\",\"block\":{},\"index\":{},\
-             \"witness\":[{}],\"message\":\"{}\"}}",
-            f.kind.code(),
-            json_escape(&f.func),
-            f.block,
-            f.index,
-            witness.join(","),
-            json_escape(&f.to_string())
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
+fn scan_report_json(findings: &[pkru_analysis::ScanFinding]) -> JsonValue {
+    let findings = findings.iter().map(|f| {
+        JsonValue::object([
+            ("code", f.kind.code().into()),
+            ("func", f.func.as_str().into()),
+            ("block", f.block.into()),
+            ("index", f.index.into()),
+            ("witness", f.witness.iter().map(String::as_str).collect()),
+            ("message", f.to_string().into()),
+        ])
+    });
+    JsonValue::object([("findings", findings.collect())])
 }
 
 /// Structural verification plus the def-before-use dataflow check.

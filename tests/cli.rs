@@ -3,6 +3,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use pkru_provenance::json::{self, JsonValue};
+
 fn cli() -> Command {
     // Cargo puts integration-test binaries in target/<profile>/deps; the
     // CLI lives one level up.
@@ -39,6 +41,16 @@ bb0:
     )
     .expect("write demo");
     path
+}
+
+/// Parses a `--json` report from stdout.
+fn report(stdout: &str) -> JsonValue {
+    json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{e} in {stdout}"))
+}
+
+/// An unsigned counter of a parsed report.
+fn counter(value: &JsonValue, key: &str) -> u64 {
+    value.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| panic!("no counter {key}"))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -307,49 +319,24 @@ fn serve_json_emits_machine_readable_report() {
 
 #[test]
 fn serve_dispatch_ablation_flags_gate_the_report_schema() {
-    // The default run must not grow the pinned report schema: the
-    // dispatch counters appear only when a fast path is ablated.
+    // Workers always run both interpreter fast paths, so every report
+    // carries their counters, and the serve-side ablation flags are gone.
     let base = ["serve", "--workers", "1", "--requests", "8", "--seed", "9", "--json"];
     let out = cli().args(base).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in ["dispatch_ic_hits", "dispatch_ic_misses", "superinstructions_fused"] {
-        assert!(!stdout.contains(key), "default schema grew a {key} field: {stdout}");
-    }
+    assert!(stdout.starts_with("{\"schema\":2,"), "{stdout}");
+    let r = report(&stdout);
+    assert!(counter(&r, "dispatch_ic_hits") > 0, "the inline caches must serve hits: {stdout}");
+    assert!(counter(&r, "superinstructions_fused") > 0, "no fused bulk ops: {stdout}");
+    counter(&r, "dispatch_ic_misses");
 
-    // --no-threaded: still clean and checksum-identical, no fused ops,
-    // but the inline caches keep serving hits.
-    let out = cli().args(base).arg("--no-threaded").output().expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in
-        ["\"requests_served\":8", "\"checksum_mismatches\":0", "\"superinstructions_fused\":0"]
-    {
-        assert!(stdout.contains(key), "missing {key} in {stdout}");
+    for flag in ["--no-threaded", "--no-ic"] {
+        let out = cli().args(base).arg(flag).output().expect("run");
+        assert!(!out.status.success(), "{flag} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown serve option"), "{stderr}");
     }
-    let hits: u64 = stdout
-        .split("\"dispatch_ic_hits\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("dispatch_ic_hits field");
-    assert!(hits > 0, "legacy-dispatch lane must still serve IC hits: {stdout}");
-
-    // --no-ic: still clean, no cache traffic at all, but the threaded
-    // lane keeps fusing bulk superinstructions.
-    let out = cli().args(base).arg("--no-ic").output().expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in ["\"requests_served\":8", "\"dispatch_ic_hits\":0", "\"dispatch_ic_misses\":0"] {
-        assert!(stdout.contains(key), "missing {key} in {stdout}");
-    }
-    let fused: u64 = stdout
-        .split("\"superinstructions_fused\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("superinstructions_fused field");
-    assert!(fused > 0, "no-IC lane must still fuse bulk ops: {stdout}");
 }
 
 #[test]
@@ -378,17 +365,11 @@ fn serve_tenants_reports_per_tenant_breakdown() {
     }
     // One bind per request plus one per recorded retry: barrier stalls
     // cost retries, never unaccounted binds.
-    let binds: u64 = stdout
-        .split("\"tenant_keys\":{\"binds\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("binds field");
-    let retries: u64 = stdout
-        .split("\"bind_retries\":")
-        .skip(1)
-        .map(|s| s.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse::<u64>().unwrap())
-        .sum();
+    let r = report(&stdout);
+    let binds = counter(r.get("tenant_keys").expect("tenant_keys"), "binds");
+    let tenants = r.get("per_tenant").and_then(JsonValue::as_array).expect("per_tenant");
+    assert_eq!(tenants.len(), 20);
+    let retries: u64 = tenants.iter().map(|t| counter(t, "bind_retries")).sum();
     assert_eq!(binds, 48 + retries, "binds must equal requests + retries: {stdout}");
 }
 
@@ -643,25 +624,25 @@ fn serve_stall_fault_is_survived_by_the_watchdog() {
 
 #[test]
 fn serve_without_overload_flags_keeps_the_report_schema_unchanged() {
-    // The compatibility pin, end to end through the CLI: a flag-free
-    // serve must not leak any of the overload-era keys into its JSON.
+    // Schema 2, end to end through the CLI: a flag-free serve renders
+    // every overload-era key too, each reading as "off".
     let out = cli()
         .args(["serve", "--workers", "2", "--requests", "24", "--seed", "3", "--json"])
         .output()
         .expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for absent in [
-        "deadline_ticks",
-        "admission_wait_ms",
-        "tenant_rate",
-        "requests_expired",
-        "requests_rejected",
-        "workers_stalled",
-        "latency",
-        "requeued",
-        "rate_limited",
+    for present in [
+        "\"deadline_ticks\":0,",
+        "\"admission_wait_ms\":null,",
+        "\"tenant_rate\":null,",
+        "\"requests_expired\":0,",
+        "\"requests_rejected\":0,",
+        "\"workers_stalled\":0,",
+        "\"latency\":null,",
+        "\"requeued\":0}",
+        "\"per_tenant\":[],",
     ] {
-        assert!(!stdout.contains(absent), "overload key {absent} leaked into {stdout}");
+        assert!(stdout.contains(present), "missing {present} in {stdout}");
     }
 }
