@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use crate::heap::Sym;
 use crate::ic::PropIc;
 
 /// Binary operators.
@@ -72,7 +73,7 @@ pub enum AssignOp {
 #[derive(Clone, Debug)]
 pub enum Target {
     /// A variable.
-    Ident(Rc<str>),
+    Ident(Sym),
     /// `obj.prop`, with the site's inline cache.
     Member(Box<Expr>, Rc<str>, PropIc),
     /// `obj[index]`.
@@ -82,10 +83,10 @@ pub enum Target {
 /// A function definition (declaration or expression).
 #[derive(Debug)]
 pub struct FuncDef {
-    /// The function's name (empty for anonymous expressions).
-    pub name: Rc<str>,
+    /// The function's name (the empty name for anonymous expressions).
+    pub name: Sym,
     /// Parameter names.
-    pub params: Vec<Rc<str>>,
+    pub params: Vec<Sym>,
     /// The body.
     pub body: Vec<Stmt>,
 }
@@ -103,10 +104,10 @@ pub enum Expr {
     Null,
     /// `undefined`.
     Undefined,
-    /// `this` (the method receiver).
+    /// `this` (the method receiver), bound as [`Sym::THIS`].
     This,
     /// A variable reference.
-    Ident(Rc<str>),
+    Ident(Sym),
     /// `[a, b, c]`.
     ArrayLit(Vec<Expr>),
     /// `{k: v, ...}`; each property definition carries an inline cache
@@ -155,7 +156,7 @@ pub enum Expr {
 pub enum Stmt {
     /// `var`/`let` declaration list (uniform function scoping in the
     /// subset).
-    Var(Vec<(Rc<str>, Option<Expr>)>),
+    Var(Vec<(Sym, Option<Expr>)>),
     /// A function declaration.
     Func(Rc<FuncDef>),
     /// An expression statement.

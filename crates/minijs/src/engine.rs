@@ -159,7 +159,7 @@ impl Engine {
     /// Registers a native and binds it as a global function.
     pub fn register_native(&mut self, name: &str, f: NativeFn) -> u32 {
         let handle = self.add_method_native(f);
-        self.global.declare(name.into(), Value::Native(handle));
+        self.set_global(name, Value::Native(handle));
         handle
     }
 
@@ -200,12 +200,13 @@ impl Engine {
 
     /// Binds a global variable.
     pub fn set_global(&mut self, name: &str, value: Value) {
-        self.global.declare(name.into(), value);
+        self.global.declare(self.heap.intern_name(name), value);
     }
 
-    /// Reads a global variable.
+    /// Reads a global variable. A name no script or embedder ever used
+    /// is not interned, so it cannot be bound.
     pub fn global(&self, name: &str) -> Option<Value> {
-        self.global.get(name)
+        self.global.get(self.heap.lookup_name(name)?)
     }
 
     /// Wraps a raw host structure pointer as a script value.
@@ -215,7 +216,7 @@ impl Engine {
 
     /// Evaluates a script in the global scope (the `JS_Eval` analog).
     pub fn eval(&mut self, machine: &mut Machine, source: &str) -> Result<Value, EngineError> {
-        let program = parse_program(source)?;
+        let program = parse_program(source, &mut self.heap)?;
         let global = Rc::clone(&self.global);
         let mut ctx = Ctx::new(
             machine,
@@ -237,7 +238,7 @@ impl Engine {
         name: &str,
         args: &[Value],
     ) -> Result<Value, EngineError> {
-        let f = self.global.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))?;
+        let f = self.global(name).ok_or_else(|| EngineError::Reference(name.to_string()))?;
         let mut ctx = Ctx::new(
             machine,
             &mut self.heap,
@@ -350,7 +351,7 @@ impl Engine {
         )?;
         self.heap.prop_set(machine, math, &"PI".into(), &Value::Num(std::f64::consts::PI))?;
         self.heap.prop_set(machine, math, &"E".into(), &Value::Num(std::f64::consts::E))?;
-        self.global.declare("Math".into(), Value::Obj(math));
+        self.set_global("Math", Value::Obj(math));
 
         // String.fromCharCode.
         let string_ns = self.heap.new_object();
@@ -368,7 +369,7 @@ impl Engine {
             &"fromCharCode".into(),
             &Value::Native(from_char_code),
         )?;
-        self.global.declare("String".into(), Value::Obj(string_ns));
+        self.set_global("String", Value::Obj(string_ns));
 
         // Date.now (virtual milliseconds).
         let date_ns = self.heap.new_object();
@@ -376,7 +377,7 @@ impl Engine {
             Ok(Value::Num((*ctx.clock / 1000) as f64))
         }));
         self.heap.prop_set(machine, date_ns, &"now".into(), &Value::Native(now))?;
-        self.global.declare("Date".into(), Value::Obj(date_ns));
+        self.set_global("Date", Value::Obj(date_ns));
 
         // JSON.
         let json_ns = self.heap.new_object();
@@ -401,7 +402,7 @@ impl Engine {
         }));
         self.heap.prop_set(machine, json_ns, &"stringify".into(), &Value::Native(stringify))?;
         self.heap.prop_set(machine, json_ns, &"parse".into(), &Value::Native(parse))?;
-        self.global.declare("JSON".into(), Value::Obj(json_ns));
+        self.set_global("JSON", Value::Obj(json_ns));
 
         // Global functions.
         self.register_native(
@@ -695,6 +696,83 @@ impl JsonParser<'_> {
             Ok(())
         } else {
             Err(EngineError::Type("bad JSON".into()))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lir::{FaultPolicy, Machine};
+
+    use super::*;
+
+    /// A catalog-shaped kernel (the SHA-256 compression loop of the serve
+    /// catalog's `sha_like`, plus a method call and string building), run
+    /// the way a serve worker runs a request: evaluate, then call `run`.
+    const KERNEL: &str = r#"
+var K = [];
+(function() {
+  var seed = 0x9e3779b9;
+  for (var i = 0; i < 64; i++) {
+    seed = (seed * 1664525 + 1013904223) | 0;
+    K.push(seed);
+  }
+})();
+var acc = {total: 0, add: function(v) { this.total = (this.total + v) | 0; return this.total; }};
+function rotr(x, n) { return (x >>> n) | (x << (32 - n)); }
+function compress(state, w) {
+  var a = state[0], b = state[1], c = state[2], d = state[3];
+  var e = state[4], f = state[5], g = state[6], h = state[7];
+  for (var t = 16; t < 64; t++) {
+    var s0 = rotr(w[t-15], 7) ^ rotr(w[t-15], 18) ^ (w[t-15] >>> 3);
+    var s1 = rotr(w[t-2], 17) ^ rotr(w[t-2], 19) ^ (w[t-2] >>> 10);
+    w[t] = (w[t-16] + s0 + w[t-7] + s1) | 0;
+  }
+  for (var t = 0; t < 64; t++) {
+    var S1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    var ch = (e & f) ^ (~e & g);
+    var t1 = (h + S1 + ch + K[t] + w[t]) | 0;
+    var S0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    var maj = (a & b) ^ (a & c) ^ (b & c);
+    var t2 = (S0 + maj) | 0;
+    h = g; g = f; f = e; e = (d + t1) | 0;
+    d = c; c = b; b = a; a = (t1 + t2) | 0;
+  }
+  state[0] = (state[0] + a) | 0; state[4] = (state[4] + e) | 0;
+}
+function run() {
+  var state = [0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19];
+  var w = [];
+  for (var i = 0; i < 64; i++) w.push(0);
+  for (var b = 0; b < 2; b++) {
+    for (var i = 0; i < 16; i++) w[i] = (b * 16 + i) * 0x01010101;
+    compress(state, w);
+  }
+  var label = 'k' + (state[0] & 7);
+  return acc.add(state[0] ^ state[4]) + label.length;
+}
+"#;
+
+    #[test]
+    fn re_evaluating_a_script_interns_no_names_and_adds_no_globals() {
+        let mut machine = Machine::split(FaultPolicy::Crash).unwrap();
+        let mut engine = Engine::new(&mut machine).unwrap();
+        let mut request = |engine: &mut Engine| {
+            engine.eval(&mut machine, KERNEL).unwrap();
+            match engine.call(&mut machine, "run", &[]).unwrap() {
+                Value::Num(n) => n,
+                other => panic!("run returned {other:?}"),
+            }
+        };
+        let first = request(&mut engine);
+        let strings = engine.heap.string_count();
+        let globals = engine.global.len();
+        for _ in 1..100 {
+            // Each eval rebinds `acc`, so every request sees the same result.
+            assert_eq!(request(&mut engine), first);
+            assert_eq!(engine.heap.string_count(), strings, "the string table grew");
+            assert_eq!(engine.global.len(), globals, "the root scope grew");
         }
     }
 }

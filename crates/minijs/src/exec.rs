@@ -1,7 +1,6 @@
 //! The tree-walking evaluator.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use lir::Machine;
@@ -9,7 +8,7 @@ use lir::Machine;
 use crate::ast::{AssignOp, BinaryOp, Expr, Stmt, Target, UnaryOp};
 use crate::engine::{HostClass, HostField, HostFieldKind, NativeFn};
 use crate::error::EngineError;
-use crate::heap::{Closure, Heap, ObjKind};
+use crate::heap::{Closure, Heap, ObjKind, Sym};
 use crate::ic::{IcState, PropIc};
 use crate::parser::fmt_f64;
 use crate::{to_int32, to_uint32, Value};
@@ -17,47 +16,76 @@ use crate::{to_int32, to_uint32, Value};
 /// Maximum JS call depth (guards the native stack).
 const MAX_CALL_DEPTH: usize = 128;
 
-/// A lexical scope.
+/// A lexical scope: the root (globals) and every function, `for` and
+/// block scope alike.
+///
+/// Bindings are `(symbol, value)` pairs searched linearly: scopes are
+/// small, and a symbol compare is one integer compare.
 pub struct Env {
-    vars: RefCell<HashMap<Rc<str>, Value>>,
+    vars: RefCell<Vec<(Sym, Value)>>,
     parent: Option<Rc<Env>>,
 }
 
 impl Env {
     /// Creates a root scope.
     pub fn root() -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(HashMap::new()), parent: None })
+        Rc::new(Env { vars: RefCell::new(Vec::new()), parent: None })
     }
 
     /// Creates a child scope.
     pub fn child(parent: &Rc<Env>) -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(HashMap::new()), parent: Some(Rc::clone(parent)) })
+        Rc::new(Env { vars: RefCell::new(Vec::new()), parent: Some(Rc::clone(parent)) })
     }
 
     /// Declares (or overwrites) a binding in this scope.
-    pub fn declare(&self, name: Rc<str>, value: Value) {
-        self.vars.borrow_mut().insert(name, value);
+    pub fn declare(&self, name: Sym, value: Value) {
+        let mut vars = self.vars.borrow_mut();
+        match vars.iter_mut().find(|(s, _)| *s == name) {
+            Some((_, slot)) => *slot = value,
+            None => vars.push((name, value)),
+        }
     }
 
     /// Reads a binding, walking the scope chain.
-    pub fn get(&self, name: &str) -> Option<Value> {
-        if let Some(v) = self.vars.borrow().get(name) {
-            return Some(v.clone());
+    pub fn get(&self, name: Sym) -> Option<Value> {
+        let mut env = self;
+        loop {
+            if let Some((_, v)) = env.vars.borrow().iter().find(|(s, _)| *s == name) {
+                return Some(v.clone());
+            }
+            env = env.parent.as_deref()?;
         }
-        self.parent.as_ref()?.get(name)
     }
 
     /// Assigns to an existing binding, walking the chain; returns whether
     /// a binding was found.
-    pub fn set(&self, name: &str, value: Value) -> bool {
-        if let Some(slot) = self.vars.borrow_mut().get_mut(name) {
-            *slot = value;
-            return true;
+    pub fn set(&self, name: Sym, value: Value) -> bool {
+        let mut env = self;
+        loop {
+            if let Some((_, slot)) = env.vars.borrow_mut().iter_mut().find(|(s, _)| *s == name) {
+                *slot = value;
+                return true;
+            }
+            match env.parent.as_deref() {
+                Some(p) => env = p,
+                None => return false,
+            }
         }
-        match &self.parent {
-            Some(p) => p.set(name, value),
-            None => false,
+    }
+
+    /// The outermost scope of the chain (where implicit globals go).
+    fn root_of(&self) -> &Env {
+        let mut env = self;
+        while let Some(p) = env.parent.as_deref() {
+            env = p;
         }
+        env
+    }
+
+    /// How many bindings this scope holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.vars.borrow().len()
     }
 }
 
@@ -133,7 +161,7 @@ impl<'a> Ctx<'a> {
             if let Stmt::Func(def) = stmt {
                 let handle =
                     self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
-                env.declare(Rc::clone(&def.name), Value::Fun(handle));
+                env.declare(def.name, Value::Fun(handle));
             }
         }
         for stmt in stmts {
@@ -154,7 +182,7 @@ impl<'a> Ctx<'a> {
                         Some(e) => self.eval(e, env)?,
                         None => Value::Undefined,
                     };
-                    env.declare(Rc::clone(name), v);
+                    env.declare(*name, v);
                 }
                 Ok(Flow::Normal)
             }
@@ -240,10 +268,8 @@ impl<'a> Ctx<'a> {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
             Expr::Undefined => Ok(Value::Undefined),
-            Expr::This => Ok(env.get("this").unwrap_or(Value::Undefined)),
-            Expr::Ident(name) => {
-                env.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))
-            }
+            Expr::This => Ok(env.get(Sym::THIS).unwrap_or(Value::Undefined)),
+            Expr::Ident(name) => self.lookup(env, *name),
             Expr::ArrayLit(items) => {
                 let mut vals = Vec::with_capacity(items.len());
                 for item in items {
@@ -381,13 +407,10 @@ impl<'a> Ctx<'a> {
             Value::Fun(handle) => {
                 let closure = self.heap.closure(*handle)?.clone();
                 let scope = Env::child(&closure.env);
-                for (i, param) in closure.def.params.iter().enumerate() {
-                    scope.declare(
-                        Rc::clone(param),
-                        args.get(i).cloned().unwrap_or(Value::Undefined),
-                    );
+                for (i, &param) in closure.def.params.iter().enumerate() {
+                    scope.declare(param, args.get(i).cloned().unwrap_or(Value::Undefined));
                 }
-                scope.declare("this".into(), this);
+                scope.declare(Sym::THIS, this);
                 self.depth += 1;
                 let result = self.exec_block(&closure.def.body, &scope);
                 self.depth -= 1;
@@ -520,11 +543,14 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// Reads a variable; an unbound name is a `ReferenceError`.
+    fn lookup(&self, env: &Env, name: Sym) -> Result<Value, EngineError> {
+        env.get(name).ok_or_else(|| EngineError::Reference(self.heap.name(name).to_string()))
+    }
+
     fn read_target(&mut self, target: &Target, env: &Rc<Env>) -> Result<Value, EngineError> {
         match target {
-            Target::Ident(name) => {
-                env.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))
-            }
+            Target::Ident(name) => self.lookup(env, *name),
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
                 self.member_get(&receiver, name, Some(ic))
@@ -545,13 +571,9 @@ impl<'a> Ctx<'a> {
     ) -> Result<(), EngineError> {
         match target {
             Target::Ident(name) => {
-                if !env.set(name, value.clone()) {
+                if !env.set(*name, value.clone()) {
                     // Implicit global, as in sloppy-mode JS.
-                    let mut root = env;
-                    while let Some(p) = &root.parent {
-                        root = p;
-                    }
-                    root.declare(Rc::clone(name), value.clone());
+                    env.root_of().declare(*name, value.clone());
                 }
                 Ok(())
             }
@@ -875,37 +897,31 @@ impl<'a> Ctx<'a> {
         name: &str,
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
-        let arg_num = |i: usize| -> f64 {
-            match args.get(i) {
-                Some(Value::Num(n)) => *n,
-                _ => 0.0,
-            }
-        };
         Ok(Some(match name {
             "charCodeAt" => {
-                let i = arg_num(0) as usize;
-                match s.as_bytes().get(i) {
-                    // ASCII fast path; non-ASCII falls back to chars().
-                    Some(&b) if b < 0x80 => Value::Num(f64::from(b)),
-                    _ => match s.chars().nth(i) {
-                        Some(c) => Value::Num(c as u32 as f64),
-                        None => Value::Num(f64::NAN),
-                    },
-                }
+                let code =
+                    self.char_index(args.first())?.and_then(|i| match s.as_bytes().get(..=i) {
+                        // ASCII fast path: over an all-ASCII prefix, byte `i`
+                        // is character `i`.
+                        Some(prefix) if prefix.is_ascii() => Some(u32::from(prefix[i])),
+                        _ => s.chars().nth(i).map(u32::from),
+                    });
+                Value::Num(code.map_or(f64::NAN, f64::from))
             }
-            "charAt" => {
-                let i = arg_num(0) as usize;
-                match s.chars().nth(i) {
-                    Some(c) => Value::Str(c.to_string().into()),
-                    None => Value::Str("".into()),
-                }
-            }
+            "charAt" => match self.char_index(args.first())?.and_then(|i| s.chars().nth(i)) {
+                Some(c) => Value::Str(c.to_string().into()),
+                None => Value::Str("".into()),
+            },
             "substring" | "slice" => {
+                // `ToNumber`, then clamped to the string (NaN reads as 0).
                 let len = s.chars().count() as f64;
-                let a = arg_num(0).max(0.0).min(len) as usize;
-                let b = match args.get(1) {
+                let a = match args.first() {
                     Some(v) => self.to_number(v)?.max(0.0).min(len) as usize,
-                    None => len as usize,
+                    None => 0,
+                };
+                let b = match args.get(1) {
+                    Some(Value::Undefined) | None => len as usize,
+                    Some(v) => self.to_number(v)?.max(0.0).min(len) as usize,
                 };
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                 let out: String = s.chars().skip(lo).take(hi - lo).collect();
@@ -938,6 +954,18 @@ impl<'a> Ctx<'a> {
             }
             _ => return Ok(None),
         }))
+    }
+
+    /// A string-method position argument: `ToNumber`, with NaN (so also a
+    /// missing argument) reading as 0 as in JS; a negative or fractional
+    /// position is out of range, as it is for `s[i]`.
+    fn char_index(&self, arg: Option<&Value>) -> Result<Option<usize>, EngineError> {
+        let i = match arg {
+            Some(v) => self.to_number(v)?,
+            None => 0.0,
+        };
+        let i = if i.is_nan() { 0.0 } else { i };
+        Ok((i >= 0.0 && i.fract() == 0.0).then_some(i as usize))
     }
 
     fn array_method(

@@ -24,6 +24,18 @@ use crate::Value;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ObjHandle(pub u32);
 
+/// An interned name: an index into the heap's string table.
+///
+/// The lexer resolves every identifier to a `Sym` once per parse, so scope
+/// lookups compare integers and never hash or compare the name's text.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Sym(pub u32);
+
+impl Sym {
+    /// `this`, interned first by every heap.
+    pub const THIS: Sym = Sym(0);
+}
+
 /// Handle to a host class definition.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct HostClassId(pub u32);
@@ -125,7 +137,7 @@ impl Default for Heap {
 impl Heap {
     /// Creates an empty heap (vulnerable engine build).
     pub fn new() -> Heap {
-        Heap {
+        let mut heap = Heap {
             objects: Vec::new(),
             shapes: vec![ShapeData { props: HashMap::new(), transitions: HashMap::new(), len: 0 }],
             strings: Vec::new(),
@@ -140,7 +152,10 @@ impl Heap {
             ic_hits: 0,
             ic_misses: 0,
             ic_epoch: 1,
-        }
+        };
+        let this = heap.intern_name("this");
+        debug_assert_eq!(this, Sym::THIS);
+        heap
     }
 
     /// The current IC validity epoch.
@@ -594,6 +609,30 @@ impl Heap {
         self.strings.push(Rc::clone(s));
         self.string_index.insert(Rc::clone(s), i);
         i
+    }
+
+    /// Interns a name, returning its symbol (allocates only on first use).
+    pub fn intern_name(&mut self, name: &str) -> Sym {
+        match self.string_index.get(name) {
+            Some(&i) => Sym(i),
+            None => Sym(self.intern_string(&name.into())),
+        }
+    }
+
+    /// The symbol of an already-interned name, without interning it.
+    pub fn lookup_name(&self, name: &str) -> Option<Sym> {
+        self.string_index.get(name).map(|&i| Sym(i))
+    }
+
+    /// The text of an interned name.
+    pub fn name(&self, sym: Sym) -> &Rc<str> {
+        &self.strings[sym.0 as usize]
+    }
+
+    /// How many strings the table holds.
+    #[cfg(test)]
+    pub(crate) fn string_count(&self) -> usize {
+        self.strings.len()
     }
 
     /// Registers a closure, returning its handle.

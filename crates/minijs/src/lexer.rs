@@ -3,6 +3,7 @@
 use std::rc::Rc;
 
 use crate::error::EngineError;
+use crate::heap::{Heap, Sym};
 
 /// A lexical token.
 #[derive(Clone, PartialEq, Debug)]
@@ -11,8 +12,8 @@ pub enum Tok {
     Num(f64),
     /// A string literal (escapes resolved).
     Str(Rc<str>),
-    /// An identifier.
-    Ident(Rc<str>),
+    /// An identifier, interned.
+    Ident(Sym),
     /// A keyword.
     Keyword(&'static str),
     /// Punctuation or an operator.
@@ -58,8 +59,8 @@ const PUNCTS: &[&str] = &[
     ">", "!", "&", "|", "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ];
 
-/// Tokenizes `source`.
-pub fn lex(source: &str) -> Result<Vec<SpannedTok>, EngineError> {
+/// Tokenizes `source`, interning every identifier in `heap`'s string table.
+pub fn lex(source: &str, heap: &mut Heap) -> Result<Vec<SpannedTok>, EngineError> {
     let bytes = source.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -205,7 +206,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, EngineError> {
                 let word = &source[start..i];
                 match KEYWORDS.iter().find(|&&k| k == word) {
                     Some(&k) => out.push(SpannedTok { tok: Tok::Keyword(k), line }),
-                    None => out.push(SpannedTok { tok: Tok::Ident(word.into()), line }),
+                    None => out.push(SpannedTok { tok: Tok::Ident(heap.intern_name(word)), line }),
                 }
             }
             _ => {
@@ -243,7 +244,12 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+        lex(src, &mut Heap::new()).unwrap().into_iter().map(|t| t.tok).collect()
+    }
+
+    /// The symbols a fresh heap hands out, in order of first use.
+    fn sym(n: u32) -> Tok {
+        Tok::Ident(Sym(Sym::THIS.0 + 1 + n))
     }
 
     #[test]
@@ -264,14 +270,8 @@ mod tests {
     #[test]
     fn keywords_vs_identifiers() {
         assert_eq!(
-            kinds("var x while whiled"),
-            vec![
-                Tok::Keyword("var"),
-                Tok::Ident("x".into()),
-                Tok::Keyword("while"),
-                Tok::Ident("whiled".into()),
-                Tok::Eof
-            ]
+            kinds("var x while whiled x"),
+            vec![Tok::Keyword("var"), sym(0), Tok::Keyword("while"), sym(1), sym(0), Tok::Eof]
         );
     }
 
@@ -280,15 +280,15 @@ mod tests {
         assert_eq!(
             kinds("a>>>=b >>> c >> d > e"),
             vec![
-                Tok::Ident("a".into()),
+                sym(0),
                 Tok::Punct(">>>="),
-                Tok::Ident("b".into()),
+                sym(1),
                 Tok::Punct(">>>"),
-                Tok::Ident("c".into()),
+                sym(2),
                 Tok::Punct(">>"),
-                Tok::Ident("d".into()),
+                sym(3),
                 Tok::Punct(">"),
-                Tok::Ident("e".into()),
+                sym(4),
                 Tok::Eof
             ]
         );
@@ -297,10 +297,11 @@ mod tests {
 
     #[test]
     fn comments_are_skipped_and_lines_counted() {
-        let toks = lex("x // c\n/* m\nm */ y").unwrap();
+        let mut heap = Heap::new();
+        let toks = lex("x // c\n/* m\nm */ y", &mut heap).unwrap();
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 3);
-        assert!(matches!(toks[1].tok, Tok::Ident(ref s) if &**s == "y"));
+        assert!(matches!(toks[1].tok, Tok::Ident(s) if &**heap.name(s) == "y"));
     }
 
     #[test]
@@ -312,7 +313,7 @@ mod tests {
 
     #[test]
     fn bad_input_reports_line() {
-        let e = lex("x\n  #").unwrap_err();
+        let e = lex("x\n  #", &mut Heap::new()).unwrap_err();
         match e {
             EngineError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("{other:?}"),

@@ -42,7 +42,7 @@ pub use ast::{Expr, FuncDef, Stmt};
 pub use engine::{Engine, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
 pub use error::EngineError;
 pub use exec::Ctx;
-pub use heap::{Heap, HostClassId, ObjHandle, ObjKind};
+pub use heap::{Heap, HostClassId, ObjHandle, ObjKind, Sym};
 pub use ic::{IcEntry, IcState, PropIc};
 pub use nanbox::{DecodedBox, NanBox};
 pub use parser::parse_program;

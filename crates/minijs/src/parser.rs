@@ -4,13 +4,15 @@ use std::rc::Rc;
 
 use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Stmt, Target, UnaryOp};
 use crate::error::EngineError;
+use crate::heap::{Heap, Sym};
 use crate::ic::PropIc;
 use crate::lexer::{lex, SpannedTok, Tok};
 
-/// Parses a whole program.
-pub fn parse_program(source: &str) -> Result<Vec<Stmt>, EngineError> {
-    let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+/// Parses a whole program, interning every identifier in `heap`'s string
+/// table.
+pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Vec<Stmt>, EngineError> {
+    let toks = lex(source, heap)?;
+    let mut p = Parser { toks, pos: 0, heap };
     let mut stmts = Vec::new();
     while !p.at_eof() {
         stmts.push(p.stmt()?);
@@ -18,12 +20,13 @@ pub fn parse_program(source: &str) -> Result<Vec<Stmt>, EngineError> {
     Ok(stmts)
 }
 
-struct Parser {
+struct Parser<'h> {
     toks: Vec<SpannedTok>,
     pos: usize,
+    heap: &'h mut Heap,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -61,7 +64,11 @@ impl Parser {
         if self.eat_punct(p) {
             Ok(())
         } else {
-            self.error(format!("expected {p:?}, found {:?}", self.peek()))
+            let found = match self.peek() {
+                Tok::Ident(name) => format!("identifier {}", self.heap.name(*name)),
+                other => format!("{other:?}"),
+            };
+            self.error(format!("expected {p:?}, found {found}"))
         }
     }
 
@@ -74,11 +81,18 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<Rc<str>, EngineError> {
+    /// An identifier, as its symbol.
+    fn name(&mut self) -> Result<Sym, EngineError> {
         match self.advance() {
             Tok::Ident(name) => Ok(name),
             other => self.error(format!("expected identifier, found {other:?}")),
         }
+    }
+
+    /// A property name: an identifier's text.
+    fn prop_name(&mut self) -> Result<Rc<str>, EngineError> {
+        let name = self.name()?;
+        Ok(Rc::clone(self.heap.name(name)))
     }
 
     fn eat_semi(&mut self) {
@@ -97,7 +111,7 @@ impl Parser {
             }
             Tok::Keyword("function") => {
                 self.advance();
-                let name = self.ident()?;
+                let name = self.name()?;
                 let def = self.func_tail(name)?;
                 Ok(Stmt::Func(Rc::new(def)))
             }
@@ -195,7 +209,7 @@ impl Parser {
     fn var_tail(&mut self) -> Result<Stmt, EngineError> {
         let mut decls = Vec::new();
         loop {
-            let name = self.ident()?;
+            let name = self.name()?;
             let init = if self.eat_punct("=") { Some(self.assign_expr()?) } else { None };
             decls.push((name, init));
             if !self.eat_punct(",") {
@@ -217,12 +231,12 @@ impl Parser {
         }
     }
 
-    fn func_tail(&mut self, name: Rc<str>) -> Result<FuncDef, EngineError> {
+    fn func_tail(&mut self, name: Sym) -> Result<FuncDef, EngineError> {
         self.expect_punct("(")?;
         let mut params = Vec::new();
         if !self.eat_punct(")") {
             loop {
-                params.push(self.ident()?);
+                params.push(self.name()?);
                 if self.eat_punct(")") {
                     break;
                 }
@@ -369,7 +383,7 @@ impl Parser {
         let mut e = self.primary()?;
         loop {
             if self.eat_punct(".") {
-                let name = self.ident()?;
+                let name = self.prop_name()?;
                 e = Expr::Member(Box::new(e), name, PropIc::new());
             } else if self.eat_punct("[") {
                 let idx = self.expr()?;
@@ -414,8 +428,8 @@ impl Parser {
             }
             Tok::Keyword("function") => {
                 let name = match self.peek() {
-                    Tok::Ident(_) => self.ident()?,
-                    _ => Rc::from(""),
+                    Tok::Ident(_) => self.name()?,
+                    _ => self.heap.intern_name(""),
                 };
                 Ok(Expr::Function(Rc::new(self.func_tail(name)?)))
             }
@@ -447,7 +461,7 @@ impl Parser {
                 if !self.eat_punct("}") {
                     loop {
                         let key = match self.advance() {
-                            Tok::Ident(k) => k,
+                            Tok::Ident(k) => Rc::clone(self.heap.name(k)),
                             Tok::Str(k) => k,
                             Tok::Num(n) => Rc::from(fmt_f64(n).as_str()),
                             other => {
@@ -491,6 +505,10 @@ pub fn fmt_f64(n: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_program(source: &str) -> Result<Vec<Stmt>, EngineError> {
+        super::parse_program(source, &mut Heap::new())
+    }
 
     #[test]
     fn parses_statement_forms() {

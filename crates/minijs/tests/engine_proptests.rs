@@ -2,7 +2,7 @@
 //! and cross-configuration determinism.
 
 use lir::{FaultPolicy, Machine};
-use minijs::{parse_program, Engine, NanBox, Value};
+use minijs::{parse_program, Engine, Heap, NanBox, Value};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,7 +28,7 @@ proptest! {
     /// The lexer/parser never panic on arbitrary input.
     #[test]
     fn parser_never_panics(source in "\\PC{0,200}") {
-        let _ = parse_program(&source);
+        let _ = parse_program(&source, &mut Heap::new());
     }
 
     /// Arbitrary token soup built from valid fragments either parses or

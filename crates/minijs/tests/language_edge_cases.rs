@@ -247,3 +247,112 @@ fn fuel_is_shared_across_nested_calls() {
     );
     assert!(matches!(result, Err(EngineError::Fuel)), "{result:?}");
 }
+
+// ---- dynamic-scope rules (pinned before names became interned symbols) ----
+
+#[test]
+fn var_inside_if_lands_in_the_function_scope() {
+    // `if` bodies run in the enclosing scope, so the inner `var` binds in
+    // `f`'s scope when it runs and is invisible when it does not.
+    assert_eq!(
+        eval_num(
+            "var x = 1; function f(c) { if (c) { var x = 2; } return x; } \
+             return f(false) * 10 + f(true);"
+        ),
+        12.0
+    );
+}
+
+#[test]
+fn reading_before_a_var_sees_the_outer_binding() {
+    // No hoisting of `var`: until the declaration runs, the name resolves
+    // up the chain.
+    assert_eq!(
+        eval_num("var x = 1; function f() { var y = x; var x = 2; return y; } return f();"),
+        1.0
+    );
+}
+
+#[test]
+fn var_in_a_bare_block_stays_in_the_block() {
+    assert_eq!(eval_num("var x = 1; { var x = 2; } return x;"), 1.0);
+}
+
+#[test]
+fn assignment_in_a_nested_function_creates_an_implicit_global() {
+    let (mut machine, mut engine) = setup();
+    let v = engine
+        .eval(&mut machine, "function f() { function g() { y = 5; } g(); } f(); return y;")
+        .unwrap();
+    assert!(matches!(v, Value::Num(n) if n == 5.0), "{v:?}");
+    assert!(matches!(engine.global("y"), Some(Value::Num(n)) if n == 5.0));
+}
+
+#[test]
+fn script_var_shadows_a_registered_native() {
+    let (mut machine, mut engine) = setup();
+    engine.register_native("host", std::rc::Rc::new(|_ctx, _this, _args| Ok(Value::Num(7.0))));
+    assert!(
+        matches!(engine.eval(&mut machine, "return host();").unwrap(), Value::Num(n) if n == 7.0)
+    );
+    engine.eval(&mut machine, "var host = 3;").unwrap();
+    assert!(matches!(engine.global("host"), Some(Value::Num(n)) if n == 3.0));
+    assert!(
+        matches!(engine.eval(&mut machine, "return host;").unwrap(), Value::Num(n) if n == 3.0)
+    );
+}
+
+#[test]
+fn re_evaluating_a_script_redefines_its_global_functions() {
+    let (mut machine, mut engine) = setup();
+    engine.eval(&mut machine, "var n = 1; function run() { return n; }").unwrap();
+    assert!(matches!(engine.call(&mut machine, "run", &[]).unwrap(), Value::Num(n) if n == 1.0));
+    engine.eval(&mut machine, "var n = 2; function run() { return n * 10; }").unwrap();
+    assert!(matches!(engine.call(&mut machine, "run", &[]).unwrap(), Value::Num(n) if n == 20.0));
+}
+
+#[test]
+fn this_is_restored_after_a_nested_method_call() {
+    assert_eq!(
+        eval_num(
+            r#"
+var inner = {v: 1, m: function() { return this.v; }};
+var outer = {v: 2, m: function() { var a = inner.m(); return a * 10 + this.v; }};
+return outer.m();
+"#
+        ),
+        12.0
+    );
+}
+
+// ---- string-method index arguments ----
+
+#[test]
+fn char_code_at_counts_characters_not_bytes() {
+    // `é` is two UTF-8 bytes: byte 2 is the space, character 2 is `a`.
+    assert_eq!(eval_num("return 'é a'.charCodeAt(2);"), 97.0);
+    assert_eq!(eval_str("return 'é a'[2];"), "a");
+    assert_eq!(eval_str("return 'é a'.charAt(2);"), "a");
+    assert_eq!(eval_num("return 'é a'.charCodeAt(0);"), 233.0);
+    // An all-ASCII prefix still reads the byte directly.
+    assert_eq!(eval_num("return 'ab é'.charCodeAt(1);"), 98.0);
+    assert!(eval_num("return 'é'.charCodeAt(1);").is_nan());
+}
+
+#[test]
+fn string_index_arguments_are_coerced_and_range_checked() {
+    assert!(eval_num("return 'abcdef'.charCodeAt(-1);").is_nan());
+    assert!(eval_num("return 'abcdef'.charCodeAt(1.5);").is_nan());
+    assert_eq!(eval_num("return 'abcdef'.charCodeAt('2');"), 99.0);
+    assert_eq!(eval_num("return 'abcdef'.charCodeAt();"), 97.0);
+    assert_eq!(eval_str("return 'abcdef'.charAt(-1);"), "");
+    assert_eq!(eval_str("return 'abcdef'.charAt(1.5);"), "");
+    assert_eq!(eval_str("return 'abcdef'.charAt('2');"), "c");
+    assert_eq!(eval_str("return 'abcdef'.charAt(9);"), "");
+    assert_eq!(eval_str("return 'abcdef'.substring('2');"), "cdef");
+    assert_eq!(eval_str("return 'abcdef'.substring(1, '3');"), "bc");
+    assert_eq!(eval_str("return 'abcdef'.substring(-2, 2);"), "ab");
+    assert_eq!(eval_str("return 'abcdef'.substring(4, 1);"), "bcd");
+    assert_eq!(eval_str("return 'abcdef'.substring(2, undefined);"), "cdef");
+    assert_eq!(eval_str("return 'abcdef'.substring(1.7, 3.2);"), "bc");
+}
