@@ -26,7 +26,7 @@ use std::time::Instant;
 use bench::{header, smoke_mode};
 use lir::{parse_module, FaultPolicy, Interp, Machine, Module};
 use servolite::{BrowserConfig, DispatchOptions};
-use workloads::{dromaeo, octane, profile_for, run_benchmark_dispatch, Benchmark};
+use workloads::{dromaeo, octane, profile_for, run_benchmark_lane, Benchmark};
 
 use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
@@ -162,15 +162,12 @@ fn suite_phase(name: &'static str, benchmarks: &[Benchmark], profile: &Profile) 
     let (mut s_full, mut s_noic, mut s_legacy) = (0.0, 0.0, 0.0);
     let (mut hits, mut misses, mut fused) = (0u64, 0u64, 0u64);
     for benchmark in benchmarks {
-        let (full_row, d) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, full)
-                .expect("full run");
-        let (noic_row, nd) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, noic)
-                .expect("no-ic run");
-        let (legacy_row, ld) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, legacy)
-                .expect("legacy run");
+        let lane = |dispatch| {
+            run_benchmark_lane(BrowserConfig::Mpk, Some(profile), benchmark, true, dispatch)
+        };
+        let (full_row, _, d) = lane(full).expect("full run");
+        let (noic_row, _, nd) = lane(noic).expect("no-ic run");
+        let (legacy_row, _, ld) = lane(legacy).expect("legacy run");
         assert_eq!(
             full_row.checksum, legacy_row.checksum,
             "{}: the fast paths changed an observable result",

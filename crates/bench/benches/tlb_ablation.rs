@@ -14,18 +14,15 @@
 //! - `dromaeo`: the whole Dromaeo suite under `mpk` enforcement — the
 //!   honest end-to-end number, diluted by compute-bound kernels
 //!   (Amdahl: a crypto loop spends little of its time in `vmem`).
-//! - `serve`: the single-worker serving runtime over its mixed request
-//!   catalog.
 //!
-//! Checksums and fault counters are already cross-checked by the runner
-//! and the serve reference, so a speedup here cannot come from skipped
-//! work. `--json` emits one object per phase for CI (`BENCH_tlb.json`);
-//! `--test` shrinks the sweep to a smoke run.
+//! Checksums are cross-checked between the two lanes, so a speedup here
+//! cannot come from skipped work. The serving runtime always runs the
+//! TLB; its hit rate is gated by `serve_tests`. `--json` emits one object
+//! per phase for CI; `--test` shrinks the sweep to a smoke run.
 
 use bench::{header, smoke_mode};
-use pkru_server::{serve, ServeConfig};
-use servolite::BrowserConfig;
-use workloads::{dromaeo, profile_for, run_benchmark_tlb, Benchmark};
+use servolite::{BrowserConfig, DispatchOptions};
+use workloads::{dromaeo, profile_for, run_benchmark_lane, Benchmark};
 
 use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
@@ -38,8 +35,7 @@ const DOM_HOT: [&str; 3] = ["dom-query", "innerHTML", "dom-reflow"];
 /// One ablation row: the workload timed with the TLB on and off.
 struct Phase {
     name: &'static str,
-    /// Higher-is-better score with the TLB enabled / disabled (rps for
-    /// `serve`, 1/seconds for the Dromaeo phases).
+    /// Higher-is-better score (1/seconds) with the TLB enabled / disabled.
     score_on: f64,
     score_off: f64,
     hits: u64,
@@ -74,52 +70,23 @@ impl Phase {
     }
 }
 
-/// Best-of-k single-worker serve throughput with the TLB toggled.
-fn serve_phase(smoke: bool) -> Phase {
-    let requests = if smoke { 16 } else { 200 };
-    let repeats = if smoke { 1 } else { 3 };
-    let run = |tlb: bool| {
-        let mut best = None::<pkru_server::ServeReport>;
-        for _ in 0..repeats {
-            let report = serve(ServeConfig {
-                workers: 1,
-                requests,
-                queue_capacity: 32,
-                seed: 0x5eed,
-                tlb,
-                ..ServeConfig::default()
-            })
-            .expect("serve");
-            assert!(report.clean(), "tlb={tlb}: unclean run: {report:?}");
-            if best.as_ref().is_none_or(|b| report.throughput_rps > b.throughput_rps) {
-                best = Some(report);
-            }
-        }
-        best.expect("at least one repeat")
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(off.tlb_hits + off.tlb_misses, 0, "a disabled TLB must stay cold: {off:?}");
-    Phase {
-        name: "serve",
-        score_on: on.throughput_rps,
-        score_off: off.throughput_rps,
-        hits: on.tlb_hits,
-        misses: on.tlb_misses,
-        flushes: on.tlb_flushes,
-    }
-}
-
 /// Aggregate 1/seconds for `benchmarks` under `mpk` enforcement, TLB
 /// toggled, interleaved per benchmark so drift cancels out of the ratio.
 fn suite_phase(name: &'static str, benchmarks: &[Benchmark], profile: &Profile) -> Phase {
     let (mut on_seconds, mut off_seconds) = (0.0, 0.0);
     let (mut hits, mut misses, mut flushes) = (0u64, 0u64, 0u64);
     for benchmark in benchmarks {
-        let (on_row, tlb) = run_benchmark_tlb(BrowserConfig::Mpk, Some(profile), benchmark, true)
-            .expect("tlb-on run");
-        let (off_row, _) = run_benchmark_tlb(BrowserConfig::Mpk, Some(profile), benchmark, false)
-            .expect("tlb-off run");
+        let lane = |tlb| {
+            run_benchmark_lane(
+                BrowserConfig::Mpk,
+                Some(profile),
+                benchmark,
+                tlb,
+                DispatchOptions::default(),
+            )
+        };
+        let (on_row, tlb, _) = lane(true).expect("tlb-on run");
+        let (off_row, _, _) = lane(false).expect("tlb-off run");
         assert_eq!(
             on_row.checksum, off_row.checksum,
             "{}: the TLB changed an observable result",
@@ -149,17 +116,14 @@ fn main() {
     }
     let profile = profile_for(&corpus).expect("profiling corpus");
 
-    let phases = [
-        suite_phase("dromaeo-dom-hot", &hot, &profile),
-        suite_phase("dromaeo", &suite, &profile),
-        serve_phase(smoke),
-    ];
+    let phases =
+        [suite_phase("dromaeo-dom-hot", &hot, &profile), suite_phase("dromaeo", &suite, &profile)];
 
     if std::env::args().any(|a| a == "--json") {
         println!("{}", JsonValue::object([("phases", phases.iter().map(Phase::json).collect())]));
     } else {
         header(
-            "Software-TLB ablation (score: serve=rps, dromaeo=1/seconds)",
+            "Software-TLB ablation (score: 1/seconds)",
             &["phase", "tlb on", "tlb off", "speedup", "hit rate", "flushes"],
         );
         for p in &phases {

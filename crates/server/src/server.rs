@@ -111,10 +111,6 @@ pub struct ServeConfig {
     /// start — typically sites absorbed from a previous run's audit log
     /// via [`Profile::absorb_audit`]. Not rendered in the report JSON.
     pub extra_profile: Option<Profile>,
-    /// Per-worker software TLBs over the shared space (on by default;
-    /// `false` is the ablation configuration the `tlb_ablation` bench
-    /// measures). Observable behaviour is identical either way.
-    pub tlb: bool,
     /// Multi-tenant mode: the number of tenants to register (0 — the
     /// default — serves the classic single-U stream).
     pub tenants: usize,
@@ -146,9 +142,8 @@ pub struct ServeConfig {
     /// byte-identical to the pre-shape stream).
     pub traffic: TrafficShape,
     /// Producer pacing in microseconds per generated request (`0` — the
-    /// default — is the original closed-loop producer). The overload
-    /// bench uses this to offer a controlled multiple of measured
-    /// capacity.
+    /// default — is the original closed-loop producer). Pacing offers a
+    /// controlled arrival rate, e.g. a multiple of measured capacity.
     pub pace_us: u64,
     /// Record admission→completion latency percentiles (the report's
     /// `latency`; off by default).
@@ -165,7 +160,6 @@ impl Default for ServeConfig {
             faults: FaultPlan::none(),
             mpk_policy: MpkPolicy::Enforce,
             extra_profile: None,
-            tlb: true,
             tenants: 0,
             tenant_policy: MpkPolicy::Enforce,
             deadline_ticks: 0,
@@ -684,7 +678,6 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
             faults: &faults,
             registry,
             overload: &overload,
-            tlb: config.tlb,
             record_latency: config.record_latency,
         };
         let spawn_worker = |slot: usize, incarnation: u64| {

@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use servolite::{Browser, BrowserConfig, DispatchStats};
+use servolite::{Browser, BrowserConfig, DispatchOptions, DispatchStats};
 use workloads::suites::micro_page;
 
 use lir::SharedHost;
@@ -247,8 +247,6 @@ pub struct PoolCtx<'a> {
     pub registry: Option<&'a TenantRegistry>,
     /// The logical clock and shed counters.
     pub overload: &'a OverloadState,
-    /// Whether workers run the per-thread software TLB.
-    pub tlb: bool,
     /// Whether to record admission→completion latency samples.
     pub record_latency: bool,
 }
@@ -287,7 +285,7 @@ pub fn run_worker(
     cell: &WorkerCell,
     handler: Option<&Arc<ViolationHandler>>,
 ) -> Result<(), ServeError> {
-    let PoolCtx { queue, host, profile, faults, registry, overload, tlb, .. } = ctx;
+    let PoolCtx { queue, host, profile, faults, registry, overload, .. } = ctx;
     if let Some(handler) = handler {
         // A fresh incarnation starts with a clean quarantine breaker; the
         // per-site ledger and the audit log persist across respawns.
@@ -300,16 +298,21 @@ pub fn run_worker(
             report: None,
         });
     }
-    // The incarnation's per-thread TLB over the shared host space is
-    // configured at machine construction (disabled only in the ablation
-    // configuration), so even browser setup traffic goes the right way.
-    let mut browser =
-        Browser::with_tlb(BrowserConfig::Mpk, Some(profile), Some(host), handler.cloned(), tlb)
-            .map_err(|e| ServeError::Worker {
-                worker,
-                message: format!("browser setup: {e}"),
-                report: None,
-            })?;
+    // The incarnation's per-thread TLB over the shared host space is on
+    // from machine construction, so even browser setup traffic uses it.
+    let mut browser = Browser::with_dispatch(
+        BrowserConfig::Mpk,
+        Some(profile),
+        Some(host),
+        handler.cloned(),
+        true,
+        DispatchOptions::default(),
+    )
+    .map_err(|e| ServeError::Worker {
+        worker,
+        message: format!("browser setup: {e}"),
+        report: None,
+    })?;
     browser.load_html(micro_page()).map_err(|e| ServeError::Worker {
         worker,
         message: format!("initial page: {e}"),

@@ -153,6 +153,27 @@ fn carveout_exhaustion_is_survived_by_respawn() {
     assert!(report.clean(), "{report:?}");
 }
 
+/// A permanently dead slot costs its capacity, never the pool's liveness:
+/// worker 3 burns its whole respawn budget on setup failures, and the
+/// three survivors still serve every request cleanly.
+#[test]
+fn one_dead_worker_of_four_degrades_the_pool_cleanly() {
+    let config = ServeConfig {
+        workers: 4,
+        requests: 16,
+        queue_capacity: 32,
+        seed: 0x5eed,
+        faults: FaultPlan::none().with(Fault { worker: 3, kind: FaultKind::SetupFailure, at: 1 }),
+        ..ServeConfig::default()
+    };
+    let report = with_watchdog(180, || serve(config)).expect("a 3/4-alive pool must still serve");
+    assert_accounted(&report);
+    assert!(report.clean(), "survivors must serve everything: {report:?}");
+    assert_eq!(report.workers[3].requests, 0, "the dead worker served requests?");
+    assert!(report.injected_faults > 0, "{report:?}");
+    assert!(report.workers_restarted > 0, "{report:?}");
+}
+
 /// Retry-once-then-count: a request whose worker dies twice is abandoned,
 /// and a slot that dies past its budget takes the (single-slot) pool with
 /// it — returning the partial report, not hanging.

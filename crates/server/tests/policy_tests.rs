@@ -40,7 +40,6 @@ fn audit_config() -> ServeConfig {
         faults: FaultPlan::none().with(Fault { worker: 0, kind: FaultKind::PkeyViolation, at: 4 }),
         mpk_policy: MpkPolicy::Audit,
         extra_profile: None,
-        tlb: true,
         ..ServeConfig::default()
     }
 }
@@ -65,6 +64,28 @@ fn audit_policy_serves_everything_and_logs_resolved_sites() {
     }
     assert_eq!(report.checksum_mismatches, 0, "single-step recovery must not corrupt responses");
     assert_eq!(report.errors, 0);
+}
+
+/// Audit across a pool: one injected violation per worker, each
+/// single-stepped and logged exactly once, and nothing abandoned.
+#[test]
+fn audit_policy_logs_one_violation_per_worker() {
+    let faults = FaultPlan::none()
+        .with(Fault { worker: 0, kind: FaultKind::PkeyViolation, at: 2 })
+        .with(Fault { worker: 1, kind: FaultKind::PkeyViolation, at: 2 });
+    let config = ServeConfig {
+        workers: 2,
+        requests: 16,
+        queue_capacity: 32,
+        seed: 0x5eed,
+        faults,
+        ..audit_config()
+    };
+    let report = with_watchdog(180, || serve(config)).expect("audit must survive its violations");
+    assert!(report.clean(), "audited violations must not dirty the run: {report:?}");
+    assert_eq!(report.requests_abandoned, 0, "{report:?}");
+    assert_eq!(report.violations_audited, 2, "{report:?}");
+    assert_eq!(report.audit_log.len(), 2, "{report:?}");
 }
 
 /// The disjointness invariant, pinned: an injected MPK fault routed

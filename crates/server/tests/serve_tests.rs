@@ -39,6 +39,13 @@ fn single_worker_matches_reference() {
     let report = serve(config).expect("serve");
     assert!(report.clean(), "unclean report: {report:?}");
     assert_eq!(report.workers[0].requests, 20);
+    // Workers always run the per-thread software TLB. The catalog's
+    // working set fits the cache by design, so a low hit rate means the
+    // epoch protocol is over-flushing, which is a bug, not noise.
+    let lookups = report.tlb_hits + report.tlb_misses;
+    assert!(lookups > 0, "workers must run the TLB: {report:?}");
+    let hit_rate = report.tlb_hits as f64 / lookups as f64;
+    assert!(hit_rate >= 0.90, "TLB hit rate collapsed to {hit_rate:.3}: {report:?}");
 }
 
 #[test]

@@ -63,6 +63,23 @@ fn tenant_pressure_beyond_hardware_keys_stays_clean() {
     assert!(keys.evictions > 0, "24 tenants over ≤15 keys must steal: {keys:?}");
     assert!(keys.pages_retagged > 0, "every steal re-tags the victim's pages");
     assert_eq!(keys.binds, keys.hits + keys.misses);
+    // One bind per tenant-tagged request, plus one per recorded retry.
+    let bind_retries: u64 = report.per_tenant.iter().map(|t| t.bind_retries).sum();
+    assert_eq!(keys.binds, 96 + bind_retries, "{keys:?}");
+    assert_eq!(keys.revocations, keys.evictions, "every steal is a revocation: {keys:?}");
+}
+
+/// Past the hardware budget, doubling the tenant count must steal more
+/// keys: pressure grows with the population instead of saturating.
+#[test]
+fn key_pressure_grows_with_the_tenant_count() {
+    let evictions = |tenants| {
+        let report = serve(tenant_config(tenants, 1, 96)).expect("pressure serve");
+        assert!(report.clean(), "tenants={tenants}: unclean run: {report:?}");
+        report.tenant_key_stats.expect("key stats").evictions
+    };
+    let (at16, at32) = (evictions(16), evictions(32));
+    assert!(at32 > at16, "32 tenants stole {at32} keys, 16 tenants {at16}");
 }
 
 /// Satellite: over-subscribing hardware keys on the setup path yields

@@ -223,71 +223,29 @@ impl Browser {
         config: BrowserConfig,
         profile: Option<&Profile>,
     ) -> Result<Browser, BrowserError> {
-        Browser::build(config, profile, None, None, true, DispatchOptions::default())
+        Browser::with_dispatch(config, profile, None, None, true, DispatchOptions::default())
     }
 
-    /// Creates a worker browser on a [`SharedHost`]: the address space and
-    /// trusted key are shared process state, while the CPU (and its PKRU)
-    /// and call-gate stack are this worker's own.
+    /// The fully general constructor.
     ///
-    /// Only gated, split-allocator configurations make sense here (a
-    /// multi-threaded host exists to exercise per-thread rights); the
-    /// machine is always built with the worker's split-allocator
-    /// carve-out.
-    pub fn with_profile_on(
-        config: BrowserConfig,
-        profile: Option<&Profile>,
-        host: &SharedHost,
-    ) -> Result<Browser, BrowserError> {
-        Browser::build(config, profile, Some(host), None, true, DispatchOptions::default())
-    }
-
-    /// Like [`Browser::with_profile_on`], but installs a serve-time MPK
-    /// violation handler: pkey faults route through its policy, the call
-    /// gates refuse entry once its quarantine breaker trips, and (for
-    /// auditing policies) allocations are logged to the metadata table so
-    /// faulting addresses resolve back to their sites.
-    pub fn with_handler_on(
-        config: BrowserConfig,
-        profile: Option<&Profile>,
-        host: &SharedHost,
-        handler: Arc<ViolationHandler>,
-    ) -> Result<Browser, BrowserError> {
-        Browser::build(config, profile, Some(host), Some(handler), true, DispatchOptions::default())
-    }
-
-    /// The fully general constructor with an explicit software-TLB
-    /// toggle. The toggle takes effect before any setup traffic (startup
-    /// allocations, the DOM boot, engine init), so an ablation build's
-    /// machine never touches the cache at all — its counters stay at
-    /// zero for the whole browser lifetime.
-    pub fn with_tlb(
-        config: BrowserConfig,
-        profile: Option<&Profile>,
-        host: Option<&SharedHost>,
-        handler: Option<Arc<ViolationHandler>>,
-        tlb: bool,
-    ) -> Result<Browser, BrowserError> {
-        Browser::build(config, profile, host, handler, tlb, DispatchOptions::default())
-    }
-
-    /// Like [`Browser::with_tlb`], plus the dispatch ablation knobs:
-    /// `dispatch.threaded` gates the machine's fused bulk-memory
-    /// superinstructions and `dispatch.ic` gates the engine's inline
-    /// caches. Both take effect before any script runs, so an ablation
-    /// lane's counters stay at zero for the whole browser lifetime.
+    /// - `host`: build a worker browser on a [`SharedHost`]. The address
+    ///   space and trusted key are shared process state, while the CPU
+    ///   (and its PKRU), the call-gate stack and the split-allocator
+    ///   carve-out are this worker's own.
+    /// - `handler`: install a serve-time MPK violation handler. Pkey faults
+    ///   route through its policy, the call gates refuse entry once its
+    ///   quarantine breaker trips, and (for auditing policies) allocations
+    ///   are logged to the metadata table so faulting addresses resolve
+    ///   back to their sites.
+    /// - `tlb`: the software-TLB toggle.
+    /// - `dispatch`: `dispatch.threaded` gates the machine's fused
+    ///   bulk-memory superinstructions and `dispatch.ic` gates the
+    ///   engine's inline caches.
+    ///
+    /// The toggles take effect before any setup traffic (startup
+    /// allocations, the DOM boot, engine init), so an ablation lane's
+    /// counters stay at zero for the whole browser lifetime.
     pub fn with_dispatch(
-        config: BrowserConfig,
-        profile: Option<&Profile>,
-        host: Option<&SharedHost>,
-        handler: Option<Arc<ViolationHandler>>,
-        tlb: bool,
-        dispatch: DispatchOptions,
-    ) -> Result<Browser, BrowserError> {
-        Browser::build(config, profile, host, handler, tlb, dispatch)
-    }
-
-    fn build(
         config: BrowserConfig,
         profile: Option<&Profile>,
         host: Option<&SharedHost>,

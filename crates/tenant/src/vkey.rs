@@ -122,7 +122,7 @@ impl From<PkeyPoolError> for VirtualPkeyError {
     }
 }
 
-/// Lifetime counters for the pool (mirrored into `BENCH_tenant.json`).
+/// Lifetime counters for the pool (the serve report's `tenant_keys`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VkeyPoolStats {
     /// Total bind calls.

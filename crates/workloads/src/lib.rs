@@ -26,8 +26,8 @@ pub mod runner;
 pub mod suites;
 
 pub use runner::{
-    profile_for, run_benchmark, run_benchmark_dispatch, run_benchmark_tlb, run_config, run_matrix,
-    ConfigReport, RunResult, SuiteSummary, WorkloadError,
+    profile_for, run_benchmark, run_benchmark_lane, run_config, run_matrix, ConfigReport,
+    RunResult, SuiteSummary, WorkloadError,
 };
 pub use suites::{dromaeo, jetstream2, kraken, micro_page, octane};
 

@@ -61,11 +61,12 @@ pub struct RunResult {
     pub suite: &'static str,
     /// Sub-suite (Dromaeo).
     pub sub: &'static str,
-    /// Measured wall seconds for all iterations.
+    /// Wall seconds of the fastest timed block of `iterations` calls.
     pub seconds: f64,
-    /// Calls to `run()` in the measured block.
+    /// Calls to `run()` in one timed block.
     pub iterations: u32,
-    /// Compartment transitions during the measurement.
+    /// Compartment transitions over all three timed blocks, while
+    /// `seconds` is the fastest single block (setup and warmup excluded).
     pub transitions: u64,
     /// `%M_U` over the whole browser session.
     pub percent_mu: f64,
@@ -168,23 +169,26 @@ pub fn run_benchmark(
     profile: Option<&Profile>,
     benchmark: &Benchmark,
 ) -> Result<RunResult, WorkloadError> {
-    run_benchmark_tlb(config, profile, benchmark, true).map(|(row, _)| row)
+    run_benchmark_lane(config, profile, benchmark, true, DispatchOptions::default())
+        .map(|(row, _, _)| row)
 }
 
-/// [`run_benchmark`] with an explicit software-TLB toggle, additionally
-/// returning the machine's TLB counters for the whole browser session.
+/// [`run_benchmark`] on one ablation lane: an explicit software-TLB toggle
+/// and dispatch fast-path knobs, additionally returning the machine's TLB
+/// counters and the dispatch counters for the whole browser session.
 ///
-/// The toggle exists for the `tlb_ablation` bench: the two flavors run
-/// the identical benchmark with the per-thread translation cache enabled
-/// or bypassed, and the checksum equality the runner already enforces
-/// doubles as a coherence check on the real workload.
-pub fn run_benchmark_tlb(
+/// The lanes exist for the `tlb_ablation` and `dispatch_ablation` benches:
+/// they run the identical benchmark with a fast path on or off, and the
+/// checksum equality the benches enforce across lanes doubles as a
+/// coherence check on the real workload.
+pub fn run_benchmark_lane(
     config: BrowserConfig,
     profile: Option<&Profile>,
     benchmark: &Benchmark,
     tlb: bool,
-) -> Result<(RunResult, TlbStats), WorkloadError> {
-    let mut browser = Browser::with_tlb(config, profile, None, None, tlb)
+    dispatch: DispatchOptions,
+) -> Result<(RunResult, TlbStats, DispatchStats), WorkloadError> {
+    let mut browser = Browser::with_dispatch(config, profile, None, None, tlb, dispatch)
         .map_err(|e| browser_err(benchmark, e))?;
     browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
     browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
@@ -193,62 +197,6 @@ pub fn run_benchmark_tlb(
     browser.machine.gates.reset_transitions();
     // Noise control: time `REPEATS` blocks of `iterations` calls and keep
     // the fastest block (the standard minimum-of-k estimator).
-    const REPEATS: u32 = 3;
-    let mut checksum = 0.0;
-    let mut seconds = f64::INFINITY;
-    let mut block_transitions = 0;
-    for _ in 0..REPEATS {
-        let transitions_before = browser.machine.gates.transitions();
-        let start = Instant::now();
-        for _ in 0..benchmark.iterations {
-            let v = browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
-            checksum = match v {
-                Value::Num(n) => n,
-                _ => return Err(WorkloadError::BadChecksum(benchmark.name.to_string())),
-            };
-        }
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-        block_transitions = browser.machine.gates.transitions() - transitions_before;
-    }
-    let stats = browser.stats();
-    browser.machine.fold_tlb_stats();
-    let tlb_stats = browser.machine.space.stats().tlb;
-    let _ = block_transitions;
-    Ok((
-        RunResult {
-            name: benchmark.name,
-            suite: benchmark.suite,
-            sub: benchmark.sub,
-            seconds,
-            iterations: benchmark.iterations,
-            transitions: stats.transitions,
-            percent_mu: stats.percent_untrusted(),
-            checksum,
-        },
-        tlb_stats,
-    ))
-}
-
-/// [`run_benchmark`] with explicit dispatch fast-path knobs, additionally
-/// returning the dispatch counters for the whole browser session.
-///
-/// The knobs exist for the `dispatch_ablation` bench: the lanes run the
-/// identical benchmark with inline caches and fused superinstructions on
-/// or off, and the checksum equality the runner already enforces doubles
-/// as a coherence check on the real workload.
-pub fn run_benchmark_dispatch(
-    config: BrowserConfig,
-    profile: Option<&Profile>,
-    benchmark: &Benchmark,
-    dispatch: DispatchOptions,
-) -> Result<(RunResult, DispatchStats), WorkloadError> {
-    let mut browser = Browser::with_dispatch(config, profile, None, None, true, dispatch)
-        .map_err(|e| browser_err(benchmark, e))?;
-    browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
-    browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
-    browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
-
-    browser.machine.gates.reset_transitions();
     const REPEATS: u32 = 3;
     let mut checksum = 0.0;
     let mut seconds = f64::INFINITY;
@@ -265,6 +213,8 @@ pub fn run_benchmark_dispatch(
     }
     let stats = browser.stats();
     let dispatch_stats = browser.dispatch_stats();
+    browser.machine.fold_tlb_stats();
+    let tlb_stats = browser.machine.space.stats().tlb;
     Ok((
         RunResult {
             name: benchmark.name,
@@ -276,6 +226,7 @@ pub fn run_benchmark_dispatch(
             percent_mu: stats.percent_untrusted(),
             checksum,
         },
+        tlb_stats,
         dispatch_stats,
     ))
 }

@@ -89,8 +89,6 @@ serve options:
                                         worker down and flag the site
   --profile <file>       extra profile merged before serving (typically
                          sites absorbed from a previous run's audit log)
-  --no-tlb               disable the per-worker software TLB (ablation;
-                         behaviour is identical, throughput is not)
   --tenants <n>          multi-tenant mode: serve a tenant-tagged request
                          mix across n isolated compartments, virtual keys
                          multiplexed onto the hardware key space (default
@@ -230,7 +228,6 @@ fn serve_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
                 let path = PathBuf::from(argv.next().ok_or("--profile needs a file")?);
                 config.extra_profile = Some(Profile::load(&path).map_err(|e| e.to_string())?);
             }
-            "--no-tlb" => config.tlb = false,
             "--tenants" => config.tenants = parse_num("--tenants", argv.next())? as usize,
             "--tenant-policy" => {
                 let spec =

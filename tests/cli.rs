@@ -319,8 +319,9 @@ fn serve_json_emits_machine_readable_report() {
 
 #[test]
 fn serve_dispatch_ablation_flags_gate_the_report_schema() {
-    // Workers always run both interpreter fast paths, so every report
-    // carries their counters, and the serve-side ablation flags are gone.
+    // Workers always run both interpreter fast paths and the software
+    // TLB, so every report carries their counters, and the serve-side
+    // ablation flags are gone.
     let base = ["serve", "--workers", "1", "--requests", "8", "--seed", "9", "--json"];
     let out = cli().args(base).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -331,7 +332,7 @@ fn serve_dispatch_ablation_flags_gate_the_report_schema() {
     assert!(counter(&r, "superinstructions_fused") > 0, "no fused bulk ops: {stdout}");
     counter(&r, "dispatch_ic_misses");
 
-    for flag in ["--no-threaded", "--no-ic"] {
+    for flag in ["--no-threaded", "--no-ic", "--no-tlb"] {
         let out = cli().args(base).arg(flag).output().expect("run");
         assert!(!out.status.success(), "{flag} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
