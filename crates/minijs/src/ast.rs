@@ -4,6 +4,7 @@ use std::rc::Rc;
 
 use crate::heap::Sym;
 use crate::ic::PropIc;
+use crate::string::JsStr;
 
 /// Binary operators.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,7 +76,7 @@ pub enum Target {
     /// A variable.
     Ident(Sym),
     /// `obj.prop`, with the site's inline cache.
-    Member(Box<Expr>, Rc<str>, PropIc),
+    Member(Box<Expr>, JsStr, PropIc),
     /// `obj[index]`.
     Index(Box<Expr>, Box<Expr>),
 }
@@ -97,7 +98,7 @@ pub enum Expr {
     /// A number literal.
     Num(f64),
     /// A string literal.
-    Str(Rc<str>),
+    Str(JsStr),
     /// A boolean literal.
     Bool(bool),
     /// `null`.
@@ -112,7 +113,7 @@ pub enum Expr {
     ArrayLit(Vec<Expr>),
     /// `{k: v, ...}`; each property definition carries an inline cache
     /// for its add-transition.
-    ObjectLit(Vec<(Rc<str>, Expr, PropIc)>),
+    ObjectLit(Vec<(JsStr, Expr, PropIc)>),
     /// A function expression.
     Function(Rc<FuncDef>),
     /// `f(args)`; when `callee` is a member expression the receiver
@@ -124,7 +125,7 @@ pub enum Expr {
         args: Vec<Expr>,
     },
     /// `obj.prop`, with the site's inline cache.
-    Member(Box<Expr>, Rc<str>, PropIc),
+    Member(Box<Expr>, JsStr, PropIc),
     /// `obj[index]`.
     Index(Box<Expr>, Box<Expr>),
     /// A binary operation.

@@ -156,6 +156,13 @@ impl Engine {
         self.heap.elem_reads + self.heap.elem_writes
     }
 
+    /// String work `(bytes walked, bytes copied)` so far: bytes walked to
+    /// resolve a character position (non-ASCII strings only) and bytes
+    /// written into new strings at run time.
+    pub fn string_work(&self) -> (u64, u64) {
+        (self.heap.string_bytes_walked, self.heap.string_bytes_copied)
+    }
+
     /// Registers a native and binds it as a global function.
     pub fn register_native(&mut self, name: &str, f: NativeFn) -> u32 {
         let handle = self.add_method_native(f);
@@ -356,12 +363,15 @@ impl Engine {
         // String.fromCharCode.
         let string_ns = self.heap.new_object();
         let from_char_code = self.add_method_native(Rc::new(|ctx, _this, args| {
-            let mut s = String::with_capacity(args.len());
+            let mut chars = Vec::with_capacity(args.len());
             for a in args {
                 let code = ctx.to_number(a)? as u32;
-                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                chars.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
             }
-            Ok(Value::Str(s.into()))
+            Ok(Value::Str(match chars[..] {
+                [c] => ctx.heap.char_str(c),
+                _ => ctx.heap.new_str(chars.into_iter().collect::<String>()),
+            }))
         }));
         self.heap.prop_set(
             machine,
@@ -385,11 +395,11 @@ impl Engine {
             let v = args.first().cloned().unwrap_or(Value::Undefined);
             let mut out = String::new();
             json_stringify(ctx, &v, &mut out)?;
-            Ok(Value::Str(out.into()))
+            Ok(Value::Str(ctx.heap.new_str(out)))
         }));
         let parse = self.add_method_native(Rc::new(|ctx, _this, args| {
             let s = match args.first() {
-                Some(Value::Str(s)) => Rc::clone(s),
+                Some(Value::Str(s)) => s.clone(),
                 _ => return Err(EngineError::Type("JSON.parse needs a string".into())),
             };
             let mut p = JsonParser { bytes: s.as_bytes(), pos: 0 };
@@ -633,7 +643,7 @@ impl JsonParser<'_> {
                     let c = self.bytes.get(self.pos).copied().ok_or_else(err)?;
                     self.pos += 1;
                     match c {
-                        b'"' => return Ok(Value::Str(s.into())),
+                        b'"' => return Ok(Value::Str(ctx.heap.new_str(s))),
                         b'\\' => {
                             let e = self.bytes.get(self.pos).copied().ok_or_else(err)?;
                             self.pos += 1;

@@ -11,6 +11,7 @@ use crate::error::EngineError;
 use crate::heap::{Closure, Heap, ObjKind, Sym};
 use crate::ic::{IcState, PropIc};
 use crate::parser::fmt_f64;
+use crate::string::JsStr;
 use crate::{to_int32, to_uint32, Value};
 
 /// Maximum JS call depth (guards the native stack).
@@ -264,7 +265,7 @@ impl<'a> Ctx<'a> {
         self.tick()?;
         match expr {
             Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::Str(Rc::clone(s))),
+            Expr::Str(s) => Ok(Value::Str(s.clone())),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
             Expr::Undefined => Ok(Value::Undefined),
@@ -328,7 +329,7 @@ impl<'a> Ctx<'a> {
                     UnaryOp::Plus => Value::Num(self.to_number(&v)?),
                     UnaryOp::Not => Value::Bool(!v.truthy()),
                     UnaryOp::BitNot => Value::Num(f64::from(!to_int32(self.to_number(&v)?))),
-                    UnaryOp::TypeOf => Value::Str(v.type_of().into()),
+                    UnaryOp::TypeOf => Value::Str(self.heap.new_str(v.type_of())),
                 })
             }
             Expr::Ternary(cond, a, b) => {
@@ -444,7 +445,7 @@ impl<'a> Ctx<'a> {
     ) -> Result<Value, EngineError> {
         match receiver {
             Value::Str(s) => match name {
-                "length" => Ok(Value::Num(s.chars().count() as f64)),
+                "length" => Ok(Value::Num(s.char_len() as f64)),
                 _ => Err(EngineError::Type(format!("string has no property {name}"))),
             },
             Value::Obj(h) => {
@@ -472,7 +473,7 @@ impl<'a> Ctx<'a> {
     fn member_set(
         &mut self,
         receiver: &Value,
-        name: &Rc<str>,
+        name: &JsStr,
         value: &Value,
         ic: Option<&PropIc>,
     ) -> Result<(), EngineError> {
@@ -510,10 +511,7 @@ impl<'a> Ctx<'a> {
                 if i < 0.0 || i.fract() != 0.0 {
                     return Ok(Value::Undefined);
                 }
-                match s.chars().nth(i as usize) {
-                    Some(c) => Ok(Value::Str(c.to_string().into())),
-                    None => Ok(Value::Undefined),
-                }
+                Ok(self.char_str(s, i as usize).map_or(Value::Undefined, Value::Str))
             }
             (Value::HostRef { addr, class }, Value::Num(i)) => {
                 // Indexing a host node yields its i-th child, per the host
@@ -536,7 +534,7 @@ impl<'a> Ctx<'a> {
             }
             (Value::Obj(h), Value::Str(name)) => self.heap.prop_set(self.machine, *h, name, value),
             (Value::Obj(h), Value::Num(i)) => {
-                let key: Rc<str> = fmt_f64(*i).into();
+                let key = self.heap.new_str(fmt_f64(*i));
                 self.heap.prop_set(self.machine, *h, &key, value)
             }
             _ => Err(EngineError::Type(format!("cannot index-assign a {}", receiver.type_of()))),
@@ -661,13 +659,13 @@ impl<'a> Ctx<'a> {
                 // The field holds a pointer to `[len: u64][bytes...]`.
                 let ptr = self.machine.mem_read(field_addr)?;
                 if ptr == 0 {
-                    return Ok(Value::Str("".into()));
+                    return Ok(Value::Str(self.heap.new_str("")));
                 }
                 let len = self.machine.mem_read(ptr)? as usize;
                 let mut bytes = vec![0u8; len];
                 self.machine.mem_read_bytes(ptr + 8, &mut bytes)?;
                 let s = String::from_utf8_lossy(&bytes).into_owned();
-                Ok(Value::Str(s.into()))
+                Ok(Value::Str(self.heap.new_str(s)))
             }
         }
     }
@@ -800,13 +798,23 @@ impl<'a> Ctx<'a> {
         })
     }
 
+    /// `ToString` as an engine string: a string is shared, not copied.
+    fn string_of(&mut self, v: &Value) -> Result<JsStr, EngineError> {
+        match v {
+            Value::Str(s) => Ok(s.clone()),
+            other => {
+                let text = self.to_string_value(other)?;
+                Ok(self.heap.new_str(text))
+            }
+        }
+    }
+
     fn binary(&mut self, op: BinaryOp, a: &Value, b: &Value) -> Result<Value, EngineError> {
         Ok(match op {
             BinaryOp::Add => match (a, b) {
                 (Value::Str(_), _) | (_, Value::Str(_)) => {
-                    let mut s = self.to_string_value(a)?;
-                    s.push_str(&self.to_string_value(b)?);
-                    Value::Str(s.into())
+                    let parts = [self.string_of(a)?, self.string_of(b)?];
+                    Value::Str(JsStr::concat(&parts, &mut self.heap.string_bytes_copied))
                 }
                 _ => Value::Num(self.to_number(a)? + self.to_number(b)?),
             },
@@ -893,67 +901,83 @@ impl<'a> Ctx<'a> {
 
     fn string_method(
         &mut self,
-        s: &Rc<str>,
+        s: &JsStr,
         name: &str,
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
         Ok(Some(match name {
             "charCodeAt" => {
-                let code =
-                    self.char_index(args.first())?.and_then(|i| match s.as_bytes().get(..=i) {
-                        // ASCII fast path: over an all-ASCII prefix, byte `i`
-                        // is character `i`.
-                        Some(prefix) if prefix.is_ascii() => Some(u32::from(prefix[i])),
-                        _ => s.chars().nth(i).map(u32::from),
-                    });
-                Value::Num(code.map_or(f64::NAN, f64::from))
+                let code = self
+                    .char_index(args.first())?
+                    .and_then(|i| s.char_at(i, &mut self.heap.string_bytes_walked));
+                Value::Num(code.map_or(f64::NAN, |c| f64::from(u32::from(c))))
             }
-            "charAt" => match self.char_index(args.first())?.and_then(|i| s.chars().nth(i)) {
-                Some(c) => Value::Str(c.to_string().into()),
-                None => Value::Str("".into()),
-            },
-            "substring" | "slice" => {
-                // `ToNumber`, then clamped to the string (NaN reads as 0).
-                let len = s.chars().count() as f64;
-                let a = match args.first() {
-                    Some(v) => self.to_number(v)?.max(0.0).min(len) as usize,
-                    None => 0,
-                };
+            "charAt" => {
+                let c = self.char_index(args.first())?.and_then(|i| self.char_str(s, i));
+                Value::Str(c.unwrap_or_else(|| self.heap.new_str("")))
+            }
+            "substring" => {
+                let len = s.char_len();
+                let a = self.clamped_position(args.first(), len)?;
                 let b = match args.get(1) {
-                    Some(Value::Undefined) | None => len as usize,
-                    Some(v) => self.to_number(v)?.max(0.0).min(len) as usize,
+                    Some(Value::Undefined) | None => len,
+                    Some(v) => self.clamped_position(Some(v), len)?,
                 };
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let out: String = s.chars().skip(lo).take(hi - lo).collect();
-                Value::Str(out.into())
+                Value::Str(self.substring(s, lo, hi))
+            }
+            "slice" => {
+                let (lo, hi) = self.slice_bounds(args, s.char_len())?;
+                Value::Str(self.substring(s, lo, hi))
             }
             "indexOf" => {
-                let needle = self.to_string_value(args.first().unwrap_or(&Value::Undefined))?;
-                match s.find(&needle) {
-                    Some(byte_pos) => Value::Num(s[..byte_pos].chars().count() as f64),
+                let needle = self.string_of(args.first().unwrap_or(&Value::Undefined))?;
+                let from = self.clamped_position(args.get(1), s.char_len())?;
+                match s.index_of(&needle, from, &mut self.heap.string_bytes_walked) {
+                    Some(i) => Value::Num(i as f64),
                     None => Value::Num(-1.0),
                 }
             }
             "split" => {
-                let sep = self.to_string_value(args.first().unwrap_or(&Value::Undefined))?;
+                let sep = self.string_of(args.first().unwrap_or(&Value::Undefined))?;
+                let limit = match args.get(1) {
+                    Some(Value::Undefined) | None => usize::MAX,
+                    Some(v) => to_uint32(self.to_number(v)?) as usize,
+                };
                 let parts: Vec<Value> = if sep.is_empty() {
-                    s.chars().map(|c| Value::Str(c.to_string().into())).collect()
+                    s.chars().take(limit).map(|c| Value::Str(self.heap.char_str(c))).collect()
                 } else {
-                    s.split(&sep as &str).map(|p| Value::Str(p.into())).collect()
+                    s.split(&*sep as &str)
+                        .take(limit)
+                        .map(|p| Value::Str(self.heap.new_str(p)))
+                        .collect()
                 };
                 Value::Obj(self.heap.new_array(self.machine, &parts)?)
             }
-            "toUpperCase" => Value::Str(s.to_uppercase().into()),
-            "toLowerCase" => Value::Str(s.to_lowercase().into()),
+            "toUpperCase" => Value::Str(self.heap.new_str(s.to_uppercase())),
+            "toLowerCase" => Value::Str(self.heap.new_str(s.to_lowercase())),
             "concat" => {
-                let mut out = s.to_string();
+                let mut parts = Vec::with_capacity(args.len() + 1);
+                parts.push(s.clone());
                 for a in args {
-                    out.push_str(&self.to_string_value(a)?);
+                    parts.push(self.string_of(a)?);
                 }
-                Value::Str(out.into())
+                Value::Str(JsStr::concat(&parts, &mut self.heap.string_bytes_copied))
             }
             _ => return Ok(None),
         }))
+    }
+
+    /// The one-character string at position `i` of `s`, if any.
+    fn char_str(&mut self, s: &JsStr, i: usize) -> Option<JsStr> {
+        let c = s.char_at(i, &mut self.heap.string_bytes_walked)?;
+        Some(self.heap.char_str(c))
+    }
+
+    /// Characters `lo..hi` of `s` as a new string.
+    fn substring(&mut self, s: &JsStr, lo: usize, hi: usize) -> JsStr {
+        let heap = &mut *self.heap;
+        s.substring(lo, hi, &mut heap.string_bytes_walked, &mut heap.string_bytes_copied)
     }
 
     /// A string-method position argument: `ToNumber`, with NaN (so also a
@@ -966,6 +990,42 @@ impl<'a> Ctx<'a> {
         };
         let i = if i.is_nan() { 0.0 } else { i };
         Ok((i >= 0.0 && i.fract() == 0.0).then_some(i as usize))
+    }
+
+    /// A position argument clamped into `0..=len` (`substring`, the
+    /// `indexOf` start): `ToNumber`, NaN (so also a missing argument)
+    /// reading as 0, fractions truncated.
+    fn clamped_position(&self, arg: Option<&Value>, len: usize) -> Result<usize, EngineError> {
+        let i = match arg {
+            Some(v) => self.to_number(v)?,
+            None => 0.0,
+        };
+        // `f64::max` drops a NaN operand, so NaN reads as 0.
+        Ok(i.max(0.0).min(len as f64) as usize)
+    }
+
+    /// `slice`'s `(start, end)` over a string or array of length `len`: a
+    /// negative position counts from the end, NaN reads as 0, fractions
+    /// truncate, and an end before the start selects nothing.
+    fn slice_bounds(&self, args: &[Value], len: usize) -> Result<(usize, usize), EngineError> {
+        let len = len as f64;
+        let norm = |v: f64| {
+            let v = if v.is_nan() { 0.0 } else { v.trunc() };
+            if v < 0.0 {
+                (len + v).max(0.0)
+            } else {
+                v.min(len)
+            }
+        };
+        let start = match args.first() {
+            Some(v) => norm(self.to_number(v)?),
+            None => 0.0,
+        };
+        let end = match args.get(1) {
+            Some(Value::Undefined) | None => len,
+            Some(v) => norm(self.to_number(v)?),
+        };
+        Ok((start as usize, end.max(start) as usize))
     }
 
     fn array_method(
@@ -985,16 +1045,16 @@ impl<'a> Ctx<'a> {
             "pop" => self.heap.array_pop(self.machine, h)?,
             "join" => {
                 let sep = match args.first() {
-                    Some(v) => self.to_string_value(v)?,
-                    None => ",".into(),
+                    Some(v) => self.string_of(v)?,
+                    None => self.heap.char_str(','),
                 };
                 let len = self.heap.array_len(self.machine, h)?;
                 let mut parts = Vec::with_capacity(len as usize);
                 for i in 0..len {
                     let e = self.heap.elem_get(self.machine, h, i as f64)?;
-                    parts.push(self.to_string_value(&e)?);
+                    parts.push(self.string_of(&e)?);
                 }
-                Value::Str(parts.join(&sep).into())
+                Value::Str(JsStr::join(&parts, &sep, &mut self.heap.string_bytes_copied))
             }
             "indexOf" => {
                 let needle = args.first().cloned().unwrap_or(Value::Undefined);
@@ -1010,27 +1070,11 @@ impl<'a> Ctx<'a> {
                 Value::Num(found)
             }
             "slice" => {
-                let len = self.heap.array_len(self.machine, h)? as f64;
-                let norm = |v: f64| {
-                    if v < 0.0 {
-                        (len + v).max(0.0)
-                    } else {
-                        v.min(len)
-                    }
-                };
-                let a = match args.first() {
-                    Some(v) => norm(self.to_number(v)?),
-                    None => 0.0,
-                };
-                let b = match args.get(1) {
-                    Some(v) => norm(self.to_number(v)?),
-                    None => len,
-                };
+                let len = self.heap.array_len(self.machine, h)?;
+                let (start, end) = self.slice_bounds(args, len as usize)?;
                 let mut out = Vec::new();
-                let mut i = a;
-                while i < b {
-                    out.push(self.heap.elem_get(self.machine, h, i)?);
-                    i += 1.0;
+                for i in start..end {
+                    out.push(self.heap.elem_get(self.machine, h, i as f64)?);
                 }
                 Value::Obj(self.heap.new_array(self.machine, &out)?)
             }

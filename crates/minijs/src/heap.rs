@@ -18,6 +18,7 @@ use crate::error::EngineError;
 use crate::exec::Env;
 use crate::ic::{IcState, PropIc};
 use crate::nanbox::{DecodedBox, NanBox};
+use crate::string::{AsciiTable, JsStr};
 use crate::Value;
 
 /// Handle to an object in the engine heap.
@@ -92,9 +93,9 @@ pub struct ObjData {
 /// a `(shape, slot)` pair proven once stays true forever.
 struct ShapeData {
     /// Property name → slot index.
-    props: HashMap<Rc<str>, u32>,
+    props: HashMap<JsStr, u32>,
     /// Property name → successor shape after adding it (hash-consing).
-    transitions: HashMap<Rc<str>, u32>,
+    transitions: HashMap<JsStr, u32>,
     /// Number of properties (equals the next free slot index).
     len: u32,
 }
@@ -106,8 +107,10 @@ const EMPTY_SHAPE: u32 = 0;
 pub struct Heap {
     objects: Vec<ObjData>,
     shapes: Vec<ShapeData>,
-    strings: Vec<Rc<str>>,
-    string_index: HashMap<Rc<str>, u32>,
+    strings: Vec<JsStr>,
+    string_index: HashMap<JsStr, u32>,
+    /// The one-character ASCII strings.
+    ascii: AsciiTable,
     closures: Vec<Closure>,
     hostrefs: Vec<(u64, HostClassId)>,
     hostref_index: HashMap<(u64, u32), u64>,
@@ -124,6 +127,11 @@ pub struct Heap {
     pub ic_hits: u64,
     /// Inline-cache misses (slow-path lookups, cache refilled).
     pub ic_misses: u64,
+    /// Bytes walked to resolve a character position (non-ASCII strings
+    /// only: an ASCII position is its byte index).
+    pub string_bytes_walked: u64,
+    /// Bytes the evaluator wrote into new strings.
+    pub string_bytes_copied: u64,
     /// Global IC validity epoch; starts at 1 so a zeroed entry is stale.
     ic_epoch: u64,
 }
@@ -142,6 +150,7 @@ impl Heap {
             shapes: vec![ShapeData { props: HashMap::new(), transitions: HashMap::new(), len: 0 }],
             strings: Vec::new(),
             string_index: HashMap::new(),
+            ascii: AsciiTable::new(),
             closures: Vec::new(),
             hostrefs: Vec::new(),
             hostref_index: HashMap::new(),
@@ -151,6 +160,8 @@ impl Heap {
             ic_enabled: true,
             ic_hits: 0,
             ic_misses: 0,
+            string_bytes_walked: 0,
+            string_bytes_copied: 0,
             ic_epoch: 1,
         };
         let this = heap.intern_name("this");
@@ -410,16 +421,16 @@ impl Heap {
 
     /// The successor shape after adding `name` to `from`, creating and
     /// interning it on first use.
-    fn transition(&mut self, from: u32, name: &Rc<str>) -> u32 {
+    fn transition(&mut self, from: u32, name: &JsStr) -> u32 {
         if let Some(&to) = self.shapes[from as usize].transitions.get(name) {
             return to;
         }
         let len = self.shapes[from as usize].len;
         let mut props = self.shapes[from as usize].props.clone();
-        props.insert(Rc::clone(name), len);
+        props.insert(name.clone(), len);
         let to = self.shapes.len() as u32;
         self.shapes.push(ShapeData { props, transitions: HashMap::new(), len: len + 1 });
-        self.shapes[from as usize].transitions.insert(Rc::clone(name), to);
+        self.shapes[from as usize].transitions.insert(name.clone(), to);
         to
     }
 
@@ -478,7 +489,7 @@ impl Heap {
         &mut self,
         machine: &mut Machine,
         h: ObjHandle,
-        name: &Rc<str>,
+        name: &JsStr,
         value: &Value,
     ) -> Result<(), EngineError> {
         let boxed = self.box_value(value);
@@ -496,7 +507,7 @@ impl Heap {
         &mut self,
         machine: &mut Machine,
         h: ObjHandle,
-        name: &Rc<str>,
+        name: &JsStr,
         value: &Value,
         ic: &PropIc,
     ) -> Result<(), EngineError> {
@@ -533,7 +544,7 @@ impl Heap {
         &mut self,
         machine: &mut Machine,
         h: ObjHandle,
-        name: &Rc<str>,
+        name: &JsStr,
         boxed: NanBox,
     ) -> Result<IcState, EngineError> {
         let data = self.obj(h)?;
@@ -572,10 +583,10 @@ impl Heap {
     }
 
     /// The object's own property names (insertion-unordered).
-    pub fn prop_names(&self, h: ObjHandle) -> Result<Vec<Rc<str>>, EngineError> {
+    pub fn prop_names(&self, h: ObjHandle) -> Result<Vec<JsStr>, EngineError> {
         let shape = &self.shapes[self.obj(h)?.shape as usize];
-        let mut names: Vec<(u32, Rc<str>)> =
-            shape.props.iter().map(|(k, &v)| (v, Rc::clone(k))).collect();
+        let mut names: Vec<(u32, JsStr)> =
+            shape.props.iter().map(|(k, &v)| (v, k.clone())).collect();
         names.sort_by_key(|(slot, _)| *slot);
         Ok(names.into_iter().map(|(_, n)| n).collect())
     }
@@ -601,13 +612,13 @@ impl Heap {
     }
 
     /// Interns a string, returning its handle.
-    pub fn intern_string(&mut self, s: &Rc<str>) -> u32 {
+    pub fn intern_string(&mut self, s: &JsStr) -> u32 {
         if let Some(&i) = self.string_index.get(s) {
             return i;
         }
         let i = self.strings.len() as u32;
-        self.strings.push(Rc::clone(s));
-        self.string_index.insert(Rc::clone(s), i);
+        self.strings.push(s.clone());
+        self.string_index.insert(s.clone(), i);
         i
     }
 
@@ -625,8 +636,24 @@ impl Heap {
     }
 
     /// The text of an interned name.
-    pub fn name(&self, sym: Sym) -> &Rc<str> {
+    pub fn name(&self, sym: Sym) -> &JsStr {
         &self.strings[sym.0 as usize]
+    }
+
+    /// Wraps text the evaluator just built, counting its bytes as copied.
+    pub fn new_str(&mut self, text: impl Into<Box<str>>) -> JsStr {
+        let text = text.into();
+        self.string_bytes_copied += text.len() as u64;
+        JsStr::from(text)
+    }
+
+    /// The one-character string `c`: shared from the ASCII table, so only
+    /// a non-ASCII character allocates (and counts as copied).
+    pub fn char_str(&mut self, c: char) -> JsStr {
+        match self.ascii.get(c) {
+            Some(s) => s,
+            None => self.new_str(c.to_string()),
+        }
     }
 
     /// How many strings the table holds.
@@ -682,7 +709,7 @@ impl Heap {
                 }
             }
             DecodedBox::Str(i) => match self.strings.get(i as usize) {
-                Some(s) => Value::Str(Rc::clone(s)),
+                Some(s) => Value::Str(s.clone()),
                 None => return Err(EngineError::Type("corrupted string reference".into())),
             },
             DecodedBox::Fun(i) => {
@@ -759,7 +786,7 @@ mod tests {
         let (mut m, mut heap) = setup();
         let o = heap.new_object();
         for i in 0..20 {
-            let name: Rc<str> = format!("k{i}").into();
+            let name: JsStr = format!("k{i}").into();
             heap.prop_set(&mut m, o, &name, &Value::Num(i as f64)).unwrap();
         }
         for i in 0..20 {

@@ -1,9 +1,8 @@
 //! The tokenizer.
 
-use std::rc::Rc;
-
 use crate::error::EngineError;
 use crate::heap::{Heap, Sym};
+use crate::string::JsStr;
 
 /// A lexical token.
 #[derive(Clone, PartialEq, Debug)]
@@ -11,7 +10,7 @@ pub enum Tok {
     /// A number literal.
     Num(f64),
     /// A string literal (escapes resolved).
-    Str(Rc<str>),
+    Str(JsStr),
     /// An identifier, interned.
     Ident(Sym),
     /// A keyword.

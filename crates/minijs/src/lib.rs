@@ -37,6 +37,7 @@ mod ic;
 mod lexer;
 mod nanbox;
 mod parser;
+mod string;
 
 pub use ast::{Expr, FuncDef, Stmt};
 pub use engine::{Engine, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
@@ -46,6 +47,7 @@ pub use heap::{Heap, HostClassId, ObjHandle, ObjKind, Sym};
 pub use ic::{IcEntry, IcState, PropIc};
 pub use nanbox::{DecodedBox, NanBox};
 pub use parser::parse_program;
+pub use string::JsStr;
 
 /// Engine execution result values.
 ///
@@ -62,7 +64,7 @@ pub enum Value {
     /// `undefined`.
     Undefined,
     /// An immutable string.
-    Str(std::rc::Rc<str>),
+    Str(JsStr),
     /// A heap object (plain object or array) by handle.
     Obj(heap::ObjHandle),
     /// A closure by handle.

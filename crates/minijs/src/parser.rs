@@ -7,6 +7,7 @@ use crate::error::EngineError;
 use crate::heap::{Heap, Sym};
 use crate::ic::PropIc;
 use crate::lexer::{lex, SpannedTok, Tok};
+use crate::string::JsStr;
 
 /// Parses a whole program, interning every identifier in `heap`'s string
 /// table.
@@ -90,9 +91,9 @@ impl Parser<'_> {
     }
 
     /// A property name: an identifier's text.
-    fn prop_name(&mut self) -> Result<Rc<str>, EngineError> {
+    fn prop_name(&mut self) -> Result<JsStr, EngineError> {
         let name = self.name()?;
-        Ok(Rc::clone(self.heap.name(name)))
+        Ok(self.heap.name(name).clone())
     }
 
     fn eat_semi(&mut self) {
@@ -461,9 +462,9 @@ impl Parser<'_> {
                 if !self.eat_punct("}") {
                     loop {
                         let key = match self.advance() {
-                            Tok::Ident(k) => Rc::clone(self.heap.name(k)),
+                            Tok::Ident(k) => self.heap.name(k).clone(),
                             Tok::Str(k) => k,
-                            Tok::Num(n) => Rc::from(fmt_f64(n).as_str()),
+                            Tok::Num(n) => JsStr::from(fmt_f64(n)),
                             other => {
                                 return self.error(format!("bad object key {other:?}"));
                             }

@@ -1,9 +1,34 @@
 //! Property-based tests for the engine: NaN-boxing, parser robustness,
-//! and cross-configuration determinism.
+//! cross-configuration determinism, and the string model.
 
 use lir::{FaultPolicy, Machine};
 use minijs::{parse_program, Engine, Heap, NanBox, Value};
 use proptest::prelude::*;
+
+/// The string-model alphabet: ASCII, a 2-byte (`é`) and a 3-byte (`€`)
+/// character, so both the byte-indexed and the code-point paths run.
+const ALPHABET: [char; 6] = ['a', 'b', ' ', 'c', 'é', '€'];
+
+/// Evaluates `return <expr>;` and renders the result for comparison.
+fn show_js(engine: &mut Engine, machine: &mut Machine, expr: &str) -> String {
+    match engine.eval(machine, &format!("return {expr};")) {
+        Ok(Value::Num(n)) if n.is_nan() => "NaN".into(),
+        Ok(Value::Num(n)) => format!("{n}"),
+        Ok(Value::Str(s)) => format!("'{s}'"),
+        Ok(Value::Undefined) => "undefined".into(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The model's rendering of a string result.
+fn show_chars(chars: &[char]) -> String {
+    format!("'{}'", chars.iter().collect::<String>())
+}
+
+/// The model's rendering of a character code (NaN past the end).
+fn show_code(c: Option<&char>) -> String {
+    c.map_or("NaN".into(), |&c| format!("{}", u32::from(c)))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -106,5 +131,65 @@ proptest! {
             Value::Num(n) => prop_assert_eq!(n, expected),
             other => prop_assert!(false, "got {:?}", other),
         }
+    }
+
+    /// Strings match a `Vec<char>` model on ASCII and non-ASCII text
+    /// alike: `length`, `charCodeAt`, `charAt`, `s[i]`, `substring`,
+    /// `slice`, `indexOf` with and without a start, and `+` of an ASCII
+    /// string with a mixed one in both orders.
+    #[test]
+    fn strings_match_char_model(
+        text in proptest::collection::vec(0usize..6, 0..10),
+        prefix in proptest::collection::vec(0usize..3, 0..4),
+        needle in proptest::collection::vec(0usize..6, 1..3),
+        a in -3i64..13,
+        b in -3i64..13,
+    ) {
+        let s: Vec<char> = text.iter().map(|&i| ALPHABET[i]).collect();
+        let p: Vec<char> = prefix.iter().map(|&i| ALPHABET[i]).collect();
+        let n: Vec<char> = needle.iter().map(|&i| ALPHABET[i]).collect();
+        let mut machine = Machine::split(FaultPolicy::Crash).expect("machine");
+        let mut engine = Engine::new(&mut machine).expect("engine");
+        let globals = format!(
+            "var s = {}; var p = {}; var n = {};",
+            show_chars(&s),
+            show_chars(&p),
+            show_chars(&n)
+        );
+        engine.eval(&mut machine, &globals).expect("globals");
+        let mut js = |expr: &str| show_js(&mut engine, &mut machine, expr);
+
+        let len = s.len() as i64;
+        prop_assert_eq!(js("s.length"), format!("{len}"));
+        for i in 0..=s.len() {
+            prop_assert_eq!(js(&format!("s.charCodeAt({i})")), show_code(s.get(i)));
+            let at = s.get(i).map_or(vec![], |&c| vec![c]);
+            prop_assert_eq!(js(&format!("s.charAt({i})")), show_chars(&at));
+            let indexed = s.get(i).map_or("undefined".into(), |&c| show_chars(&[c]));
+            prop_assert_eq!(js(&format!("s[{i}]")), indexed);
+        }
+
+        let clamp = |x: i64| x.clamp(0, len) as usize;
+        let (lo, hi) = (clamp(a).min(clamp(b)), clamp(a).max(clamp(b)));
+        prop_assert_eq!(js(&format!("s.substring({a}, {b})")), show_chars(&s[lo..hi]));
+        let norm = |x: i64| if x < 0 { (len + x).max(0) as usize } else { x.min(len) as usize };
+        let (start, end) = (norm(a), norm(b).max(norm(a)));
+        prop_assert_eq!(js(&format!("s.slice({a}, {b})")), show_chars(&s[start..end]));
+        prop_assert_eq!(js(&format!("s.slice({a})")), show_chars(&s[norm(a)..]));
+
+        let index_of = |from: usize| {
+            (from..=s.len()).find(|&i| s[i..].starts_with(&n)).map_or(-1, |i| i as i64)
+        };
+        prop_assert_eq!(js("s.indexOf(n)"), format!("{}", index_of(0)));
+        prop_assert_eq!(js(&format!("s.indexOf(n, {a})")), format!("{}", index_of(clamp(a))));
+
+        for (expr, joined) in [("p + s", [&p[..], &s[..]].concat()), ("s + p", [&s[..], &p[..]].concat())] {
+            prop_assert_eq!(js(expr), show_chars(&joined));
+            prop_assert_eq!(js(&format!("({expr}).length")), format!("{}", joined.len()));
+            for k in 0..=joined.len() {
+                prop_assert_eq!(js(&format!("({expr}).charCodeAt({k})")), show_code(joined.get(k)));
+            }
+        }
+        prop_assert_eq!(js("('ab' + 'é').charCodeAt(2)"), "233");
     }
 }

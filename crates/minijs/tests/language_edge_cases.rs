@@ -356,3 +356,39 @@ fn string_index_arguments_are_coerced_and_range_checked() {
     assert_eq!(eval_str("return 'abcdef'.substring(2, undefined);"), "cdef");
     assert_eq!(eval_str("return 'abcdef'.substring(1.7, 3.2);"), "bc");
 }
+
+#[test]
+fn string_slice_counts_negative_positions_from_the_end() {
+    assert_eq!(eval_str("return 'abcdef'.slice(-2);"), "ef");
+    assert_eq!(eval_str("return 'abcdef'.slice(1, -1);"), "bcde");
+    assert_eq!(eval_str("return 'abcdef'.slice(4, 1);"), "");
+    assert_eq!(eval_str("return 'abcdef'.slice(2);"), "cdef");
+    assert_eq!(eval_str("return 'abcdef'.slice(-9, 2);"), "ab");
+    assert_eq!(eval_str("return 'abcdef'.slice(2, undefined);"), "cdef");
+    assert_eq!(eval_str("return 'abcdef'.slice(1.7, 3.2);"), "bc");
+    assert_eq!(eval_str("return 'é€ab'.slice(-3, -1);"), "€a");
+    // `substring` keeps its clamp-and-swap behaviour.
+    assert_eq!(eval_str("return 'abcdef'.substring(-2);"), "abcdef");
+    assert_eq!(eval_str("return 'abcdef'.substring(4, 1);"), "bcd");
+}
+
+#[test]
+fn index_of_honours_its_start_position() {
+    assert_eq!(eval_num("return 'abcabc'.indexOf('c', 3);"), 5.0);
+    assert_eq!(eval_num("return 'abcabc'.indexOf('c', 6);"), -1.0);
+    assert_eq!(eval_num("return 'abcabc'.indexOf('a', -4);"), 0.0);
+    assert_eq!(eval_num("return 'abcabc'.indexOf('b', '2');"), 4.0);
+    assert_eq!(eval_num("return 'abcabc'.indexOf('c', 2.9);"), 2.0);
+    assert_eq!(eval_num("return 'abcabc'.indexOf('', 9);"), 6.0);
+    // The result stays a character index on a non-ASCII string.
+    assert_eq!(eval_num("return 'é€aé€a'.indexOf('a', 3);"), 5.0);
+}
+
+#[test]
+fn split_honours_its_limit() {
+    assert_eq!(eval_str("return 'a-b-c'.split('-', 2).join('|');"), "a|b");
+    assert_eq!(eval_num("return 'a-b-c'.split('-', 0).length;"), 0.0);
+    assert_eq!(eval_str("return 'a-b-c'.split('-', 9).join('|');"), "a|b|c");
+    assert_eq!(eval_str("return 'abc'.split('', 2).join('|');"), "a|b");
+    assert_eq!(eval_str("return 'a-b-c'.split('-', undefined).join('|');"), "a|b|c");
+}
