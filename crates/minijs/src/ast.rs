@@ -70,11 +70,50 @@ pub enum AssignOp {
     Compound(BinaryOp),
 }
 
+/// Where a name's binding lives, fixed once by the resolver
+/// (`crate::resolve`) right after parsing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Slot {
+    /// Slot `slot` of the frame `hops` frames up the scope chain. The
+    /// slot may still be unbound when the site runs (a read before its
+    /// `var`); the access then continues outward by name.
+    Local {
+        /// Frames to skip; scopes that bind nothing get no frame and are
+        /// not counted.
+        hops: u32,
+        /// Index into that frame's slots.
+        slot: u32,
+    },
+    /// An index into the root scope: the engine's dense global table.
+    Global(u32),
+}
+
+/// A resolved name: the symbol (for the by-name fallback and error
+/// messages) and where it lives.
+#[derive(Clone, Copy, Debug)]
+pub struct Name {
+    /// The interned name.
+    pub sym: Sym,
+    /// The binding the resolver chose.
+    pub slot: Slot,
+}
+
+impl Name {
+    /// An unresolved name (the parser's output; `parse_program` resolves
+    /// every one before returning).
+    pub(crate) fn new(sym: Sym) -> Name {
+        Name { sym, slot: Slot::Global(u32::MAX) }
+    }
+}
+
+/// The names a scope can bind, in slot order.
+pub type Layout = Rc<[Sym]>;
+
 /// Assignment targets.
 #[derive(Clone, Debug)]
 pub enum Target {
     /// A variable.
-    Ident(Sym),
+    Ident(Name),
     /// `obj.prop`, with the site's inline cache.
     Member(Box<Expr>, JsStr, PropIc),
     /// `obj[index]`.
@@ -90,6 +129,16 @@ pub struct FuncDef {
     pub params: Vec<Sym>,
     /// The body.
     pub body: Vec<Stmt>,
+    /// The call frame's layout: `this` (slot 0), the parameters, the
+    /// function's own name (named expressions only), then every `var` and
+    /// function declaration of the body's region.
+    pub layout: Layout,
+    /// The slot each parameter is written to (a repeated name repeats
+    /// its slot, so the last argument wins).
+    pub param_slots: Vec<u32>,
+    /// Where a named function expression binds itself, before the
+    /// parameters are written.
+    pub self_slot: Option<u32>,
 }
 
 /// Expressions.
@@ -105,10 +154,11 @@ pub enum Expr {
     Null,
     /// `undefined`.
     Undefined,
-    /// `this` (the method receiver), bound as [`Sym::THIS`].
-    This,
+    /// `this` (the method receiver), bound as [`Sym::THIS`] in slot 0 of
+    /// every call frame.
+    This(Name),
     /// A variable reference.
-    Ident(Sym),
+    Ident(Name),
     /// `[a, b, c]`.
     ArrayLit(Vec<Expr>),
     /// `{k: v, ...}`; each property definition carries an inline cache
@@ -157,9 +207,9 @@ pub enum Expr {
 pub enum Stmt {
     /// `var`/`let` declaration list (uniform function scoping in the
     /// subset).
-    Var(Vec<(Sym, Option<Expr>)>),
-    /// A function declaration.
-    Func(Rc<FuncDef>),
+    Var(Vec<(Name, Option<Expr>)>),
+    /// A function declaration, hoisted into the named binding.
+    Func(Rc<FuncDef>, Name),
     /// An expression statement.
     Expr(Expr),
     /// `if`/`else`.
@@ -178,6 +228,8 @@ pub enum Stmt {
         update: Option<Expr>,
         /// The body.
         body: Vec<Stmt>,
+        /// The loop scope's layout (init and body declarations).
+        layout: Layout,
     },
     /// `return [expr]`.
     Return(Option<Expr>),
@@ -185,6 +237,6 @@ pub enum Stmt {
     Break,
     /// `continue`.
     Continue,
-    /// A `{ ... }` block.
-    Block(Vec<Stmt>),
+    /// A `{ ... }` block with its scope's layout.
+    Block(Vec<Stmt>, Layout),
 }

@@ -1,10 +1,11 @@
 //! The embedder-facing engine API (the `mozjs` C API analog).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use lir::Machine;
 
+use crate::ast::Stmt;
 use crate::error::EngineError;
 use crate::exec::{Ctx, Env};
 use crate::heap::{Heap, HostClassId};
@@ -90,6 +91,10 @@ impl HostClass {
     }
 }
 
+/// How many parsed programs an engine keeps; when the cache is full, the
+/// oldest is dropped.
+const PROGRAM_CACHE_LEN: usize = 64;
+
 /// The JavaScript engine: heap, globals, natives, and host classes.
 ///
 /// One engine instance corresponds to one `JSContext`. All memory the
@@ -97,8 +102,17 @@ impl HostClass {
 /// run against; the machine is passed per call (the embedder owns it), so
 /// the same engine API works for the baseline, alloc-only, and fully gated
 /// configurations.
+///
+/// The engine compiles each source once: [`Engine::eval`] keeps the
+/// parsed, resolved program of every source it ran (up to
+/// `PROGRAM_CACHE_LEN`), keyed by the exact text, and runs the cached
+/// statements when the source comes again. The AST is engine-internal
+/// state off the simulated heap, so the cache moves nothing between
+/// `M_T` and `M_U` and adds no gate crossing.
 pub struct Engine {
     heap: Heap,
+    programs: VecDeque<(Box<str>, Rc<[Stmt]>)>,
+    programs_parsed: u64,
     natives: Vec<NativeFn>,
     host_classes: Vec<HostClass>,
     global: Rc<Env>,
@@ -114,6 +128,8 @@ impl Engine {
     pub fn new(machine: &mut Machine) -> Result<Engine, EngineError> {
         let mut engine = Engine {
             heap: Heap::new(),
+            programs: VecDeque::new(),
+            programs_parsed: 0,
             natives: Vec::new(),
             host_classes: Vec::new(),
             global: Env::root(),
@@ -163,6 +179,14 @@ impl Engine {
         (self.heap.string_bytes_walked, self.heap.string_bytes_copied)
     }
 
+    /// Compile work `(programs parsed, by-name scope walks)` so far:
+    /// sources [`Engine::eval`] found no cached program for, and variable
+    /// accesses whose resolved slot was unbound, so they continued
+    /// outward by name.
+    pub fn compile_stats(&self) -> (u64, u64) {
+        (self.programs_parsed, self.heap.scope_walks)
+    }
+
     /// Registers a native and binds it as a global function.
     pub fn register_native(&mut self, name: &str, f: NativeFn) -> u32 {
         let handle = self.add_method_native(f);
@@ -207,13 +231,15 @@ impl Engine {
 
     /// Binds a global variable.
     pub fn set_global(&mut self, name: &str, value: Value) {
-        self.global.declare(self.heap.intern_name(name), value);
+        let name = self.heap.intern_name(name);
+        let slot = self.heap.global_slot(name);
+        self.heap.set_global(slot, value);
     }
 
     /// Reads a global variable. A name no script or embedder ever used
     /// is not interned, so it cannot be bound.
     pub fn global(&self, name: &str) -> Option<Value> {
-        self.global.get(self.heap.lookup_name(name)?)
+        self.heap.global_by_name(self.heap.lookup_name(name)?)
     }
 
     /// Wraps a raw host structure pointer as a script value.
@@ -221,9 +247,22 @@ impl Engine {
         Value::HostRef { addr, class }
     }
 
-    /// Evaluates a script in the global scope (the `JS_Eval` analog).
+    /// Evaluates a script in the global scope (the `JS_Eval` analog),
+    /// parsing it only if no cached program has the same source. A parse
+    /// error is not cached.
     pub fn eval(&mut self, machine: &mut Machine, source: &str) -> Result<Value, EngineError> {
-        let program = parse_program(source, &mut self.heap)?;
+        let program = match self.programs.iter().find(|(cached, _)| **cached == *source) {
+            Some((_, program)) => Rc::clone(program),
+            None => {
+                self.programs_parsed += 1;
+                let program: Rc<[Stmt]> = parse_program(source, &mut self.heap)?.into();
+                if self.programs.len() == PROGRAM_CACHE_LEN {
+                    self.programs.pop_front();
+                }
+                self.programs.push_back((source.into(), Rc::clone(&program)));
+                program
+            }
+        };
         let global = Rc::clone(&self.global);
         let mut ctx = Ctx::new(
             machine,
@@ -777,12 +816,12 @@ function run() {
         };
         let first = request(&mut engine);
         let strings = engine.heap.string_count();
-        let globals = engine.global.len();
+        let globals = engine.heap.bound_globals();
         for _ in 1..100 {
             // Each eval rebinds `acc`, so every request sees the same result.
             assert_eq!(request(&mut engine), first);
             assert_eq!(engine.heap.string_count(), strings, "the string table grew");
-            assert_eq!(engine.global.len(), globals, "the root scope grew");
+            assert_eq!(engine.heap.bound_globals(), globals, "the root scope grew");
         }
     }
 }

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use lir::Machine;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, Stmt, Target, UnaryOp};
+use crate::ast::{AssignOp, BinaryOp, Expr, Layout, Name, Slot, Stmt, Target, UnaryOp};
 use crate::engine::{HostClass, HostField, HostFieldKind, NativeFn};
 use crate::error::EngineError;
 use crate::heap::{Closure, Heap, ObjKind, Sym};
@@ -17,76 +17,76 @@ use crate::{to_int32, to_uint32, Value};
 /// Maximum JS call depth (guards the native stack).
 const MAX_CALL_DEPTH: usize = 128;
 
-/// A lexical scope: the root (globals) and every function, `for` and
-/// block scope alike.
+/// A frame: the slots of one function, `for` or block scope, in its
+/// layout's order (`crate::resolve`), plus the enclosing frame.
 ///
-/// Bindings are `(symbol, value)` pairs searched linearly: scopes are
-/// small, and a symbol compare is one integer compare.
+/// Every chain ends in the root frame, which binds nothing itself: the
+/// root scope's bindings are the heap's dense global slots. A slot starts
+/// unbound (`None`) and is bound when its parameter, `var` or function
+/// declaration runs.
 pub struct Env {
-    vars: RefCell<Vec<(Sym, Value)>>,
+    slots: RefCell<Vec<Option<Value>>>,
+    /// The scope's layout: the name each slot binds (for the by-name
+    /// fallback).
+    names: Layout,
     parent: Option<Rc<Env>>,
 }
 
 impl Env {
-    /// Creates a root scope.
+    /// Creates the root frame.
     pub fn root() -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(Vec::new()), parent: None })
+        Rc::new(Env { slots: RefCell::new(Vec::new()), names: Rc::from([]), parent: None })
     }
 
-    /// Creates a child scope.
-    pub fn child(parent: &Rc<Env>) -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(Vec::new()), parent: Some(Rc::clone(parent)) })
+    /// A frame for a scope with `layout` holding `slots`.
+    fn frame(layout: &Layout, slots: Vec<Option<Value>>, parent: Rc<Env>) -> Rc<Env> {
+        Rc::new(Env { slots: RefCell::new(slots), names: Rc::clone(layout), parent: Some(parent) })
     }
 
-    /// Declares (or overwrites) a binding in this scope.
-    pub fn declare(&self, name: Sym, value: Value) {
-        let mut vars = self.vars.borrow_mut();
-        match vars.iter_mut().find(|(s, _)| *s == name) {
-            Some((_, slot)) => *slot = value,
-            None => vars.push((name, value)),
+    /// The frame a `for` or block scope with `layout` runs in: a fresh
+    /// one, or `parent` itself when the scope can bind nothing (the
+    /// resolver counts no hop for it either).
+    fn scope(layout: &Layout, parent: &Rc<Env>) -> Rc<Env> {
+        if layout.is_empty() {
+            Rc::clone(parent)
+        } else {
+            Env::frame(layout, vec![None; layout.len()], Rc::clone(parent))
         }
     }
 
-    /// Reads a binding, walking the scope chain.
-    pub fn get(&self, name: Sym) -> Option<Value> {
+    /// The frame `hops` frames up the chain.
+    #[inline]
+    fn up(&self, hops: u32) -> &Env {
         let mut env = self;
-        loop {
-            if let Some((_, v)) = env.vars.borrow().iter().find(|(s, _)| *s == name) {
-                return Some(v.clone());
-            }
-            env = env.parent.as_deref()?;
-        }
-    }
-
-    /// Assigns to an existing binding, walking the chain; returns whether
-    /// a binding was found.
-    pub fn set(&self, name: Sym, value: Value) -> bool {
-        let mut env = self;
-        loop {
-            if let Some((_, slot)) = env.vars.borrow_mut().iter_mut().find(|(s, _)| *s == name) {
-                *slot = value;
-                return true;
-            }
-            match env.parent.as_deref() {
-                Some(p) => env = p,
-                None => return false,
-            }
-        }
-    }
-
-    /// The outermost scope of the chain (where implicit globals go).
-    fn root_of(&self) -> &Env {
-        let mut env = self;
-        while let Some(p) = env.parent.as_deref() {
-            env = p;
+        for _ in 0..hops {
+            env = env.parent.as_deref().expect("a resolved hop stays inside the chain");
         }
         env
     }
 
-    /// How many bindings this scope holds.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.vars.borrow().len()
+    #[inline]
+    fn get(&self, slot: usize) -> Option<Value> {
+        self.slots.borrow()[slot].clone()
+    }
+
+    #[inline]
+    fn set(&self, slot: usize, value: Value) {
+        self.slots.borrow_mut()[slot] = Some(value);
+    }
+
+    /// The nearest frame above this one in which `name` is bound, with
+    /// the slot: where an access whose own slot is unbound continues.
+    fn bound_above(&self, name: Sym) -> Option<(&Env, usize)> {
+        let mut env = self.parent.as_deref();
+        while let Some(e) = env {
+            if let Some(slot) = e.names.iter().position(|&n| n == name) {
+                if e.slots.borrow()[slot].is_some() {
+                    return Some((e, slot));
+                }
+            }
+            env = e.parent.as_deref();
+        }
+        None
     }
 }
 
@@ -159,10 +159,10 @@ impl<'a> Ctx<'a> {
     fn exec_block(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Flow, EngineError> {
         // Hoist function declarations so mutual recursion works.
         for stmt in stmts {
-            if let Stmt::Func(def) = stmt {
+            if let Stmt::Func(def, name) = stmt {
                 let handle =
                     self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
-                env.declare(def.name, Value::Fun(handle));
+                self.declare(env, name, Value::Fun(handle));
             }
         }
         for stmt in stmts {
@@ -183,11 +183,11 @@ impl<'a> Ctx<'a> {
                         Some(e) => self.eval(e, env)?,
                         None => Value::Undefined,
                     };
-                    env.declare(*name, v);
+                    self.declare(env, name, v);
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Func(_) => Ok(Flow::Normal), // Hoisted.
+            Stmt::Func(..) => Ok(Flow::Normal), // Hoisted.
             Stmt::Expr(e) => {
                 self.eval(e, env)?;
                 Ok(Flow::Normal)
@@ -222,8 +222,8 @@ impl<'a> Ctx<'a> {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::For { init, cond, update, body } => {
-                let scope = Env::child(env);
+            Stmt::For { init, cond, update, body, layout } => {
+                let scope = Env::scope(layout, env);
                 if let Some(init) = init {
                     self.exec_stmt(init, &scope)?;
                 }
@@ -253,8 +253,8 @@ impl<'a> Ctx<'a> {
             }
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Block(body) => {
-                let scope = Env::child(env);
+            Stmt::Block(body, layout) => {
+                let scope = Env::scope(layout, env);
                 self.exec_block(body, &scope)
             }
         }
@@ -269,8 +269,8 @@ impl<'a> Ctx<'a> {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
             Expr::Undefined => Ok(Value::Undefined),
-            Expr::This => Ok(env.get(Sym::THIS).unwrap_or(Value::Undefined)),
-            Expr::Ident(name) => self.lookup(env, *name),
+            Expr::This(name) => Ok(self.read(env, name).unwrap_or(Value::Undefined)),
+            Expr::Ident(name) => self.lookup(env, name),
             Expr::ArrayLit(items) => {
                 let mut vals = Vec::with_capacity(items.len());
                 for item in items {
@@ -406,14 +406,18 @@ impl<'a> Ctx<'a> {
         }
         match callee {
             Value::Fun(handle) => {
-                let closure = self.heap.closure(*handle)?.clone();
-                let scope = Env::child(&closure.env);
-                for (i, &param) in closure.def.params.iter().enumerate() {
-                    scope.declare(param, args.get(i).cloned().unwrap_or(Value::Undefined));
+                let Closure { def, env } = self.heap.closure(*handle)?.clone();
+                let mut slots = vec![None; def.layout.len()];
+                slots[0] = Some(this);
+                if let Some(slot) = def.self_slot {
+                    slots[slot as usize] = Some(callee.clone());
                 }
-                scope.declare(Sym::THIS, this);
+                for (i, &slot) in def.param_slots.iter().enumerate() {
+                    slots[slot as usize] = Some(args.get(i).cloned().unwrap_or(Value::Undefined));
+                }
+                let scope = Env::frame(&def.layout, slots, env);
                 self.depth += 1;
-                let result = self.exec_block(&closure.def.body, &scope);
+                let result = self.exec_block(&def.body, &scope);
                 self.depth -= 1;
                 match result? {
                     Flow::Return(v) => Ok(v),
@@ -542,13 +546,83 @@ impl<'a> Ctx<'a> {
     }
 
     /// Reads a variable; an unbound name is a `ReferenceError`.
-    fn lookup(&self, env: &Env, name: Sym) -> Result<Value, EngineError> {
-        env.get(name).ok_or_else(|| EngineError::Reference(self.heap.name(name).to_string()))
+    #[inline]
+    fn lookup(&mut self, env: &Env, name: &Name) -> Result<Value, EngineError> {
+        self.read(env, name)
+            .ok_or_else(|| EngineError::Reference(self.heap.name(name.sym).to_string()))
+    }
+
+    /// Reads a name through its resolved slot; an unbound slot continues
+    /// outward by name. `None` when the name is bound nowhere.
+    #[inline]
+    fn read(&mut self, env: &Env, name: &Name) -> Option<Value> {
+        match name.slot {
+            Slot::Global(slot) => self.heap.global(slot),
+            Slot::Local { hops, slot } => {
+                let frame = env.up(hops);
+                match frame.get(slot as usize) {
+                    Some(v) => Some(v),
+                    None => self.read_outward(frame, name.sym),
+                }
+            }
+        }
+    }
+
+    /// A read whose slot in `frame` is unbound: the nearest binding above
+    /// it, found by name.
+    #[cold]
+    #[inline(never)]
+    fn read_outward(&mut self, frame: &Env, name: Sym) -> Option<Value> {
+        self.heap.scope_walks += 1;
+        match frame.bound_above(name) {
+            Some((outer, slot)) => outer.get(slot),
+            None => self.heap.global_by_name(name),
+        }
+    }
+
+    /// Assigns to a name: its resolved slot if bound, else the nearest
+    /// binding outward by name, else a new global (sloppy-mode JS).
+    #[inline]
+    fn assign(&mut self, env: &Env, name: &Name, value: Value) {
+        match name.slot {
+            Slot::Global(slot) => self.heap.set_global(slot, value),
+            Slot::Local { hops, slot } => {
+                let frame = env.up(hops);
+                if let Some(bound) = &mut frame.slots.borrow_mut()[slot as usize] {
+                    *bound = value;
+                    return;
+                }
+                self.assign_outward(frame, name.sym, value);
+            }
+        }
+    }
+
+    /// An assignment whose slot in `frame` is unbound.
+    #[cold]
+    #[inline(never)]
+    fn assign_outward(&mut self, frame: &Env, name: Sym, value: Value) {
+        self.heap.scope_walks += 1;
+        match frame.bound_above(name) {
+            Some((outer, slot)) => outer.set(slot, value),
+            None => {
+                let slot = self.heap.global_slot(name);
+                self.heap.set_global(slot, value);
+            }
+        }
+    }
+
+    /// Binds a `var` or function declaration in its own scope.
+    #[inline]
+    fn declare(&mut self, env: &Env, name: &Name, value: Value) {
+        match name.slot {
+            Slot::Global(slot) => self.heap.set_global(slot, value),
+            Slot::Local { hops, slot } => env.up(hops).set(slot as usize, value),
+        }
     }
 
     fn read_target(&mut self, target: &Target, env: &Rc<Env>) -> Result<Value, EngineError> {
         match target {
-            Target::Ident(name) => self.lookup(env, *name),
+            Target::Ident(name) => self.lookup(env, name),
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
                 self.member_get(&receiver, name, Some(ic))
@@ -569,10 +643,7 @@ impl<'a> Ctx<'a> {
     ) -> Result<(), EngineError> {
         match target {
             Target::Ident(name) => {
-                if !env.set(*name, value.clone()) {
-                    // Implicit global, as in sloppy-mode JS.
-                    env.root_of().declare(*name, value.clone());
-                }
+                self.assign(env, name, value.clone());
                 Ok(())
             }
             Target::Member(obj, name, ic) => {

@@ -27,8 +27,9 @@ pub struct ObjHandle(pub u32);
 
 /// An interned name: an index into the heap's string table.
 ///
-/// The lexer resolves every identifier to a `Sym` once per parse, so scope
-/// lookups compare integers and never hash or compare the name's text.
+/// The lexer turns every identifier into a `Sym` once per parse, and the
+/// resolver turns each `Sym` use into a slot; the rare by-name fallback
+/// compares integers, never the name's text.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Sym(pub u32);
 
@@ -114,6 +115,11 @@ pub struct Heap {
     closures: Vec<Closure>,
     hostrefs: Vec<(u64, HostClassId)>,
     hostref_index: HashMap<(u64, u32), u64>,
+    /// The root scope: one slot per global name, numbered densely in the
+    /// order names were first resolved or bound (`None`: not bound yet).
+    globals: Vec<Option<Value>>,
+    /// Global name → its slot.
+    global_slots: HashMap<Sym, u32>,
     /// Whether the `length`-setter bug is present (it is, by default — the
     /// engine models SpiderMonkey prior to the CVE-2019-11707 fix).
     pub vulnerable: bool,
@@ -132,6 +138,9 @@ pub struct Heap {
     pub string_bytes_walked: u64,
     /// Bytes the evaluator wrote into new strings.
     pub string_bytes_copied: u64,
+    /// Variable accesses that found their resolved slot unbound and
+    /// continued outward by name.
+    pub scope_walks: u64,
     /// Global IC validity epoch; starts at 1 so a zeroed entry is stale.
     ic_epoch: u64,
 }
@@ -154,6 +163,8 @@ impl Heap {
             closures: Vec::new(),
             hostrefs: Vec::new(),
             hostref_index: HashMap::new(),
+            globals: Vec::new(),
+            global_slots: HashMap::new(),
             vulnerable: true,
             elem_reads: 0,
             elem_writes: 0,
@@ -162,6 +173,7 @@ impl Heap {
             ic_misses: 0,
             string_bytes_walked: 0,
             string_bytes_copied: 0,
+            scope_walks: 0,
             ic_epoch: 1,
         };
         let this = heap.intern_name("this");
@@ -660,6 +672,40 @@ impl Heap {
     #[cfg(test)]
     pub(crate) fn string_count(&self) -> usize {
         self.strings.len()
+    }
+
+    /// The global slot of `name`, numbering it on first use.
+    pub(crate) fn global_slot(&mut self, name: Sym) -> u32 {
+        let next = self.globals.len() as u32;
+        let slot = *self.global_slots.entry(name).or_insert(next);
+        if slot == next {
+            self.globals.push(None);
+        }
+        slot
+    }
+
+    /// The value bound in global slot `slot`, if any.
+    #[inline]
+    pub(crate) fn global(&self, slot: u32) -> Option<Value> {
+        self.globals[slot as usize].clone()
+    }
+
+    /// Binds global slot `slot`.
+    #[inline]
+    pub(crate) fn set_global(&mut self, slot: u32, value: Value) {
+        self.globals[slot as usize] = Some(value);
+    }
+
+    /// The value bound to global `name`, if any (the end of every by-name
+    /// walk).
+    pub(crate) fn global_by_name(&self, name: Sym) -> Option<Value> {
+        self.global(*self.global_slots.get(&name)?)
+    }
+
+    /// How many globals are bound.
+    #[cfg(test)]
+    pub(crate) fn bound_globals(&self) -> usize {
+        self.globals.iter().filter(|v| v.is_some()).count()
     }
 
     /// Registers a closure, returning its handle.

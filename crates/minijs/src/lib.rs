@@ -37,6 +37,7 @@ mod ic;
 mod lexer;
 mod nanbox;
 mod parser;
+mod resolve;
 mod string;
 
 pub use ast::{Expr, FuncDef, Stmt};
@@ -108,7 +109,12 @@ impl Value {
 
 /// JavaScript `ToInt32` (the bitwise-operator coercion).
 pub fn to_int32(n: f64) -> i32 {
-    if !n.is_finite() || n == 0.0 {
+    // Every double that is already an `i32` (so also `-0.0`) converts
+    // exactly; only the rest need the modular spec path.
+    if f64::from(n as i32) == n {
+        return n as i32;
+    }
+    if !n.is_finite() {
         return 0;
     }
     let m = n.trunc() % 4294967296.0;

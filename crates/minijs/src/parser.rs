@@ -2,15 +2,16 @@
 
 use std::rc::Rc;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Stmt, Target, UnaryOp};
+use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Name, Stmt, Target, UnaryOp};
 use crate::error::EngineError;
 use crate::heap::{Heap, Sym};
 use crate::ic::PropIc;
 use crate::lexer::{lex, SpannedTok, Tok};
+use crate::resolve::resolve_program;
 use crate::string::JsStr;
 
 /// Parses a whole program, interning every identifier in `heap`'s string
-/// table.
+/// table, and resolves every name to its slot (`crate::resolve`).
 pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Vec<Stmt>, EngineError> {
     let toks = lex(source, heap)?;
     let mut p = Parser { toks, pos: 0, heap };
@@ -18,6 +19,7 @@ pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Vec<Stmt>, EngineE
     while !p.at_eof() {
         stmts.push(p.stmt()?);
     }
+    resolve_program(&mut stmts, p.heap);
     Ok(stmts)
 }
 
@@ -114,7 +116,7 @@ impl Parser<'_> {
                 self.advance();
                 let name = self.name()?;
                 let def = self.func_tail(name)?;
-                Ok(Stmt::Func(Rc::new(def)))
+                Ok(Stmt::Func(Rc::new(def), Name::new(name)))
             }
             Tok::Keyword("if") => {
                 self.advance();
@@ -164,7 +166,8 @@ impl Parser<'_> {
                 let update =
                     if matches!(self.peek(), Tok::Punct(")")) { None } else { Some(self.expr()?) };
                 self.expect_punct(")")?;
-                Ok(Stmt::For { init, cond, update, body: self.stmt_or_block()? })
+                let body = self.stmt_or_block()?;
+                Ok(Stmt::For { init, cond, update, body, layout: Rc::from([]) })
             }
             Tok::Keyword("return") => {
                 self.advance();
@@ -195,7 +198,7 @@ impl Parser<'_> {
                     }
                     body.push(self.stmt()?);
                 }
-                Ok(Stmt::Block(body))
+                Ok(Stmt::Block(body, Rc::from([])))
             }
             _ => {
                 let e = self.expr()?;
@@ -212,7 +215,7 @@ impl Parser<'_> {
         loop {
             let name = self.name()?;
             let init = if self.eat_punct("=") { Some(self.assign_expr()?) } else { None };
-            decls.push((name, init));
+            decls.push((Name::new(name), init));
             if !self.eat_punct(",") {
                 break;
             }
@@ -223,7 +226,7 @@ impl Parser<'_> {
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, EngineError> {
         if matches!(self.peek(), Tok::Punct("{")) {
             match self.stmt()? {
-                Stmt::Block(body) => Ok(body),
+                Stmt::Block(body, _) => Ok(body),
                 // `stmt` returns exactly a block for `{`.
                 _ => unreachable!("block statement expected"),
             }
@@ -252,7 +255,14 @@ impl Parser<'_> {
             }
             body.push(self.stmt()?);
         }
-        Ok(FuncDef { name, params, body })
+        Ok(FuncDef {
+            name,
+            params,
+            body,
+            layout: Rc::from([]),
+            param_slots: Vec::new(),
+            self_slot: None,
+        })
     }
 
     // ---- expressions (precedence climbing) ----
@@ -422,7 +432,7 @@ impl Parser<'_> {
             Tok::Keyword("false") => Ok(Expr::Bool(false)),
             Tok::Keyword("null") => Ok(Expr::Null),
             Tok::Keyword("undefined") => Ok(Expr::Undefined),
-            Tok::Keyword("this") => Ok(Expr::This),
+            Tok::Keyword("this") => Ok(Expr::This(Name::new(Sym::THIS))),
             Tok::Keyword("new") => {
                 // `new F(args)` is constructor-as-factory in the subset.
                 self.postfix()
@@ -434,7 +444,7 @@ impl Parser<'_> {
                 };
                 Ok(Expr::Function(Rc::new(self.func_tail(name)?)))
             }
-            Tok::Ident(name) => Ok(Expr::Ident(name)),
+            Tok::Ident(name) => Ok(Expr::Ident(Name::new(name))),
             Tok::Punct("(") => {
                 let e = self.expr()?;
                 self.expect_punct(")")?;

@@ -1,8 +1,8 @@
 //! Property-based tests for the engine: NaN-boxing, parser robustness,
-//! cross-configuration determinism, and the string model.
+//! cross-configuration determinism, the string model and `ToInt32`.
 
 use lir::{FaultPolicy, Machine};
-use minijs::{parse_program, Engine, Heap, NanBox, Value};
+use minijs::{parse_program, to_int32, Engine, Heap, NanBox, Value};
 use proptest::prelude::*;
 
 /// The string-model alphabet: ASCII, a 2-byte (`é`) and a 3-byte (`€`)
@@ -23,6 +23,34 @@ fn show_js(engine: &mut Engine, machine: &mut Machine, expr: &str) -> String {
 /// The model's rendering of a string result.
 fn show_chars(chars: &[char]) -> String {
     format!("'{}'", chars.iter().collect::<String>())
+}
+
+/// `ToInt32` as the spec words it: truncate, take the result modulo 2^32
+/// into `[0, 2^32)`, and map the upper half to negatives; NaN, ±0 and ±∞
+/// give 0.
+fn spec_to_int32(n: f64) -> i32 {
+    if !n.is_finite() || n == 0.0 {
+        return 0;
+    }
+    let m = n.trunc().rem_euclid(4294967296.0);
+    (if m >= 2147483648.0 { m - 4294967296.0 } else { m }) as i32
+}
+
+/// A double of kind `kind`, drawn from `bits`: any bit pattern, an integer
+/// within 3 of ±2^31 or ±2^32, a wide integer, a fraction, an `i32`, or
+/// one of the special values.
+fn draw_double(kind: usize, bits: u64, offset: i64) -> f64 {
+    const EDGES: [f64; 4] = [2147483648.0, -2147483648.0, 4294967296.0, -4294967296.0];
+    const SPECIAL: [f64; 8] =
+        [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 9007199254740992.0, -1e300, 0.5];
+    match kind {
+        0 => f64::from_bits(bits),
+        1 => EDGES[(bits % 4) as usize] + offset as f64,
+        2 => ((bits as i64) >> 20) as f64,
+        3 => ((bits as i64) >> 28) as f64 + (bits % 1000) as f64 / 1000.0,
+        4 => f64::from(bits as i32),
+        _ => SPECIAL[(bits % 8) as usize],
+    }
 }
 
 /// The model's rendering of a character code (NaN past the end).
@@ -191,5 +219,13 @@ proptest! {
             }
         }
         prop_assert_eq!(js("('ab' + 'é').charCodeAt(2)"), "233");
+    }
+
+    /// The `ToInt32` fast path agrees with the spec formula on integers at
+    /// and beyond ±2^31 and ±2^32, fractions, `-0.0`, NaN and ±∞.
+    #[test]
+    fn to_int32_matches_spec(kind in 0usize..6, bits in any::<u64>(), offset in -3i64..4) {
+        let n = draw_double(kind, bits, offset);
+        prop_assert_eq!(to_int32(n), spec_to_int32(n), "ToInt32({:e})", n);
     }
 }

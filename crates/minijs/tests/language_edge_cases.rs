@@ -392,3 +392,122 @@ fn split_honours_its_limit() {
     assert_eq!(eval_str("return 'abc'.split('', 2).join('|');"), "a|b");
     assert_eq!(eval_str("return 'a-b-c'.split('-', undefined).join('|');"), "a|b|c");
 }
+
+// ---- scope rules the slot resolver keeps ----
+
+#[test]
+fn a_named_function_expression_can_call_itself() {
+    assert_eq!(
+        eval_num("var f = function g(n) { return n ? g(n - 1) + 1 : 0; }; return f(3);"),
+        3.0
+    );
+    // A parameter or `var` of the same name shadows the function's own name.
+    assert_eq!(eval_num("var f = function g(g) { return g; }; return f(7);"), 7.0);
+    assert_eq!(eval_num("var f = function g() { var g = 4; return g; }; return f();"), 4.0);
+    // The name binds inside the function only.
+    let (mut machine, mut engine) = setup();
+    let err = engine.eval(&mut machine, "var f = function g() { return 1; }; return g;");
+    assert!(matches!(err, Err(EngineError::Reference(ref name)) if name == "g"), "{err:?}");
+}
+
+#[test]
+fn a_duplicate_parameter_takes_the_last_argument() {
+    assert_eq!(eval_num("function f(a, a) { return a; } return f(1, 2);"), 2.0);
+    assert!(matches!(eval("function f(a, a) { return a; } return f(1);"), Value::Undefined));
+}
+
+#[test]
+fn a_for_init_var_is_visible_only_while_the_loop_runs() {
+    assert_eq!(
+        eval_num(
+            "var i = 100; function f() { var n = 0; for (var i = 0; i < 3; i++) { n += i; } \
+             return i * 10 + n; } return f();"
+        ),
+        1003.0
+    );
+}
+
+#[test]
+fn a_read_before_a_loop_body_var_sees_the_outer_binding_once() {
+    // The first iteration reads the global `v`; later iterations read the
+    // loop scope's own `v`, bound by the previous iteration.
+    assert_eq!(
+        eval_num(
+            "var v = 9; function f() { var out = 0; \
+             for (var k = 0; k < 2; k++) { out = out * 10 + v; var v = k + 5; } \
+             return out; } return f();"
+        ),
+        95.0
+    );
+}
+
+#[test]
+fn a_var_in_a_loop_or_if_body_never_touches_the_global_of_that_name() {
+    assert_eq!(
+        eval_num(
+            "var x = 1; function f() { if (true) { var x = 2; } return x; } \
+             function g() { while (x < 5) { var x = 7; } return x; } \
+             return f() * 100 + g() * 10 + x;"
+        ),
+        271.0
+    );
+}
+
+#[test]
+fn a_function_declared_in_an_if_body_binds_once_the_branch_runs() {
+    let src = "var h = 1; function f(c) { if (c) { function h() { return 2; } } \
+               return typeof h == 'function' ? h() : h; } ";
+    assert_eq!(eval_num(&format!("{src} return f(false) * 10 + f(true);")), 12.0);
+    // The declaration binds in `f`'s scope, not the global one.
+    assert_eq!(eval_num(&format!("{src} f(true); return h;")), 1.0);
+}
+
+#[test]
+fn this_at_top_level_is_undefined() {
+    assert!(matches!(eval("return this;"), Value::Undefined));
+    assert!(matches!(eval("function f() { return this; } return f();"), Value::Undefined));
+    assert!(matches!(eval("{ var x = 1; return this; }"), Value::Undefined));
+}
+
+#[test]
+fn closures_three_deep_read_and_write_two_hops_up() {
+    assert_eq!(
+        eval_num(
+            r#"
+function outer() {
+  var count = 10;
+  function middle() {
+    function inner(d) { count = count + d; return count; }
+    return inner;
+  }
+  var step = middle();
+  step(1);
+  step(2);
+  return count;
+}
+return outer();
+"#
+        ),
+        13.0
+    );
+    assert_eq!(
+        eval_num(
+            "function a() { var x = 1; return function () { for (var i = 0; i < 2; i++) \
+             { (function () { x = x * 3; })(); } return x; }; } return a()();"
+        ),
+        9.0
+    );
+}
+
+#[test]
+fn set_global_after_a_cached_script_ran_is_seen_on_the_next_run() {
+    let (mut machine, mut engine) = setup();
+    let src = "function read() { return late; } return read() * 2;";
+    let err = engine.eval(&mut machine, src);
+    assert!(matches!(err, Err(EngineError::Reference(ref name)) if name == "late"), "{err:?}");
+    for n in [21.0, 4.0] {
+        engine.set_global("late", Value::Num(n));
+        let v = engine.eval(&mut machine, src).unwrap();
+        assert!(matches!(v, Value::Num(x) if x == 2.0 * n), "{v:?}");
+    }
+}
