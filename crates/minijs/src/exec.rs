@@ -181,6 +181,8 @@ impl<'a> Ctx<'a> {
                 for (name, init) in decls {
                     let v = match init {
                         Some(e) => self.eval(e, env)?,
+                        // Re-declaring a bound name keeps its value.
+                        None if self.bound(env, name) => continue,
                         None => Value::Undefined,
                     };
                     self.declare(env, name, v);
@@ -323,7 +325,14 @@ impl<'a> Ctx<'a> {
                 }
             }
             Expr::Unary(op, operand) => {
-                let v = self.eval(operand, env)?;
+                let v = match (op, &**operand) {
+                    // `typeof` of a name bound nowhere is "undefined", not
+                    // a ReferenceError.
+                    (UnaryOp::TypeOf, Expr::Ident(name)) => {
+                        self.read(env, name).unwrap_or(Value::Undefined)
+                    }
+                    _ => self.eval(operand, env)?,
+                };
                 Ok(match op {
                     UnaryOp::Neg => Value::Num(-self.to_number(&v)?),
                     UnaryOp::Plus => Value::Num(self.to_number(&v)?),
@@ -608,6 +617,15 @@ impl<'a> Ctx<'a> {
                 let slot = self.heap.global_slot(name);
                 self.heap.set_global(slot, value);
             }
+        }
+    }
+
+    /// Whether a declaration's own slot is already bound.
+    #[inline]
+    fn bound(&self, env: &Env, name: &Name) -> bool {
+        match name.slot {
+            Slot::Global(slot) => self.heap.global(slot).is_some(),
+            Slot::Local { hops, slot } => env.up(hops).get(slot as usize).is_some(),
         }
     }
 

@@ -511,3 +511,21 @@ fn set_global_after_a_cached_script_ran_is_seen_on_the_next_run() {
         assert!(matches!(v, Value::Num(x) if x == 2.0 * n), "{v:?}");
     }
 }
+
+#[test]
+fn var_without_initializer_keeps_a_bound_value() {
+    assert_eq!(eval_num("var x = 1; var x; return x;"), 1.0);
+    assert_eq!(eval_num("function f() { var y = 2; var y; return y; } return f();"), 2.0);
+    assert_eq!(eval_num("var p = 3; function g(p) { var p; return p; } return g(4);"), 4.0);
+    assert_eq!(eval_str("function h() { var z; return typeof z; } return h();"), "undefined");
+}
+
+#[test]
+fn typeof_an_undeclared_name_is_undefined() {
+    assert_eq!(eval_str("return typeof nope;"), "undefined");
+    assert_eq!(eval_str("function f() { return typeof nope; } return f();"), "undefined");
+    assert_eq!(eval_str("var d = 1; return typeof d;"), "number");
+    let (mut machine, mut engine) = setup();
+    let err = engine.eval(&mut machine, "return typeof nope.x;");
+    assert!(matches!(err, Err(EngineError::Reference(ref name)) if name == "nope"), "{err:?}");
+}

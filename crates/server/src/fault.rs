@@ -208,7 +208,7 @@ impl FaultPlan {
 /// faults have fired, how many requests each slot has popped over its
 /// lifetime (across respawns), and how many injections happened in total.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     faults: Vec<(Fault, AtomicBool)>,
     attempts: Vec<AtomicU64>,
     injected: AtomicU64,

@@ -46,8 +46,8 @@ mod server;
 mod traffic;
 mod worker;
 
-pub use fault::{Fault, FaultKind, FaultPlan, FaultState};
-pub use overload::{Admit, FairScheduler, LatencySummary, OverloadState, TokenBucket, DRR_QUANTUM};
+pub use fault::{Fault, FaultKind, FaultPlan};
+pub use overload::LatencySummary;
 pub use pkru_handler::{
     AuditRecord, MpkPolicy, Verdict, ViolationCounters, ViolationHandler, AUDIT_LOG_CAP,
     DEFAULT_QUARANTINE_THRESHOLD,
@@ -56,11 +56,11 @@ pub use pkru_tenant::{
     Tenant, TenantConfig, TenantError, TenantLease, TenantRegistry, VirtualPkey, VirtualPkeyError,
     VirtualPkeyPool, VkeyPoolStats,
 };
-pub use queue::{BoundedQueue, PushError, QueueStats};
+pub use queue::QueueStats;
 pub use request::{catalog, Request, RequestKind, Response, ScriptSpec, PAGE_LOAD};
 pub use server::{
     build_tenant_registry, serve, ServeConfig, ServeError, ServeReport, TenantReportRow,
     DEFAULT_STALL_TIMEOUT_MS, RESTART_BUDGET,
 };
 pub use traffic::{TrafficGen, TrafficShape};
-pub use worker::{run_worker, PoolCtx, WorkerCell, WorkerStats};
+pub use worker::WorkerStats;

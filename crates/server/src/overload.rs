@@ -34,7 +34,7 @@ use crate::request::{Request, RequestKind};
 /// DRR quantum: the deficit a tenant earns per scheduler visit. Must be
 /// ≥ the largest request cost so every head-of-line request eventually
 /// dispatches.
-pub const DRR_QUANTUM: u64 = 2;
+pub(crate) const DRR_QUANTUM: u64 = 2;
 
 /// The DRR cost of one request: page loads build a whole DOM and are
 /// roughly twice the work of a catalog script.
@@ -49,7 +49,7 @@ fn drr_cost(kind: RequestKind) -> u64 {
 /// producer-side shed counters, all lock-free (workers tick, the producer
 /// rejects, the report reads once at the end).
 #[derive(Debug)]
-pub struct OverloadState {
+pub(crate) struct OverloadState {
     /// The logical clock: total requests disposed (served, errored, or
     /// expired) across the pool.
     ticks: AtomicU64,
@@ -127,7 +127,7 @@ impl OverloadState {
 /// admitted at the fair-share rate, the excess rejected. Integer
 /// millitoken math, so the stream is reproducible bit for bit.
 #[derive(Clone, Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     millitokens: u64,
     burst_millitokens: u64,
     step_millitokens: u64,
@@ -163,7 +163,7 @@ impl TokenBucket {
 
 /// Why the fair scheduler refused a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admit {
+pub(crate) enum Admit {
     /// Queued on the tenant's sub-queue.
     Admitted,
     /// The tenant's token bucket is empty — it is over its rate.
@@ -177,7 +177,7 @@ pub enum Admit {
 /// admission into per-tenant sub-queues, deficit-round-robin dispatch out
 /// of them. Owned by the producer thread — no locking.
 #[derive(Debug)]
-pub struct FairScheduler {
+pub(crate) struct FairScheduler {
     subs: Vec<VecDeque<Request>>,
     deficit: Vec<u64>,
     buckets: Vec<TokenBucket>,
@@ -253,6 +253,7 @@ impl FairScheduler {
     }
 
     /// Requests currently queued across every sub-queue.
+    #[cfg(test)]
     pub fn pending(&self) -> usize {
         self.pending
     }

@@ -14,15 +14,16 @@ use std::time::{Duration, Instant};
 pub struct QueueStats {
     /// Requests accepted.
     pub enqueued: u64,
-    /// High-water mark of queued requests. Note this may *exceed*
-    /// [`BoundedQueue::capacity`]: crash-recovery [`BoundedQueue::requeue`]
-    /// returns an already-accepted item to the front unconditionally, so a
-    /// full queue plus a requeue observes `capacity + 1`.
+    /// High-water mark of queued requests. Note this may *exceed* the
+    /// queue capacity: a crash-recovery requeue returns an
+    /// already-accepted item to the front unconditionally, so a full
+    /// queue plus a requeue observes `capacity + 1`.
     pub max_depth: usize,
     /// Times the producer had to block on a full queue (including
     /// bounded waits that ultimately gave up saturated).
     pub backpressure_waits: u64,
-    /// Items returned to the front by [`BoundedQueue::requeue`]
+    /// Items handed back to the front: a lost worker's request the
+    /// supervisor retries, or one a condemned worker popped
     /// (crash-recovery handoffs; disjoint from `enqueued`).
     pub requeued: u64,
 }
@@ -30,7 +31,7 @@ pub struct QueueStats {
 /// Why a bounded-wait [`BoundedQueue::push_within`] refused an item. Both
 /// variants hand the item back to the caller.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue was closed: nothing is accepted anymore.
     Closed(T),
     /// The queue stayed full past the admission wait: the item is shed.
@@ -54,7 +55,7 @@ struct State<T> {
 
 /// A bounded multi-producer/multi-consumer queue (used single-producer,
 /// many-worker here).
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     not_full: Condvar,
     not_empty: Condvar,

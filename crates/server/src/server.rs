@@ -584,6 +584,105 @@ fn run_producer(
     queue.close();
 }
 
+/// Why the supervisor retires a slot's live incarnation.
+enum Retirement {
+    /// The incarnation died, with this error.
+    Died(ServeError),
+    /// The watchdog saw its heartbeat stall with a request in flight.
+    Stalled,
+}
+
+/// The supervisor's bookkeeping over the pool's worker slots.
+struct Supervisor<'a> {
+    queue: &'a BoundedQueue<Request>,
+    host: &'a SharedHost,
+    cells: &'a [Arc<WorkerCell>],
+    /// Respawns each slot has left.
+    budget: Vec<usize>,
+    /// Per slot: is an incarnation running.
+    running: Vec<bool>,
+    /// Per slot: the last heartbeat seen and when it last advanced.
+    beats: Vec<(u64, Instant)>,
+    workers_restarted: u64,
+    requests_retried: u64,
+    workers_stalled: u64,
+    /// Set iff the whole pool died; `(slot, message)` of the last loss.
+    pool_failure: Option<(usize, String)>,
+}
+
+impl Supervisor<'_> {
+    /// Slots with a running incarnation.
+    fn alive(&self) -> usize {
+        self.running.iter().filter(|&&running| running).count()
+    }
+
+    /// Retires `slot`'s live incarnation, dead or wedged — the one path
+    /// for both. Takes its in-flight request (a wedged one is condemned
+    /// first, in the same cell operation, so it can never complete the
+    /// request after it is handed to someone else) and requeues it at
+    /// most once: a request that already rode a retry is abandoned and
+    /// only counted. Then respawns the slot within its budget, or — if no
+    /// live worker is left — records the pool failure and closes the
+    /// queue so the producer unblocks and exits.
+    fn retire(&mut self, slot: usize, why: Retirement, spawn: &dyn Fn(usize, u64)) {
+        self.running[slot] = false;
+        let respawn = self.budget[slot] > 0 && self.host.workers_started() < MAX_WORKERS;
+        let cell = &self.cells[slot];
+        let in_flight = match why {
+            Retirement::Died(_) => cell.take_in_flight(),
+            Retirement::Stalled => {
+                self.workers_stalled += 1;
+                cell.condemn()
+            }
+        };
+        if let Some(request) = in_flight {
+            if !request.retried && (respawn || self.alive() > 0) {
+                self.queue.requeue(Request { retried: true, ..request });
+                self.requests_retried += 1;
+            }
+        }
+        if respawn {
+            self.budget[slot] -= 1;
+            self.workers_restarted += 1;
+            spawn(slot, cell.live_incarnation());
+            self.running[slot] = true;
+            self.beats[slot] = (cell.probe().0, Instant::now());
+        } else if self.alive() == 0 {
+            let message = match why {
+                Retirement::Died(ServeError::Worker { message, .. }) => message,
+                Retirement::Died(other) => other.to_string(),
+                Retirement::Stalled => {
+                    "worker stalled past the watchdog deadline; respawn budget exhausted".into()
+                }
+            };
+            self.pool_failure = Some((slot, message));
+            self.queue.close();
+        }
+        // else: slot permanently dead, survivors drain on.
+    }
+
+    /// The watchdog scan: a running slot whose heartbeat has not advanced
+    /// for `stall_timeout` *while holding a request in flight* is wedged,
+    /// and retired like a dead one. The wedged thread itself is leaked
+    /// until end-of-run — never joined, never trusted again.
+    fn watch(&mut self, stall_timeout: Duration, spawn: &dyn Fn(usize, u64)) {
+        let cells = self.cells;
+        for (slot, cell) in cells.iter().enumerate() {
+            if !self.running[slot] {
+                continue;
+            }
+            let (beat, in_flight) = cell.probe();
+            if beat != self.beats[slot].0 || !in_flight {
+                // Progress, or idle (blocked on an empty queue is not a
+                // stall): reset the deadline.
+                self.beats[slot] = (beat, Instant::now());
+            } else if self.beats[slot].1.elapsed() >= stall_timeout {
+                self.retire(slot, Retirement::Stalled, spawn);
+            }
+        }
+    }
+}
+
 /// Runs the full pipeline and the supervised pool, returning the
 /// aggregated report — or, if every worker slot died past its respawn
 /// budget, the fatal error with the partial report attached. Either way
@@ -655,11 +754,18 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
         }
     };
 
-    let mut workers_restarted = 0u64;
-    let mut requests_retried = 0u64;
-    let mut workers_stalled = 0u64;
-    // Set iff the whole pool died; `(slot, message)` of the last death.
-    let mut pool_failure: Option<(usize, String)> = None;
+    let mut supervisor = Supervisor {
+        queue: &queue,
+        host: &host,
+        cells: &cells,
+        budget: vec![RESTART_BUDGET; config.workers],
+        running: vec![true; config.workers],
+        beats: cells.iter().map(|c| (c.probe().0, Instant::now())).collect(),
+        workers_restarted: 0,
+        requests_retried: 0,
+        workers_stalled: 0,
+        pool_failure: None,
+    };
     let overload = OverloadState::new(config.tenants);
 
     let start = Instant::now();
@@ -678,7 +784,6 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
             faults: &faults,
             registry,
             overload: &overload,
-            record_latency: config.record_latency,
         };
         let spawn_worker = |slot: usize, incarnation: u64| {
             let events = events.clone();
@@ -726,14 +831,7 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
         let stall_timeout = Duration::from_millis(config.stall_timeout_ms);
         let watchdog_tick =
             (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
-        let mut alive = config.workers;
-        let mut budget = vec![RESTART_BUDGET; config.workers];
-        // Per slot: is an incarnation running, and when did we last see
-        // its heartbeat advance (watchdog bookkeeping).
-        let mut running = vec![true; config.workers];
-        let mut beats: Vec<(u64, Instant)> =
-            cells.iter().map(|c| (c.probe().0, Instant::now())).collect();
-        while alive > 0 {
+        while supervisor.alive() > 0 {
             match exits.recv_timeout(watchdog_tick) {
                 Ok((slot, incarnation, death)) => {
                     if incarnation != cells[slot].live_incarnation() {
@@ -742,39 +840,11 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
                         // to account.
                         continue;
                     }
-                    running[slot] = false;
-                    alive -= 1;
-                    let Some(death) = death else { continue };
-                    let respawn = budget[slot] > 0 && host.workers_started() < MAX_WORKERS;
-                    // Retry-once: the dead incarnation's in-flight request
-                    // goes back to the front of the queue — unless it
-                    // already rode a retry, in which case it is abandoned
-                    // and only counted.
-                    if let Some(request) = cells[slot].take_in_flight() {
-                        if !request.retried && (respawn || alive > 0) {
-                            queue.requeue(Request { retried: true, ..request });
-                            requests_retried += 1;
-                        }
-                    }
-                    if respawn {
-                        budget[slot] -= 1;
-                        workers_restarted += 1;
-                        spawn_worker(slot, cells[slot].live_incarnation());
-                        running[slot] = true;
-                        beats[slot] = (cells[slot].probe().0, Instant::now());
-                        alive += 1;
-                    } else if alive == 0 {
-                        // The whole pool is dead: nobody will ever pop
-                        // again. Close the queue so the producer unblocks
-                        // and exits.
-                        let message = match death {
-                            ServeError::Worker { message, .. } => message,
-                            other => other.to_string(),
-                        };
-                        pool_failure = Some((slot, message));
-                        queue.close();
-                    }
-                    // else: slot permanently dead, survivors drain on.
+                    let Some(death) = death else {
+                        supervisor.running[slot] = false;
+                        continue;
+                    };
+                    supervisor.retire(slot, Retirement::Died(death), &spawn_worker);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 // The supervisor holds an `events` sender for the
@@ -784,62 +854,14 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
                     unreachable!("event senders outlive the supervisor loop")
                 }
             }
-            // The watchdog scan: a slot whose heartbeat has not advanced
-            // past the deadline *while holding a request in flight* is
-            // wedged. Condemn the incarnation (poisoning its cell
-            // writes), requeue its request under the same retry-once
-            // rule, and respawn through the normal budget. The wedged
-            // thread itself is leaked until end-of-run — never joined,
-            // never trusted again.
-            for slot in 0..config.workers {
-                if !running[slot] {
-                    continue;
-                }
-                let (beat, in_flight) = cells[slot].probe();
-                if beat != beats[slot].0 || !in_flight {
-                    // Progress, or idle (blocked on an empty queue is not
-                    // a stall): reset the deadline.
-                    beats[slot] = (beat, Instant::now());
-                    continue;
-                }
-                if beats[slot].1.elapsed() < stall_timeout {
-                    continue;
-                }
-                workers_stalled += 1;
-                alive -= 1;
-                running[slot] = false;
-                let respawn = budget[slot] > 0 && host.workers_started() < MAX_WORKERS;
-                // Condemn *before* requeueing: bumping the incarnation
-                // and taking the in-flight request is one atomic cell
-                // operation, so the wedged thread can never complete the
-                // request after we hand it to someone else.
-                if let Some(request) = cells[slot].condemn() {
-                    if !request.retried && (respawn || alive > 0) {
-                        queue.requeue(Request { retried: true, ..request });
-                        requests_retried += 1;
-                    }
-                }
-                if respawn {
-                    budget[slot] -= 1;
-                    workers_restarted += 1;
-                    spawn_worker(slot, cells[slot].live_incarnation());
-                    running[slot] = true;
-                    beats[slot] = (cells[slot].probe().0, Instant::now());
-                    alive += 1;
-                } else if alive == 0 {
-                    pool_failure = Some((
-                        slot,
-                        "worker stalled past the watchdog deadline; respawn budget exhausted"
-                            .into(),
-                    ));
-                    queue.close();
-                }
-            }
+            supervisor.watch(stall_timeout, &spawn_worker);
         }
         // Supervision is over: open the stall gate so any wedged threads
         // (all condemned by now) can exit and the scope can join them.
         faults.release_stalls();
     });
+    let Supervisor { workers_restarted, requests_retried, workers_stalled, pool_failure, .. } =
+        supervisor;
     let elapsed_seconds = start.elapsed().as_secs_f64();
     // The host space is exclusive to the pool (profiling and reference
     // passes run on private spaces), so its TLB counters are exactly the
@@ -867,9 +889,7 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
         dispatch_ic_hits += stats.ic_hits;
         dispatch_ic_misses += stats.ic_misses;
         superinstructions_fused += stats.fused_ops;
-        if config.record_latency {
-            latencies.extend(cell.take_latencies());
-        }
+        latencies.extend(cell.take_latencies());
         for response in &responses {
             // Exact bit-for-bit equality: the engine is deterministic, so
             // a pooled worker must reproduce the reference float exactly.

@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use servolite::{Browser, BrowserConfig, DispatchOptions, DispatchStats};
+use servolite::{Browser, BrowserConfig, BrowserError, DispatchOptions, DispatchStats};
 use workloads::suites::micro_page;
 
 use lir::SharedHost;
@@ -74,6 +74,43 @@ pub struct WorkerStats {
     pub fused_ops: u64,
 }
 
+/// How one request ends. The worker decides it once per request, and
+/// [`WorkerCell::dispose`] records it: the one place a request is counted.
+#[derive(Clone, Copy, Debug)]
+enum Disposal {
+    /// Shed at pop because its deadline had passed: counts `expired` only.
+    Expired,
+    /// Completed: counts `requests` plus `page_loads` or `scripts`, then
+    /// records `outcome`. `ran` says whether the page load or script
+    /// itself ran; only such a request takes a latency sample.
+    Completed { outcome: Outcome, ran: bool },
+}
+
+/// What a completed request records besides being counted.
+#[derive(Clone, Copy, Debug)]
+enum Outcome {
+    /// A response carrying its checksum (the determinism witness).
+    Response { name: &'static str, checksum: f64 },
+    /// An MPK violation: counts `pkey_faults`.
+    PkeyFault,
+    /// Any other failure: counts `errors`.
+    Error,
+    /// Nothing more: a quarantined tenant's rejection, or an injected
+    /// probe whose violation the handler already accounted for.
+    Nothing,
+}
+
+impl Outcome {
+    /// The outcome of a request the browser failed.
+    fn failed(error: &BrowserError) -> Outcome {
+        if error.is_pkey_violation() {
+            Outcome::PkeyFault
+        } else {
+            Outcome::Error
+        }
+    }
+}
+
 struct CellInner {
     stats: WorkerStats,
     responses: Vec<Response>,
@@ -88,23 +125,23 @@ struct CellInner {
     /// incarnation. The watchdog declares the slot stalled when this
     /// stops advancing while a request is in flight.
     heartbeat: u64,
-    /// Admission→completion latencies (ms) of disposed requests, kept
-    /// only when the run records latency percentiles.
+    /// Admission→completion latencies (ms) of requests that ran; only
+    /// requests the producer stamped `enqueued` are sampled.
     latencies: Vec<f64>,
 }
 
 /// One worker slot's state, shared between every incarnation of the slot
 /// and the supervisor. All transitions are atomic under one lock, so a
-/// request is always in exactly one place: in flight, completed, or back
+/// request is always in exactly one place: in flight, disposed, or back
 /// on the queue — and every write is stamped with the incarnation making
 /// it, so a condemned thread can never corrupt its successor's ledger.
-pub struct WorkerCell {
+pub(crate) struct WorkerCell {
     inner: Mutex<CellInner>,
 }
 
 impl WorkerCell {
     /// A fresh cell for worker slot `worker`.
-    pub fn new(worker: usize) -> WorkerCell {
+    pub(crate) fn new(worker: usize) -> WorkerCell {
         WorkerCell {
             inner: Mutex::new(CellInner {
                 stats: WorkerStats { worker, ..WorkerStats::default() },
@@ -118,7 +155,7 @@ impl WorkerCell {
     }
 
     /// The incarnation a newly spawned thread must present to write here.
-    pub fn live_incarnation(&self) -> u64 {
+    pub(crate) fn live_incarnation(&self) -> u64 {
         self.inner.lock().unwrap().live
     }
 
@@ -134,45 +171,48 @@ impl WorkerCell {
         true
     }
 
-    /// Completes the in-flight request: clears it, beats the heartbeat,
-    /// and applies `update` to the counters/responses in one critical
-    /// section, so a crash can never double-account a request. Returns
-    /// whether the write landed (a condemned incarnation's does not).
-    fn complete(
+    /// Disposes of the in-flight `request` as `disposal` says: clears it,
+    /// beats the heartbeat, counts it, keeps its response and latency
+    /// sample, and ticks the logical clock — all in one critical section,
+    /// so a crash can never double-account a request. A condemned
+    /// incarnation's disposal changes nothing, the clock included.
+    fn dispose(
         &self,
         incarnation: u64,
-        update: impl FnOnce(&mut WorkerStats, &mut Vec<Response>),
-    ) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.live != incarnation {
-            return false;
+        request: &Request,
+        disposal: Disposal,
+        clock: &OverloadState,
+    ) {
+        let mut guard = self.inner.lock().expect("worker cell lock");
+        if guard.live != incarnation {
+            return;
         }
+        let inner = &mut *guard;
         inner.in_flight = None;
         inner.heartbeat += 1;
-        let inner = &mut *inner;
-        update(&mut inner.stats, &mut inner.responses);
-        true
-    }
-
-    /// Sheds the in-flight request as expired: clears it, beats the
-    /// heartbeat, counts the shed — one critical section, same rules as
-    /// [`WorkerCell::complete`]. Returns whether the shed landed.
-    fn expire(&self, incarnation: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.live != incarnation {
-            return false;
-        }
-        inner.in_flight = None;
-        inner.heartbeat += 1;
-        inner.stats.expired += 1;
-        true
-    }
-
-    /// Records one admission→completion latency sample.
-    fn push_latency(&self, incarnation: u64, ms: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.live == incarnation {
-            inner.latencies.push(ms);
+        clock.tick();
+        let stats = &mut inner.stats;
+        match disposal {
+            Disposal::Expired => stats.expired += 1,
+            Disposal::Completed { outcome, ran } => {
+                stats.requests += 1;
+                match request.kind {
+                    RequestKind::PageLoad => stats.page_loads += 1,
+                    RequestKind::Script(_) => stats.scripts += 1,
+                }
+                match outcome {
+                    Outcome::Response { name, checksum } => {
+                        let worker = stats.worker;
+                        inner.responses.push(Response { id: request.id, worker, name, checksum });
+                    }
+                    Outcome::PkeyFault => stats.pkey_faults += 1,
+                    Outcome::Error => stats.errors += 1,
+                    Outcome::Nothing => {}
+                }
+                if let (true, Some(enqueued)) = (ran, request.enqueued) {
+                    inner.latencies.push(enqueued.elapsed().as_secs_f64() * 1000.0);
+                }
+            }
         }
     }
 
@@ -195,12 +235,12 @@ impl WorkerCell {
     }
 
     /// Takes the request the (dead) incarnation was holding, if any.
-    pub fn take_in_flight(&self) -> Option<Request> {
+    pub(crate) fn take_in_flight(&self) -> Option<Request> {
         self.inner.lock().unwrap().in_flight.take()
     }
 
     /// The watchdog's probe: `(heartbeat, request-in-flight?)`.
-    pub fn probe(&self) -> (u64, bool) {
+    pub(crate) fn probe(&self) -> (u64, bool) {
         let inner = self.inner.lock().unwrap();
         (inner.heartbeat, inner.in_flight.is_some())
     }
@@ -210,20 +250,20 @@ impl WorkerCell {
     /// poisoned, and takes the in-flight request for requeue — both under
     /// one lock, so the wedged thread cannot complete the request *and*
     /// hand it back.
-    pub fn condemn(&self) -> Option<Request> {
+    pub(crate) fn condemn(&self) -> Option<Request> {
         let mut inner = self.inner.lock().unwrap();
         inner.live += 1;
         inner.in_flight.take()
     }
 
     /// A snapshot of everything the slot has produced so far.
-    pub fn snapshot(&self) -> (WorkerStats, Vec<Response>) {
+    pub(crate) fn snapshot(&self) -> (WorkerStats, Vec<Response>) {
         let inner = self.inner.lock().unwrap();
         (inner.stats, inner.responses.clone())
     }
 
     /// Drains the slot's recorded latency samples.
-    pub fn take_latencies(&self) -> Vec<f64> {
+    pub(crate) fn take_latencies(&self) -> Vec<f64> {
         std::mem::take(&mut self.inner.lock().unwrap().latencies)
     }
 }
@@ -232,23 +272,21 @@ impl WorkerCell {
 /// the host, the armed faults, and the overload machinery. Bundled so a
 /// respawn is one call, not a ten-argument ritual.
 #[derive(Clone, Copy)]
-pub struct PoolCtx<'a> {
+pub(crate) struct PoolCtx<'a> {
     /// The bounded work queue.
-    pub queue: &'a BoundedQueue<Request>,
+    pub(crate) queue: &'a BoundedQueue<Request>,
     /// The shared MPK host (page tables, keys, carve-outs).
-    pub host: &'a SharedHost,
+    pub(crate) host: &'a SharedHost,
     /// The provenance profile workers enforce.
-    pub profile: &'a Profile,
+    pub(crate) profile: &'a Profile,
     /// The served script catalog.
-    pub catalog: &'a [ScriptSpec],
+    pub(crate) catalog: &'a [ScriptSpec],
     /// Armed fault injections.
-    pub faults: &'a FaultState,
+    pub(crate) faults: &'a FaultState,
     /// The tenant registry (multi-tenant runs only).
-    pub registry: Option<&'a TenantRegistry>,
+    pub(crate) registry: Option<&'a TenantRegistry>,
     /// The logical clock and shed counters.
-    pub overload: &'a OverloadState,
-    /// Whether to record admission→completion latency samples.
-    pub record_latency: bool,
+    pub(crate) overload: &'a OverloadState,
 }
 
 /// Drains the worker's own untrusted carve-out until the allocator
@@ -278,20 +316,19 @@ fn exhaust_carveout(browser: &mut Browser) -> String {
 /// only the [`SharedHost`] crosses the thread boundary. A respawned
 /// incarnation claims a fresh carve-out slot from the host, so it starts
 /// with a clean allocator even if its predecessor died by exhaustion.
-pub fn run_worker(
+pub(crate) fn run_worker(
     worker: usize,
     incarnation: u64,
     ctx: PoolCtx<'_>,
     cell: &WorkerCell,
     handler: Option<&Arc<ViolationHandler>>,
 ) -> Result<(), ServeError> {
-    let PoolCtx { queue, host, profile, faults, registry, overload, .. } = ctx;
     if let Some(handler) = handler {
         // A fresh incarnation starts with a clean quarantine breaker; the
         // per-site ledger and the audit log persist across respawns.
         handler.begin_incarnation();
     }
-    if faults.setup_should_fail(worker) {
+    if ctx.faults.setup_should_fail(worker) {
         return Err(ServeError::Worker {
             worker,
             message: "browser setup: injected setup failure".into(),
@@ -302,8 +339,8 @@ pub fn run_worker(
     // from machine construction, so even browser setup traffic uses it.
     let mut browser = Browser::with_dispatch(
         BrowserConfig::Mpk,
-        Some(profile),
-        Some(host),
+        Some(ctx.profile),
+        Some(ctx.host),
         handler.cloned(),
         true,
         DispatchOptions::default(),
@@ -329,263 +366,36 @@ pub fn run_worker(
     // Drop (including panic unwind through the supervision path)
     // deregisters, so a dead incarnation can never wedge a quarantined
     // key.
-    let _epoch = registry.map(|r| {
+    let _epoch = ctx.registry.map(|r| {
         let epoch = Arc::new(r.pool().barrier().register());
         browser.machine.gates.set_worker_epoch(Arc::clone(&epoch));
         epoch
     });
 
-    while let Some(request) = queue.pop() {
+    let served = loop {
+        let Some(request) = ctx.queue.pop() else { break Ok(()) };
         // A condemned incarnation (the watchdog wrote this thread off and
         // respawned the slot) must not serve: the popped request belongs
         // to a live worker — hand it back and bow out.
         if !cell.begin(incarnation, request) {
-            queue.requeue(request);
-            break;
+            ctx.queue.requeue(request);
+            break Ok(());
         }
-        // Deadline shedding at pop: a request whose deadline the logical
-        // clock has already passed is counted expired, never served —
-        // bounding queue wait at `deadline_ticks` service times.
-        if request.deadline != 0 && overload.ticks() >= request.deadline {
-            if cell.expire(incarnation) {
-                overload.tick();
-            }
-            continue;
-        }
-        // Tenant-tagged request: bind the tenant's virtual key (possibly
-        // stealing an LRU hardware key from an idle tenant) and swap the
-        // worker into the tenant's compartment. The lease no longer pins
-        // the binding — revocation protects it: if the pool steals the
-        // key mid-request, the gates refuse with a typed `StaleLease`
-        // and the worker re-binds below.
-        let mut lease = match (registry, request.tenant) {
-            (Some(registry), Some(tid)) => {
-                match registry.bind_with_retry(tid, TENANT_BIND_RETRIES) {
-                    Ok(lease) => {
-                        let tenant = Arc::clone(lease.tenant());
-                        if tenant.quarantined() {
-                            // A quarantined tenant is refused per request
-                            // — its neighbours (and this worker) keep
-                            // serving.
-                            tenant.record_rejected();
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                            }) {
-                                overload.tick();
-                            }
-                            continue;
-                        }
-                        tenant.record_request();
-                        install_tenant(&mut browser, &lease);
-                        Some(lease)
-                    }
-                    // Bind refused after the retry budget (sustained
-                    // barrier pressure or true exhaustion): the request
-                    // completes as an error, the worker survives.
-                    Err(_) => {
-                        if cell.complete(incarnation, |stats, _| {
-                            stats.requests += 1;
-                            match request.kind {
-                                RequestKind::PageLoad => stats.page_loads += 1,
-                                RequestKind::Script(_) => stats.scripts += 1,
-                            }
-                            stats.errors += 1;
-                        }) {
-                            overload.tick();
-                        }
-                        continue;
-                    }
-                }
-            }
-            _ => None,
-        };
-        // The tenant outlives any one lease (a stale re-bind replaces
-        // the lease mid-request), so hold it by its own Arc.
-        let tenant_arc = lease.as_ref().map(|l| Arc::clone(l.tenant()));
-        // Injected faults consult the *tenant's* handler when one is
-        // active: a violation inside a tenant compartment is the
-        // tenant's liability, not the worker's.
-        let active_handler = tenant_arc.as_ref().and_then(|t| t.handler()).or(handler);
-        // The request body runs inside a labelled block so every early
-        // exit funnels through one restore point below — a tenant swap
-        // must never leak into the next request's compartment.
-        let die: Option<ServeError> = 'serve: {
-            if lease.is_some() {
-                // Touch the tenant's private region under its rights:
-                // the round-trip only succeeds if the bind re-tagged the
-                // tenant's (parked) pages onto the leased hardware key.
-                // The pool may steal that key at any moment — the gate
-                // then refuses with a typed `StaleLease` (or a mem op
-                // faults on the freshly parked pages mid-region), and
-                // the worker re-binds and retries, bounded.
-                let tenant = Arc::clone(tenant_arc.as_ref().expect("tenant in flight"));
-                let scratch = tenant.scratch_addr();
-                let mut rebinds = 0usize;
-                let touched = loop {
-                    let m = &mut browser.machine;
-                    let ok = match m.gates.enter_untrusted(&mut m.cpu) {
-                        Ok(()) => {
-                            let wrote = m.mem_write(scratch, request.id).is_ok()
-                                && m.mem_read(scratch) == Ok(request.id);
-                            // The exit gate runs unconditionally after a
-                            // successful enter: an open region would
-                            // block the revocation barrier (and leak
-                            // compartment stack depth) for the rest of
-                            // the incarnation.
-                            let exited = m.gates.exit_untrusted(&mut m.cpu).is_ok();
-                            wrote && exited
-                        }
-                        Err(GateError::StaleLease { .. }) => false,
-                        Err(_) => break false,
-                    };
-                    if ok {
-                        break true;
-                    }
-                    let stale = !lease.as_ref().expect("tenant lease in flight").is_current();
-                    if !stale || rebinds >= STALE_REBIND_RETRIES {
-                        break false;
-                    }
-                    // Revoked underneath us: re-bind the tenant (counted
-                    // against its bind_retries stat) and reinstall the
-                    // fresh lease.
-                    rebinds += 1;
-                    tenant.record_bind_retry();
-                    let registry = registry.expect("tenant lease implies a registry");
-                    match registry.bind_with_retry(tenant.id(), TENANT_BIND_RETRIES) {
-                        Ok(fresh) => {
-                            install_tenant(&mut browser, &fresh);
-                            lease = Some(fresh);
-                        }
-                        Err(_) => break false,
-                    }
-                };
-                if !touched {
-                    if cell.complete(incarnation, |stats, _| {
-                        stats.requests += 1;
-                        match request.kind {
-                            RequestKind::PageLoad => stats.page_loads += 1,
-                            RequestKind::Script(_) => stats.scripts += 1,
-                        }
-                        stats.errors += 1;
-                    }) {
-                        overload.tick();
-                    }
-                    break 'serve None;
-                }
-            }
-            match faults.next_request(worker) {
-                None => {}
-                Some(FaultKind::Panic) => {
-                    // The in-flight request stays in the cell: the supervisor
-                    // recovers and requeues it.
-                    panic!("injected panic: worker {worker} dying on request {}", request.id);
-                }
-                Some(FaultKind::PkeyViolation) => {
-                    match active_handler {
-                        // No handler (enforce): an injected violation looks
-                        // exactly like a real one — the request completes, the
-                        // defect lands in the report.
-                        None => {
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                                stats.pkey_faults += 1;
-                            }) {
-                                overload.tick();
-                            }
-                            break 'serve None;
-                        }
-                        // With a handler, the injection provokes a *real* MPK
-                        // violation (a trusted-pool read from inside the
-                        // compartment) that flows through the machine's fault
-                        // path into the handler. The violation is accounted
-                        // there — never in `pkey_faults` — so `injected_faults`
-                        // and the `violations_*` counters stay disjoint from
-                        // the legacy unexpected-fault counter.
-                        Some(active) => {
-                            let outcome = browser.probe_trusted_access();
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                                // A denied probe is the handler's verdict
-                                // (enforcement or a tripped breaker), already
-                                // counted by the handler; anything else is a
-                                // genuine worker error.
-                                if let Err(e) = &outcome {
-                                    if !e.is_pkey_violation() {
-                                        stats.errors += 1;
-                                    }
-                                }
-                            }) {
-                                overload.tick();
-                            }
-                            if active.tripped() {
-                                if lease.is_some() {
-                                    // The *tenant's* breaker tripped: the
-                                    // tenant is condemned (every later
-                                    // request of theirs is rejected), but
-                                    // the worker lives on for everyone
-                                    // else.
-                                    break 'serve None;
-                                }
-                                // The worker's own breaker: tear this
-                                // incarnation down through the supervision
-                                // path. The request was completed above, so
-                                // nothing is requeued.
-                                break 'serve Some(ServeError::Worker {
-                                    worker,
-                                    message: "quarantined: MPK violation breaker tripped".into(),
-                                    report: None,
-                                });
-                            }
-                            break 'serve None;
-                        }
-                    }
-                }
-                Some(FaultKind::AllocExhaustion) => {
-                    let message = exhaust_carveout(&mut browser);
-                    break 'serve Some(ServeError::Worker { worker, message, report: None });
-                }
-                Some(FaultKind::Stall) => {
-                    // The wedge: heartbeat frozen, request in flight,
-                    // thread parked on the stall gate. The watchdog must
-                    // condemn this incarnation and requeue the request;
-                    // the gate opens only once supervision is over, and
-                    // by then this incarnation is poisoned — it exits
-                    // through the restore path with nothing to report.
-                    // Note the gate region was already exited above (the
-                    // worker's barrier epoch is parked), so a wedged
-                    // thread never blocks key revocation either.
-                    faults.stall_until_released();
-                    break 'serve None;
-                }
-                // Setup faults are filtered out by `next_request`.
-                Some(FaultKind::SetupFailure) => unreachable!("setup fault on a live worker"),
-            }
-            serve_request(worker, incarnation, &request, ctx, cell, &mut browser);
-            None
-        };
-        // Restore the worker's ambient compartment before anything else
-        // can run on this browser. `set_untrusted_pkru` also drops the
-        // lease stamp from the gates.
-        if lease.is_some() {
+        let mut installed = None;
+        let disposal = serve_one(worker, ctx, handler, &mut browser, &request, &mut installed);
+        let in_tenant = installed.is_some();
+        // The one restore point: put the worker's ambient compartment back
+        // before anything else can run on this browser, so a tenant swap
+        // never leaks into the next request. `set_untrusted_pkru` also
+        // drops the lease stamp from the gates.
+        if let Some(lease) = installed {
             browser.machine.gates.set_untrusted_pkru(base_untrusted);
             browser.machine.install_syscall_filter(base_filter.clone());
             // The tenant handler's grant scope must not outlive the
             // request: the tenant's key may be stolen and recycled the
             // moment the lease drops, and a lingering scope would let an
             // audit single-step grant the recycled key.
-            if let Some(h) = tenant_arc.as_ref().and_then(|t| t.handler()) {
+            if let Some(h) = lease.tenant().handler() {
                 h.refresh_tenant_scope(None);
             }
             match handler {
@@ -593,17 +403,174 @@ pub fn run_worker(
                 None => browser.machine.clear_violation_handler(),
             }
         }
-        drop(lease);
-        if let Some(error) = die {
-            cell.add_transitions(browser.stats().transitions);
-            cell.add_dispatch(browser.dispatch_stats());
-            return Err(error);
+        match disposal {
+            Ok(disposal) => cell.dispose(incarnation, &request, disposal, ctx.overload),
+            // The request stays in flight: the supervisor requeues it.
+            Err(death) => break Err(death),
         }
-    }
-
+        // The worker's own quarantine breaker tripped: tear this
+        // incarnation down through the supervision path, with nothing in
+        // flight to requeue. Inside a tenant's compartment the tenant's
+        // breaker applies, and it condemns only the tenant.
+        if !in_tenant && handler.is_some_and(|h| h.tripped()) {
+            break Err(ServeError::Worker {
+                worker,
+                message: "quarantined: MPK violation breaker tripped".into(),
+                report: None,
+            });
+        }
+    };
     cell.add_transitions(browser.stats().transitions);
     cell.add_dispatch(browser.dispatch_stats());
-    Ok(())
+    served
+}
+
+/// Serves one popped request on the worker's browser and decides how it
+/// ends: `Ok` with its disposal, or `Err` with the worker's death, which
+/// leaves the request in flight for the supervisor. A tenant-tagged
+/// request leaves the lease it installed in `installed`, for the caller
+/// to restore the worker's ambient compartment after it.
+fn serve_one(
+    worker: usize,
+    ctx: PoolCtx<'_>,
+    handler: Option<&Arc<ViolationHandler>>,
+    browser: &mut Browser,
+    request: &Request,
+    installed: &mut Option<TenantLease>,
+) -> Result<Disposal, ServeError> {
+    let done = |outcome| Ok(Disposal::Completed { outcome, ran: false });
+    // Deadline shedding at pop: a request whose deadline the logical
+    // clock has already passed is counted expired, never served —
+    // bounding queue wait at `deadline_ticks` service times.
+    if request.deadline != 0 && ctx.overload.ticks() >= request.deadline {
+        return Ok(Disposal::Expired);
+    }
+    // Tenant-tagged request: bind the tenant's virtual key (possibly
+    // stealing an LRU hardware key from an idle tenant) and swap the
+    // worker into the tenant's compartment. The lease does not pin the
+    // binding — revocation protects it: if the pool steals the key
+    // mid-request, the gates refuse with a typed `StaleLease` and the
+    // worker re-binds.
+    if let (Some(registry), Some(tid)) = (ctx.registry, request.tenant) {
+        // Bind refused after the retry budget (sustained barrier pressure
+        // or true exhaustion): the request completes as an error, the
+        // worker survives.
+        let Ok(lease) = registry.bind_with_retry(tid, TENANT_BIND_RETRIES) else {
+            return done(Outcome::Error);
+        };
+        let tenant = Arc::clone(lease.tenant());
+        if tenant.quarantined() {
+            // A quarantined tenant is refused per request — its
+            // neighbours (and this worker) keep serving.
+            tenant.record_rejected();
+            return done(Outcome::Nothing);
+        }
+        tenant.record_request();
+        install_tenant(browser, &lease);
+        let lease = installed.insert(lease);
+        if !touch_tenant(browser, registry, lease, request.id) {
+            return done(Outcome::Error);
+        }
+    }
+    // Injected faults consult the *tenant's* handler when one is active:
+    // a violation inside a tenant compartment is the tenant's liability,
+    // not the worker's.
+    let active_handler = installed.as_ref().and_then(|l| l.tenant().handler()).or(handler);
+    match ctx.faults.next_request(worker) {
+        None => Ok(run_request(ctx.catalog, request, browser)),
+        Some(FaultKind::Panic) => {
+            // The in-flight request stays in the cell: the supervisor
+            // recovers and requeues it.
+            panic!("injected panic: worker {worker} dying on request {}", request.id);
+        }
+        // No handler (enforce): an injected violation looks exactly like a
+        // real one — the request completes, the defect lands in the report.
+        Some(FaultKind::PkeyViolation) if active_handler.is_none() => done(Outcome::PkeyFault),
+        // With a handler, the injection provokes a *real* MPK violation (a
+        // trusted-pool read from inside the compartment) that flows
+        // through the machine's fault path into the handler. The violation
+        // is accounted there — never in `pkey_faults` — so
+        // `injected_faults` and the `violations_*` counters stay disjoint
+        // from the legacy unexpected-fault counter. A denied probe is the
+        // handler's verdict (enforcement or a tripped breaker); anything
+        // else is a genuine worker error.
+        Some(FaultKind::PkeyViolation) => match browser.probe_trusted_access() {
+            Err(e) if !e.is_pkey_violation() => done(Outcome::Error),
+            _ => done(Outcome::Nothing),
+        },
+        Some(FaultKind::AllocExhaustion) => {
+            let message = exhaust_carveout(browser);
+            Err(ServeError::Worker { worker, message, report: None })
+        }
+        Some(FaultKind::Stall) => {
+            // The wedge: heartbeat frozen, request in flight, thread
+            // parked on the stall gate. The watchdog must condemn this
+            // incarnation and requeue the request; the gate opens only
+            // once supervision is over, and by then this incarnation is
+            // poisoned — it exits with nothing to report. Any tenant gate
+            // region was already exited (the worker's barrier epoch is
+            // parked), so a wedged thread never blocks key revocation.
+            ctx.faults.stall_until_released();
+            Err(ServeError::Worker {
+                worker,
+                message: "condemned: stalled past the watchdog deadline".into(),
+                report: None,
+            })
+        }
+        // Setup faults are filtered out by `next_request`.
+        Some(FaultKind::SetupFailure) => unreachable!("setup fault on a live worker"),
+    }
+}
+
+/// Touches the tenant's private region under its rights: the round-trip
+/// only succeeds if the bind re-tagged the tenant's (parked) pages onto
+/// the leased hardware key. The pool may steal that key at any moment —
+/// the gate then refuses with a typed `StaleLease` (or a mem op faults on
+/// the freshly parked pages mid-region), and the worker re-binds into
+/// `lease` and retries, bounded. Returns whether the touch succeeded.
+fn touch_tenant(
+    browser: &mut Browser,
+    registry: &TenantRegistry,
+    lease: &mut TenantLease,
+    request_id: u64,
+) -> bool {
+    let tenant = Arc::clone(lease.tenant());
+    let scratch = tenant.scratch_addr();
+    let mut rebinds = 0usize;
+    loop {
+        let m = &mut browser.machine;
+        let ok = match m.gates.enter_untrusted(&mut m.cpu) {
+            Ok(()) => {
+                let wrote = m.mem_write(scratch, request_id).is_ok()
+                    && m.mem_read(scratch) == Ok(request_id);
+                // The exit gate runs unconditionally after a successful
+                // enter: an open region would block the revocation barrier
+                // (and leak compartment stack depth) for the rest of the
+                // incarnation.
+                let exited = m.gates.exit_untrusted(&mut m.cpu).is_ok();
+                wrote && exited
+            }
+            Err(GateError::StaleLease { .. }) => false,
+            Err(_) => return false,
+        };
+        if ok {
+            return true;
+        }
+        if lease.is_current() || rebinds >= STALE_REBIND_RETRIES {
+            return false;
+        }
+        // Revoked underneath us: re-bind the tenant (counted against its
+        // bind_retries stat) and reinstall the fresh lease.
+        rebinds += 1;
+        tenant.record_bind_retry();
+        match registry.bind_with_retry(tenant.id(), TENANT_BIND_RETRIES) {
+            Ok(fresh) => {
+                install_tenant(browser, &fresh);
+                *lease = fresh;
+            }
+            Err(_) => return false,
+        }
+    }
 }
 
 /// Swaps the worker's browser into a tenant's compartment: installs the
@@ -620,73 +587,145 @@ fn install_tenant(browser: &mut Browser, lease: &TenantLease) {
     browser.machine.install_syscall_filter(lease.tenant().syscall_filter().clone());
 }
 
-/// Serves one page-load or script request on the worker's browser,
-/// completing it in `cell` (and sampling its admission→completion
-/// latency when the run records percentiles).
-fn serve_request(
-    worker: usize,
-    incarnation: u64,
-    request: &Request,
-    ctx: PoolCtx<'_>,
-    cell: &WorkerCell,
-    browser: &mut Browser,
-) {
-    let disposed = match request.kind {
+/// Runs one page load or catalog script on the worker's browser.
+fn run_request(catalog: &[ScriptSpec], request: &Request, browser: &mut Browser) -> Disposal {
+    let outcome = match request.kind {
         RequestKind::PageLoad => {
             let before = browser.stats().nodes;
-            let outcome = browser.load_html(micro_page());
-            let after = browser.stats().nodes;
-            cell.complete(incarnation, |stats, responses| {
-                stats.requests += 1;
-                stats.page_loads += 1;
-                match outcome {
-                    // A reload can only ever add nodes, but a
-                    // failed-then-retried load must not be able to
-                    // panic the worker on an impossible negative
-                    // delta — count it as an error instead.
-                    Ok(()) => match after.checked_sub(before) {
-                        Some(delta) => responses.push(Response {
-                            id: request.id,
-                            worker,
-                            name: PAGE_LOAD,
-                            checksum: delta as f64,
-                        }),
-                        None => stats.errors += 1,
-                    },
-                    Err(e) if e.is_pkey_violation() => stats.pkey_faults += 1,
-                    Err(_) => stats.errors += 1,
-                }
-            })
-        }
-        RequestKind::Script(i) => {
-            let spec = &ctx.catalog[i];
-            let outcome =
-                browser.eval_script(&spec.source).and_then(|_| browser.call_script("run", &[]));
-            cell.complete(incarnation, |stats, responses| {
-                stats.requests += 1;
-                stats.scripts += 1;
-                match outcome {
-                    Ok(Value::Num(checksum)) => {
-                        responses.push(Response {
-                            id: request.id,
-                            worker,
-                            name: spec.name,
-                            checksum,
-                        });
-                    }
-                    Ok(_) => stats.errors += 1,
-                    Err(e) if e.is_pkey_violation() => stats.pkey_faults += 1,
-                    Err(_) => stats.errors += 1,
-                }
-            })
-        }
-    };
-    if disposed {
-        if ctx.record_latency {
-            if let Some(enqueued) = request.enqueued {
-                cell.push_latency(incarnation, enqueued.elapsed().as_secs_f64() * 1000.0);
+            match browser.load_html(micro_page()) {
+                // A reload can only ever add nodes, but a failed-then-retried
+                // load must not be able to panic the worker on an impossible
+                // negative delta — count it as an error instead.
+                Ok(()) => match browser.stats().nodes.checked_sub(before) {
+                    Some(delta) => Outcome::Response { name: PAGE_LOAD, checksum: delta as f64 },
+                    None => Outcome::Error,
+                },
+                Err(e) => Outcome::failed(&e),
             }
         }
-        ctx.overload.tick();
+        RequestKind::Script(i) => {
+            let spec = &catalog[i];
+            match browser.eval_script(&spec.source).and_then(|_| browser.call_script("run", &[])) {
+                Ok(Value::Num(checksum)) => Outcome::Response { name: spec.name, checksum },
+                Ok(_) => Outcome::Error,
+                Err(e) => Outcome::failed(&e),
+            }
+        }
+    };
+    Disposal::Completed { outcome, ran: true }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+
+    fn request(kind: RequestKind) -> Request {
+        Request {
+            id: 7,
+            kind,
+            retried: false,
+            tenant: None,
+            deadline: 0,
+            enqueued: Some(Instant::now()),
+        }
+    }
+
+    /// `(requests, page_loads, scripts, pkey_faults, errors, expired)`.
+    fn counts(stats: &WorkerStats) -> [u64; 6] {
+        [
+            stats.requests,
+            stats.page_loads,
+            stats.scripts,
+            stats.pkey_faults,
+            stats.errors,
+            stats.expired,
+        ]
+    }
+
+    const OUTCOMES: [Outcome; 4] = [
+        Outcome::Response { name: "fft", checksum: 1.5 },
+        Outcome::PkeyFault,
+        Outcome::Error,
+        Outcome::Nothing,
+    ];
+
+    #[test]
+    fn a_condemned_incarnations_disposal_changes_nothing() {
+        let clock = OverloadState::new(0);
+        let cell = WorkerCell::new(3);
+        let req = request(RequestKind::Script(0));
+        assert!(cell.begin(0, req));
+        assert_eq!(cell.condemn(), Some(req));
+        let heartbeat = cell.probe().0;
+        for disposal in OUTCOMES
+            .map(|outcome| Disposal::Completed { outcome, ran: true })
+            .into_iter()
+            .chain([Disposal::Expired])
+        {
+            cell.dispose(0, &req, disposal, &clock);
+        }
+        let (stats, responses) = cell.snapshot();
+        assert_eq!(counts(&stats), [0; 6]);
+        assert!(responses.is_empty());
+        assert!(cell.take_latencies().is_empty());
+        assert_eq!(clock.ticks(), 0);
+        assert_eq!(cell.probe(), (heartbeat, false));
+    }
+
+    #[test]
+    fn expired_moves_only_expired() {
+        let clock = OverloadState::new(0);
+        let cell = WorkerCell::new(0);
+        let req = request(RequestKind::PageLoad);
+        assert!(cell.begin(0, req));
+        cell.dispose(0, &req, Disposal::Expired, &clock);
+        let (stats, responses) = cell.snapshot();
+        assert_eq!(counts(&stats), [0, 0, 0, 0, 0, 1]);
+        assert!(responses.is_empty());
+        assert!(cell.take_latencies().is_empty());
+        assert_eq!(clock.ticks(), 1);
+        assert_eq!(cell.take_in_flight(), None);
+    }
+
+    #[test]
+    fn every_completion_counts_its_kind_and_at_most_one_outcome() {
+        for kind in [RequestKind::PageLoad, RequestKind::Script(0)] {
+            for outcome in OUTCOMES {
+                for ran in [false, true] {
+                    for stamped in [false, true] {
+                        let clock = OverloadState::new(0);
+                        let cell = WorkerCell::new(2);
+                        let req = Request { enqueued: stamped.then(Instant::now), ..request(kind) };
+                        assert!(cell.begin(0, req));
+                        cell.dispose(0, &req, Disposal::Completed { outcome, ran }, &clock);
+                        let (stats, responses) = cell.snapshot();
+                        let page = u64::from(kind == RequestKind::PageLoad);
+                        let [requests, page_loads, scripts, pkey_faults, errors, expired] =
+                            counts(&stats);
+                        let case = format!("{kind:?} {outcome:?} ran={ran} stamped={stamped}");
+                        assert_eq!((requests, page_loads, scripts), (1, page, 1 - page), "{case}");
+                        assert_eq!(expired, 0, "{case}");
+                        let recorded = (responses.len() as u64, pkey_faults, errors);
+                        let expected = match outcome {
+                            Outcome::Response { .. } => (1, 0, 0),
+                            Outcome::PkeyFault => (0, 1, 0),
+                            Outcome::Error => (0, 0, 1),
+                            Outcome::Nothing => (0, 0, 0),
+                        };
+                        assert_eq!(recorded, expected, "{case}");
+                        if let Some(response) = responses.first() {
+                            assert_eq!((response.id, response.worker), (7, 2), "{case}");
+                            assert_eq!((response.name, response.checksum), ("fft", 1.5), "{case}");
+                        }
+                        let sampled = cell.take_latencies().len();
+                        assert_eq!(sampled, usize::from(ran && stamped), "{case}");
+                        assert_eq!(clock.ticks(), 1, "{case}");
+                        assert_eq!(cell.take_in_flight(), None, "{case}");
+                    }
+                }
+            }
+        }
     }
 }

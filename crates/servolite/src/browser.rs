@@ -351,24 +351,30 @@ impl Browser {
     /// configurations this crosses the compartment boundary (the
     /// `mozjs::eval` gate wrapper).
     pub fn eval_script(&mut self, source: &str) -> Result<Value, BrowserError> {
-        let gated = self.config.gated();
-        if gated {
-            self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
-        }
-        let result = self.engine.eval(&mut self.machine, source);
-        if gated {
-            self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
-        }
-        Ok(result?)
+        self.in_untrusted(|b| b.engine.eval(&mut b.machine, source))
     }
 
     /// Calls a global script function (e.g. a benchmark's `run`).
     pub fn call_script(&mut self, name: &str, args: &[Value]) -> Result<Value, BrowserError> {
+        self.in_untrusted(|b| b.engine.call(&mut b.machine, name, args))
+    }
+
+    /// Runs `body` in the untrusted compartment: under gated
+    /// configurations it is wrapped in one enter/exit gate pair, and the
+    /// exit always runs after a successful enter. A gate error wins over
+    /// the body's own result.
+    fn in_untrusted<T, E>(
+        &mut self,
+        body: impl FnOnce(&mut Browser) -> Result<T, E>,
+    ) -> Result<T, BrowserError>
+    where
+        BrowserError: From<E>,
+    {
         let gated = self.config.gated();
         if gated {
             self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
         }
-        let result = self.engine.call(&mut self.machine, name, args);
+        let result = body(self);
         if gated {
             self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
         }
@@ -392,15 +398,7 @@ impl Browser {
         // Materialize the object under trusted rights, as the shell would
         // when staging data for the engine.
         self.machine.mem_write(addr, 0x5250_4b55)?;
-        let gated = self.config.gated();
-        if gated {
-            self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
-        }
-        let result = self.machine.mem_read(addr);
-        if gated {
-            self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
-        }
-        result?;
+        self.in_untrusted(|b| b.machine.mem_read(addr))?;
         Ok(())
     }
 

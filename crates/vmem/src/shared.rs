@@ -44,7 +44,10 @@ fn single_page(addr: VirtAddr, len: u64) -> bool {
 ///
 /// The `tlb_*` access methods additionally take a per-thread [`Tlb`] and
 /// serve repeat accesses to a page without the `RwLock` or the region
-/// walk; see [`crate::tlb`] for the coherence protocol.
+/// walk. A TLB caches a page's key, never a PKRU verdict; every `mmap`,
+/// `munmap`, `mprotect`, `pkey_mprotect` and frame materialization bumps
+/// a global epoch, and a TLB whose snapshot disagrees flushes wholesale
+/// before serving the access.
 #[derive(Clone)]
 pub struct SharedSpace {
     inner: Arc<RwLock<AddressSpace>>,
@@ -164,8 +167,8 @@ impl SharedSpace {
     ///
     /// Check and copy run under one read guard (a single `inner.read()`
     /// call) — the resident path never acquires the `RwLock` twice. The
-    /// TLB miss path keeps the same invariant in
-    /// [`SharedSpace::tlb_lookup`].
+    /// TLB miss path of [`SharedSpace::tlb_read`] and its siblings keeps
+    /// the same invariant.
     pub fn read(&self, pkru: Pkru, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Fault> {
         self.inner.read().expect("space lock").read(pkru, addr, buf)
     }
