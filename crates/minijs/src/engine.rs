@@ -91,6 +91,20 @@ impl HostClass {
     }
 }
 
+/// Exact evaluator work counters ([`Engine::exec_stats`]): they depend
+/// only on the scripts run, never on timing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Evaluation steps: one per statement and expression node run (the
+    /// clock `Date.now` reads and the unit of the fuel budget).
+    pub steps: u64,
+    /// Closure calls whose body ran.
+    pub calls: u64,
+    /// Call and scope frames taken from the allocator rather than from
+    /// the engine's pool of finished frames.
+    pub fresh_frames: u64,
+}
+
 /// How many parsed programs an engine keeps; when the cache is full, the
 /// oldest is dropped.
 const PROGRAM_CACHE_LEN: usize = 64;
@@ -185,6 +199,15 @@ impl Engine {
     /// outward by name.
     pub fn compile_stats(&self) -> (u64, u64) {
         (self.programs_parsed, self.heap.scope_walks)
+    }
+
+    /// Evaluator work so far; see [`ExecStats`].
+    pub fn exec_stats(&self) -> ExecStats {
+        ExecStats {
+            steps: self.clock,
+            calls: self.heap.closure_calls,
+            fresh_frames: self.heap.fresh_frames,
+        }
     }
 
     /// Registers a native and binds it as a global function.

@@ -24,6 +24,9 @@ const MAX_CALL_DEPTH: usize = 128;
 /// root scope's bindings are the heap's dense global slots. A slot starts
 /// unbound (`None`) and is bound when its parameter, `var` or function
 /// declaration runs.
+///
+/// A frame whose scope has ended and that no closure captured goes back
+/// to the heap's pool, cleared, and serves the next call or scope.
 pub struct Env {
     slots: RefCell<Vec<Option<Value>>>,
     /// The scope's layout: the name each slot binds (for the by-name
@@ -33,25 +36,10 @@ pub struct Env {
 }
 
 impl Env {
-    /// Creates the root frame.
+    /// Creates an empty frame: the root frame, or a frame for the pool
+    /// to fill in.
     pub fn root() -> Rc<Env> {
         Rc::new(Env { slots: RefCell::new(Vec::new()), names: Rc::from([]), parent: None })
-    }
-
-    /// A frame for a scope with `layout` holding `slots`.
-    fn frame(layout: &Layout, slots: Vec<Option<Value>>, parent: Rc<Env>) -> Rc<Env> {
-        Rc::new(Env { slots: RefCell::new(slots), names: Rc::clone(layout), parent: Some(parent) })
-    }
-
-    /// The frame a `for` or block scope with `layout` runs in: a fresh
-    /// one, or `parent` itself when the scope can bind nothing (the
-    /// resolver counts no hop for it either).
-    fn scope(layout: &Layout, parent: &Rc<Env>) -> Rc<Env> {
-        if layout.is_empty() {
-            Rc::clone(parent)
-        } else {
-            Env::frame(layout, vec![None; layout.len()], Rc::clone(parent))
-        }
     }
 
     /// The frame `hops` frames up the chain.
@@ -72,6 +60,16 @@ impl Env {
     #[inline]
     fn set(&self, slot: usize, value: Value) {
         self.slots.borrow_mut()[slot] = Some(value);
+    }
+
+    /// The number bound in `slot`, if it holds one (read without cloning
+    /// a `Value`).
+    #[inline]
+    fn num(&self, slot: usize) -> Option<f64> {
+        match self.slots.borrow()[slot] {
+            Some(Value::Num(n)) => Some(n),
+            _ => None,
+        }
     }
 
     /// The nearest frame above this one in which `name` is bound, with
@@ -156,6 +154,49 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// A frame for a scope with `layout` under `parent`: a pooled one if
+    /// any is left, else a fresh allocation.
+    fn frame(&mut self, layout: &Layout, parent: Rc<Env>) -> Rc<Env> {
+        let mut frame = self.heap.frame_pool.pop().unwrap_or_else(|| {
+            self.heap.fresh_frames += 1;
+            Env::root()
+        });
+        let env = Rc::get_mut(&mut frame).expect("a pooled frame is unshared");
+        env.slots.get_mut().resize(layout.len(), None);
+        env.names = Rc::clone(layout);
+        env.parent = Some(parent);
+        frame
+    }
+
+    /// Ends `frame`'s scope. A frame nothing else holds (no closure
+    /// captured it, directly or through an inner frame) is cleared and
+    /// pooled; a captured one lives on with its closure.
+    fn release(&mut self, mut frame: Rc<Env>) {
+        if let Some(env) = Rc::get_mut(&mut frame) {
+            env.slots.get_mut().clear();
+            env.parent = None;
+            self.heap.frame_pool.push(frame);
+        }
+    }
+
+    /// Runs `body` in the frame of a `for` or block scope with `layout`:
+    /// a new one, or `env` itself when the scope can bind nothing (the
+    /// resolver counts no hop for it either).
+    fn in_scope(
+        &mut self,
+        layout: &Layout,
+        env: &Rc<Env>,
+        body: impl FnOnce(&mut Self, &Rc<Env>) -> Result<Flow, EngineError>,
+    ) -> Result<Flow, EngineError> {
+        if layout.is_empty() {
+            return body(self, env);
+        }
+        let scope = self.frame(layout, Rc::clone(env));
+        let flow = body(self, &scope);
+        self.release(scope);
+        flow
+    }
+
     fn exec_block(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Flow, EngineError> {
         // Hoist function declarations so mutual recursion works.
         for stmt in stmts {
@@ -195,14 +236,14 @@ impl<'a> Ctx<'a> {
                 Ok(Flow::Normal)
             }
             Stmt::If(cond, then, alt) => {
-                if self.eval(cond, env)?.truthy() {
+                if self.eval_cond(cond, env)? {
                     self.exec_block(then, env)
                 } else {
                     self.exec_block(alt, env)
                 }
             }
             Stmt::While(cond, body) => {
-                while self.eval(cond, env)?.truthy() {
+                while self.eval_cond(cond, env)? {
                     match self.exec_block(body, env)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
@@ -218,33 +259,34 @@ impl<'a> Ctx<'a> {
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
                     }
-                    if !self.eval(cond, env)?.truthy() {
+                    if !self.eval_cond(cond, env)? {
                         break;
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::For { init, cond, update, body, layout } => {
-                let scope = Env::scope(layout, env);
-                if let Some(init) = init {
-                    self.exec_stmt(init, &scope)?;
-                }
-                loop {
-                    if let Some(cond) = cond {
-                        if !self.eval(cond, &scope)?.truthy() {
-                            break;
+                self.in_scope(layout, env, |ctx, scope| {
+                    if let Some(init) = init {
+                        ctx.exec_stmt(init, scope)?;
+                    }
+                    loop {
+                        if let Some(cond) = cond {
+                            if !ctx.eval_cond(cond, scope)? {
+                                break;
+                            }
+                        }
+                        match ctx.exec_block(body, scope)? {
+                            Flow::Break => break,
+                            Flow::Return(v) => return Ok(Flow::Return(v)),
+                            Flow::Normal | Flow::Continue => {}
+                        }
+                        if let Some(update) = update {
+                            ctx.eval(update, scope)?;
                         }
                     }
-                    match self.exec_block(body, &scope)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if let Some(update) = update {
-                        self.eval(update, &scope)?;
-                    }
-                }
-                Ok(Flow::Normal)
+                    Ok(Flow::Normal)
+                })
             }
             Stmt::Return(value) => {
                 let v = match value {
@@ -256,8 +298,7 @@ impl<'a> Ctx<'a> {
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
             Stmt::Block(body, layout) => {
-                let scope = Env::scope(layout, env);
-                self.exec_block(body, &scope)
+                self.in_scope(layout, env, |ctx, scope| ctx.exec_block(body, scope))
             }
         }
     }
@@ -303,11 +344,15 @@ impl<'a> Ctx<'a> {
                 let index = self.eval(idx, env)?;
                 self.index_get(&receiver, &index)
             }
-            Expr::Binary(op, lhs, rhs) => {
-                let a = self.eval(lhs, env)?;
-                let b = self.eval(rhs, env)?;
-                self.binary(*op, &a, &b)
-            }
+            Expr::Binary(op, lhs, rhs) => match op {
+                BinaryOp::Add => {
+                    let a = self.eval(lhs, env)?;
+                    let b = self.eval(rhs, env)?;
+                    self.binary(*op, &a, &b)
+                }
+                op if is_comparison(*op) => Ok(Value::Bool(self.compare(*op, lhs, rhs, env)?)),
+                op => Ok(Value::Num(self.arith(*op, lhs, rhs, env)?)),
+            },
             Expr::And(lhs, rhs) => {
                 let a = self.eval(lhs, env)?;
                 if a.truthy() {
@@ -324,25 +369,23 @@ impl<'a> Ctx<'a> {
                     self.eval(rhs, env)
                 }
             }
-            Expr::Unary(op, operand) => {
-                let v = match (op, &**operand) {
-                    // `typeof` of a name bound nowhere is "undefined", not
-                    // a ReferenceError.
-                    (UnaryOp::TypeOf, Expr::Ident(name)) => {
-                        self.read(env, name).unwrap_or(Value::Undefined)
-                    }
-                    _ => self.eval(operand, env)?,
-                };
-                Ok(match op {
-                    UnaryOp::Neg => Value::Num(-self.to_number(&v)?),
-                    UnaryOp::Plus => Value::Num(self.to_number(&v)?),
-                    UnaryOp::Not => Value::Bool(!v.truthy()),
-                    UnaryOp::BitNot => Value::Num(f64::from(!to_int32(self.to_number(&v)?))),
-                    UnaryOp::TypeOf => Value::Str(self.heap.new_str(v.type_of())),
-                })
-            }
+            Expr::Unary(op, operand) => Ok(match op {
+                UnaryOp::Neg => Value::Num(-self.eval_num(operand, env)?),
+                UnaryOp::Plus => Value::Num(self.eval_num(operand, env)?),
+                UnaryOp::Not => Value::Bool(!self.eval_cond(operand, env)?),
+                UnaryOp::BitNot => Value::Num(f64::from(!to_int32(self.eval_num(operand, env)?))),
+                UnaryOp::TypeOf => {
+                    let v = match &**operand {
+                        // `typeof` of a name bound nowhere is "undefined",
+                        // not a ReferenceError.
+                        Expr::Ident(name) => self.read(env, name).unwrap_or(Value::Undefined),
+                        _ => self.eval(operand, env)?,
+                    };
+                    Value::Str(self.heap.new_str(v.type_of()))
+                }
+            }),
             Expr::Ternary(cond, a, b) => {
-                if self.eval(cond, env)?.truthy() {
+                if self.eval_cond(cond, env)? {
                     self.eval(a, env)
                 } else {
                     self.eval(b, env)
@@ -352,6 +395,9 @@ impl<'a> Ctx<'a> {
                 let value = match op {
                     AssignOp::Assign => self.eval(value_expr, env)?,
                     AssignOp::Compound(bin) => {
+                        if let Some(value) = self.compound_num(target, *bin, value_expr, env)? {
+                            return Ok(value);
+                        }
                         let current = self.read_target(target, env)?;
                         let rhs = self.eval(value_expr, env)?;
                         self.binary(*bin, &current, &rhs)?
@@ -361,13 +407,128 @@ impl<'a> Ctx<'a> {
                 Ok(value)
             }
             Expr::IncrDecr { target, is_incr, prefix } => {
+                let step = if *is_incr { 1.0 } else { -1.0 };
+                if let Target::Ident(name) = target {
+                    if let Some(old) = self.peek_num(env, name) {
+                        self.assign(env, name, Value::Num(old + step));
+                        return Ok(Value::Num(if *prefix { old + step } else { old }));
+                    }
+                }
                 let current = self.read_target(target, env)?;
                 let old = self.to_number(&current)?;
-                let new = if *is_incr { old + 1.0 } else { old - 1.0 };
-                self.write_target(target, env, &Value::Num(new))?;
-                Ok(Value::Num(if *prefix { new } else { old }))
+                self.write_target(target, env, &Value::Num(old + step))?;
+                Ok(Value::Num(if *prefix { old + step } else { old }))
             }
         }
+    }
+
+    /// `ToNumber` of an expression's value, computed without building a
+    /// `Value` for number literals, slots holding a number and the numeric
+    /// operators. Ticks once per node, as [`Ctx::eval`].
+    fn eval_num(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<f64, EngineError> {
+        match expr {
+            Expr::Num(n) => {
+                self.tick()?;
+                Ok(*n)
+            }
+            Expr::Ident(name) => {
+                self.tick()?;
+                match self.peek_num(env, name) {
+                    Some(n) => Ok(n),
+                    None => Ok(number_of(&self.lookup(env, name)?)),
+                }
+            }
+            Expr::Binary(op, lhs, rhs) if is_arithmetic(*op) => {
+                self.tick()?;
+                self.arith(*op, lhs, rhs, env)
+            }
+            // Everything else, array reads included (`index_get` already
+            // reads the element straight through `Heap::elem_get`).
+            _ => {
+                let v = self.eval(expr, env)?;
+                Ok(number_of(&v))
+            }
+        }
+    }
+
+    /// The truthiness of an expression's value, computed without building
+    /// a `Value` for comparisons of numbers, `&&`, `||` and `!`. Ticks once
+    /// per node, as [`Ctx::eval`].
+    fn eval_cond(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<bool, EngineError> {
+        match expr {
+            Expr::Binary(op, lhs, rhs) if is_comparison(*op) => {
+                self.tick()?;
+                self.compare(*op, lhs, rhs, env)
+            }
+            Expr::And(lhs, rhs) => {
+                self.tick()?;
+                Ok(self.eval_cond(lhs, env)? && self.eval_cond(rhs, env)?)
+            }
+            Expr::Or(lhs, rhs) => {
+                self.tick()?;
+                Ok(self.eval_cond(lhs, env)? || self.eval_cond(rhs, env)?)
+            }
+            Expr::Unary(UnaryOp::Not, operand) => {
+                self.tick()?;
+                Ok(!self.eval_cond(operand, env)?)
+            }
+            _ => Ok(self.eval(expr, env)?.truthy()),
+        }
+    }
+
+    /// A numeric operator (every binary operator but `+` and the
+    /// comparisons) over its operands' `ToNumber`, left to right.
+    #[inline]
+    fn arith(
+        &mut self,
+        op: BinaryOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        env: &Rc<Env>,
+    ) -> Result<f64, EngineError> {
+        let a = self.eval_num(lhs, env)?;
+        let b = self.eval_num(rhs, env)?;
+        Ok(arith(op, a, b))
+    }
+
+    /// A comparison; two numbers compare without the generic operator.
+    fn compare(
+        &mut self,
+        op: BinaryOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        env: &Rc<Env>,
+    ) -> Result<bool, EngineError> {
+        let a = self.eval(lhs, env)?;
+        let b = self.eval(rhs, env)?;
+        match (&a, &b) {
+            (Value::Num(x), Value::Num(y)) => Ok(compare_nums(op, *x, *y)),
+            _ => Ok(self.compare_values(op, &a, &b)),
+        }
+    }
+
+    /// `name op= value` on a name bound to a number, written back to its
+    /// slot; `None` (nothing evaluated) when the target is not a name or
+    /// the name holds anything else.
+    fn compound_num(
+        &mut self,
+        target: &Target,
+        op: BinaryOp,
+        value_expr: &Expr,
+        env: &Rc<Env>,
+    ) -> Result<Option<Value>, EngineError> {
+        let Target::Ident(name) = target else { return Ok(None) };
+        let Some(current) = self.peek_num(env, name) else { return Ok(None) };
+        let value = if is_arithmetic(op) {
+            Value::Num(arith(op, current, self.eval_num(value_expr, env)?))
+        } else {
+            match self.eval(value_expr, env)? {
+                Value::Num(rhs) if op == BinaryOp::Add => Value::Num(current + rhs),
+                rhs => self.binary(op, &Value::Num(current), &rhs)?,
+            }
+        };
+        self.assign(env, name, value.clone());
+        Ok(Some(value))
     }
 
     fn eval_call(
@@ -376,31 +537,44 @@ impl<'a> Ctx<'a> {
         args: &[Expr],
         env: &Rc<Env>,
     ) -> Result<Value, EngineError> {
-        let mut this = Value::Undefined;
-        let target = match callee {
-            Expr::Member(obj, name, ic) => {
-                let receiver = self.eval(obj, env)?;
-                // Builtin methods on primitives and arrays dispatch
-                // directly; everything else is a property holding a
-                // function value.
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval(a, env)?);
-                }
-                if let Some(result) = self.builtin_method(&receiver, name, &arg_vals)? {
-                    return Ok(result);
-                }
-                this = receiver.clone();
-                let f = self.member_get(&receiver, name, Some(ic))?;
-                return self.call_value(&f, this, &arg_vals);
+        if let Expr::Member(obj, name, ic) = callee {
+            let receiver = self.eval(obj, env)?;
+            // Builtin methods on primitives and arrays dispatch directly;
+            // everything else is a property holding a function value.
+            let args = self.eval_args(args, env)?;
+            if let Some(result) = self.builtin_method(&receiver, name, args.as_slice())? {
+                return Ok(result);
             }
-            other => self.eval(other, env)?,
-        };
-        let mut arg_vals = Vec::with_capacity(args.len());
-        for a in args {
-            arg_vals.push(self.eval(a, env)?);
+            let f = self.member_get(&receiver, name, Some(ic))?;
+            return self.call_value(&f, receiver, args.as_slice());
         }
-        self.call_value(&target, this, &arg_vals)
+        match self.eval(callee, env)? {
+            // A stale handle takes the generic path, which fails only
+            // after the arguments ran.
+            Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
+                self.call_closure(handle, Value::Undefined, Args::Exprs(args, env))
+            }
+            target => {
+                let args = self.eval_args(args, env)?;
+                self.call_value(&target, Value::Undefined, args.as_slice())
+            }
+        }
+    }
+
+    /// Evaluates call arguments left to right into an [`ArgBuf`].
+    fn eval_args(&mut self, args: &[Expr], env: &Rc<Env>) -> Result<ArgBuf, EngineError> {
+        if args.len() > STACK_ARGS {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(self.eval(a, env)?);
+            }
+            return Ok(ArgBuf::Heap(vals));
+        }
+        let mut buf = [const { Value::Undefined }; STACK_ARGS];
+        for (slot, a) in buf.iter_mut().zip(args) {
+            *slot = self.eval(a, env)?;
+        }
+        Ok(ArgBuf::Stack(buf, args.len()))
     }
 
     /// Calls a function value (closure or native) with `this` and `args`.
@@ -414,25 +588,7 @@ impl<'a> Ctx<'a> {
             return Err(EngineError::Range("call stack exceeded".into()));
         }
         match callee {
-            Value::Fun(handle) => {
-                let Closure { def, env } = self.heap.closure(*handle)?.clone();
-                let mut slots = vec![None; def.layout.len()];
-                slots[0] = Some(this);
-                if let Some(slot) = def.self_slot {
-                    slots[slot as usize] = Some(callee.clone());
-                }
-                for (i, &slot) in def.param_slots.iter().enumerate() {
-                    slots[slot as usize] = Some(args.get(i).cloned().unwrap_or(Value::Undefined));
-                }
-                let scope = Env::frame(&def.layout, slots, env);
-                self.depth += 1;
-                let result = self.exec_block(&def.body, &scope);
-                self.depth -= 1;
-                match result? {
-                    Flow::Return(v) => Ok(v),
-                    _ => Ok(Value::Undefined),
-                }
-            }
+            Value::Fun(handle) => self.call_closure(*handle, this, Args::Values(args)),
             Value::Native(handle) => {
                 let native = self
                     .natives
@@ -445,6 +601,64 @@ impl<'a> Ctx<'a> {
                 result
             }
             other => Err(EngineError::Type(format!("{} is not a function", other.type_of()))),
+        }
+    }
+
+    /// Runs closure `handle` (which must exist) in a pooled frame: `this`,
+    /// the function's own name and the parameters are written straight
+    /// into their slots, missing arguments as `undefined`.
+    fn call_closure(
+        &mut self,
+        handle: u32,
+        this: Value,
+        args: Args<'_>,
+    ) -> Result<Value, EngineError> {
+        let Closure { def, env } = self.heap.closure(handle)?.clone();
+        let frame = self.frame(&def.layout, env);
+        frame.set(0, this);
+        if let Some(slot) = def.self_slot {
+            frame.set(slot as usize, Value::Fun(handle));
+        }
+        let given = match args {
+            Args::Values(vals) => {
+                for (&slot, v) in def.param_slots.iter().zip(vals) {
+                    frame.set(slot as usize, v.clone());
+                }
+                vals.len()
+            }
+            Args::Exprs(exprs, caller) => {
+                for (i, e) in exprs.iter().enumerate() {
+                    let v = match self.eval(e, caller) {
+                        Ok(v) => v,
+                        Err(err) => {
+                            self.release(frame);
+                            return Err(err);
+                        }
+                    };
+                    if let Some(&slot) = def.param_slots.get(i) {
+                        frame.set(slot as usize, v);
+                    }
+                }
+                exprs.len()
+            }
+        };
+        for &slot in def.param_slots.iter().skip(given) {
+            frame.set(slot as usize, Value::Undefined);
+        }
+        // The depth check comes after the arguments ran, as it does for a
+        // call of any other value.
+        if self.depth >= MAX_CALL_DEPTH {
+            self.release(frame);
+            return Err(EngineError::Range("call stack exceeded".into()));
+        }
+        self.heap.closure_calls += 1;
+        self.depth += 1;
+        let result = self.exec_block(&def.body, &frame);
+        self.depth -= 1;
+        self.release(frame);
+        match result? {
+            Flow::Return(v) => Ok(v),
+            _ => Ok(Value::Undefined),
         }
     }
 
@@ -574,6 +788,19 @@ impl<'a> Ctx<'a> {
                     None => self.read_outward(frame, name.sym),
                 }
             }
+        }
+    }
+
+    /// The number `name`'s resolved slot holds, if it holds one: a read
+    /// that clones no `Value`. `None` sends the caller to the full read.
+    #[inline]
+    fn peek_num(&self, env: &Env, name: &Name) -> Option<f64> {
+        match name.slot {
+            Slot::Global(slot) => match self.heap.global_ref(slot) {
+                Some(Value::Num(n)) => Some(*n),
+                _ => None,
+            },
+            Slot::Local { hops, slot } => env.up(hops).num(slot as usize),
         }
     }
 
@@ -840,25 +1067,9 @@ impl<'a> Ctx<'a> {
 
     // ---- conversions and operators ----
 
-    /// `ToNumber`.
+    /// `ToNumber` (it never fails: the subset has no `valueOf`).
     pub fn to_number(&self, v: &Value) -> Result<f64, EngineError> {
-        Ok(match v {
-            Value::Num(n) => *n,
-            Value::Bool(true) => 1.0,
-            Value::Bool(false) | Value::Null => 0.0,
-            Value::Undefined => f64::NAN,
-            Value::Str(s) => {
-                let t = s.trim();
-                if t.is_empty() {
-                    0.0
-                } else if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                    u64::from_str_radix(hex, 16).map(|v| v as f64).unwrap_or(f64::NAN)
-                } else {
-                    t.parse().unwrap_or(f64::NAN)
-                }
-            }
-            _ => f64::NAN,
-        })
+        Ok(number_of(v))
     }
 
     /// `ToString`.
@@ -907,49 +1118,25 @@ impl<'a> Ctx<'a> {
                 }
                 _ => Value::Num(self.to_number(a)? + self.to_number(b)?),
             },
-            BinaryOp::Sub => Value::Num(self.to_number(a)? - self.to_number(b)?),
-            BinaryOp::Mul => Value::Num(self.to_number(a)? * self.to_number(b)?),
-            BinaryOp::Div => Value::Num(self.to_number(a)? / self.to_number(b)?),
-            BinaryOp::Rem => Value::Num(self.to_number(a)? % self.to_number(b)?),
-            BinaryOp::Eq => Value::Bool(self.strict_eq(a, b)),
-            BinaryOp::Ne => Value::Bool(!self.strict_eq(a, b)),
-            BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => match (a, b) {
-                (Value::Str(x), Value::Str(y)) => Value::Bool(match op {
-                    BinaryOp::Lt => x < y,
-                    BinaryOp::Le => x <= y,
-                    BinaryOp::Gt => x > y,
-                    _ => x >= y,
-                }),
-                _ => {
-                    let x = self.to_number(a)?;
-                    let y = self.to_number(b)?;
-                    Value::Bool(match op {
-                        BinaryOp::Lt => x < y,
-                        BinaryOp::Le => x <= y,
-                        BinaryOp::Gt => x > y,
-                        _ => x >= y,
-                    })
-                }
-            },
-            BinaryOp::BitAnd => {
-                Value::Num(f64::from(to_int32(self.to_number(a)?) & to_int32(self.to_number(b)?)))
-            }
-            BinaryOp::BitOr => {
-                Value::Num(f64::from(to_int32(self.to_number(a)?) | to_int32(self.to_number(b)?)))
-            }
-            BinaryOp::BitXor => {
-                Value::Num(f64::from(to_int32(self.to_number(a)?) ^ to_int32(self.to_number(b)?)))
-            }
-            BinaryOp::Shl => Value::Num(f64::from(
-                to_int32(self.to_number(a)?) << (to_uint32(self.to_number(b)?) & 31),
-            )),
-            BinaryOp::Shr => Value::Num(f64::from(
-                to_int32(self.to_number(a)?) >> (to_uint32(self.to_number(b)?) & 31),
-            )),
-            BinaryOp::UShr => Value::Num(f64::from(
-                to_uint32(self.to_number(a)?) >> (to_uint32(self.to_number(b)?) & 31),
-            )),
+            op if is_comparison(op) => Value::Bool(self.compare_values(op, a, b)),
+            op => Value::Num(arith(op, self.to_number(a)?, self.to_number(b)?)),
         })
+    }
+
+    /// A comparison of two values: `==`/`!=` as [`Ctx::strict_eq`], two
+    /// strings by their text, anything else by `ToNumber`.
+    fn compare_values(&self, op: BinaryOp, a: &Value, b: &Value) -> bool {
+        match (op, a, b) {
+            (BinaryOp::Eq, ..) => self.strict_eq(a, b),
+            (BinaryOp::Ne, ..) => !self.strict_eq(a, b),
+            (_, Value::Str(x), Value::Str(y)) => match op {
+                BinaryOp::Lt => x < y,
+                BinaryOp::Le => x <= y,
+                BinaryOp::Gt => x > y,
+                _ => x >= y,
+            },
+            _ => compare_nums(op, number_of(a), number_of(b)),
+        }
     }
 
     fn strict_eq(&self, a: &Value, b: &Value) -> bool {
@@ -1189,4 +1376,124 @@ impl<'a> Ctx<'a> {
             _ => return Ok(None),
         }))
     }
+}
+
+/// `ToNumber`.
+fn number_of(v: &Value) -> f64 {
+    match v {
+        Value::Num(n) => *n,
+        Value::Bool(true) => 1.0,
+        Value::Bool(false) | Value::Null => 0.0,
+        Value::Str(s) => string_to_number(s),
+        _ => f64::NAN,
+    }
+}
+
+/// JS `StringToNumber`: white space around the text is ignored and empty
+/// text is 0; otherwise the text is an unsigned `0x`/`0o`/`0b` integer, or
+/// a decimal literal or `Infinity` with an optional sign. Anything else is
+/// NaN, Rust's `inf` and `infinity` spellings included.
+fn string_to_number(s: &str) -> f64 {
+    let t = s.trim_matches(|c: char| c.is_whitespace() || c == '\u{feff}');
+    let radix = match t.get(..2) {
+        Some("0x" | "0X") => 16,
+        Some("0o" | "0O") => 8,
+        Some("0b" | "0B") => 2,
+        _ => {
+            let unsigned = t.strip_prefix(['+', '-']).unwrap_or(t);
+            return match unsigned.as_bytes().first() {
+                None if t.is_empty() => 0.0,
+                Some(b'0'..=b'9' | b'.') => t.parse().unwrap_or(f64::NAN),
+                _ if unsigned == "Infinity" && t.starts_with('-') => f64::NEG_INFINITY,
+                _ if unsigned == "Infinity" => f64::INFINITY,
+                _ => f64::NAN,
+            };
+        }
+    };
+    let digits = &t[2..];
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return f64::NAN;
+    }
+    match u64::from_str_radix(digits, radix) {
+        Ok(n) => n as f64,
+        // Past 2^64 the value is only approximate, as a double is anyway.
+        Err(_) => digits
+            .chars()
+            .filter_map(|c| c.to_digit(radix))
+            .fold(0.0, |n, d| n * f64::from(radix) + f64::from(d)),
+    }
+}
+
+/// Whether `op` is a comparison (its result is a boolean).
+#[inline]
+fn is_comparison(op: BinaryOp) -> bool {
+    matches!(
+        op,
+        BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
+    )
+}
+
+/// Whether `op` is numeric: its result is a number computed from its
+/// operands' `ToNumber` (every operator but `+` and the comparisons).
+#[inline]
+fn is_arithmetic(op: BinaryOp) -> bool {
+    op != BinaryOp::Add && !is_comparison(op)
+}
+
+/// A numeric operator (see [`is_arithmetic`]) on two numbers.
+#[inline]
+fn arith(op: BinaryOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinaryOp::Sub => a - b,
+        BinaryOp::Mul => a * b,
+        BinaryOp::Div => a / b,
+        BinaryOp::Rem => a % b,
+        BinaryOp::BitAnd => f64::from(to_int32(a) & to_int32(b)),
+        BinaryOp::BitOr => f64::from(to_int32(a) | to_int32(b)),
+        BinaryOp::BitXor => f64::from(to_int32(a) ^ to_int32(b)),
+        BinaryOp::Shl => f64::from(to_int32(a) << (to_uint32(b) & 31)),
+        BinaryOp::Shr => f64::from(to_int32(a) >> (to_uint32(b) & 31)),
+        BinaryOp::UShr => f64::from(to_uint32(a) >> (to_uint32(b) & 31)),
+        _ => unreachable!("{op:?} is not a numeric operator"),
+    }
+}
+
+/// A comparison (see [`is_comparison`]) of two numbers.
+#[inline]
+fn compare_nums(op: BinaryOp, x: f64, y: f64) -> bool {
+    match op {
+        BinaryOp::Eq => x == y,
+        BinaryOp::Ne => x != y,
+        BinaryOp::Lt => x < y,
+        BinaryOp::Le => x <= y,
+        BinaryOp::Gt => x > y,
+        BinaryOp::Ge => x >= y,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }
+}
+
+/// Up to this many call arguments are evaluated into a buffer on the
+/// stack.
+const STACK_ARGS: usize = 4;
+
+/// Evaluated call arguments: on the stack when they fit, else on the heap.
+enum ArgBuf {
+    Stack([Value; STACK_ARGS], usize),
+    Heap(Vec<Value>),
+}
+
+impl ArgBuf {
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            ArgBuf::Stack(buf, len) => &buf[..*len],
+            ArgBuf::Heap(vals) => vals,
+        }
+    }
+}
+
+/// The arguments of a closure call: still to be evaluated in the caller's
+/// frame, or already values.
+enum Args<'a> {
+    Exprs(&'a [Expr], &'a Rc<Env>),
+    Values(&'a [Value]),
 }

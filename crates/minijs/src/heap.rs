@@ -141,6 +141,13 @@ pub struct Heap {
     /// Variable accesses that found their resolved slot unbound and
     /// continued outward by name.
     pub scope_walks: u64,
+    /// Closure calls whose body ran.
+    pub closure_calls: u64,
+    /// Frames taken from the allocator because the pool was empty.
+    pub fresh_frames: u64,
+    /// Finished call and scope frames that no closure captured, cleared
+    /// and kept for the next frame the evaluator needs.
+    pub(crate) frame_pool: Vec<Rc<Env>>,
     /// Global IC validity epoch; starts at 1 so a zeroed entry is stale.
     ic_epoch: u64,
 }
@@ -174,6 +181,9 @@ impl Heap {
             string_bytes_walked: 0,
             string_bytes_copied: 0,
             scope_walks: 0,
+            closure_calls: 0,
+            fresh_frames: 0,
+            frame_pool: Vec::new(),
             ic_epoch: 1,
         };
         let this = heap.intern_name("this");
@@ -687,7 +697,13 @@ impl Heap {
     /// The value bound in global slot `slot`, if any.
     #[inline]
     pub(crate) fn global(&self, slot: u32) -> Option<Value> {
-        self.globals[slot as usize].clone()
+        self.global_ref(slot).cloned()
+    }
+
+    /// The value bound in global slot `slot`, borrowed.
+    #[inline]
+    pub(crate) fn global_ref(&self, slot: u32) -> Option<&Value> {
+        self.globals[slot as usize].as_ref()
     }
 
     /// Binds global slot `slot`.

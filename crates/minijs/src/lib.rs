@@ -41,7 +41,7 @@ mod resolve;
 mod string;
 
 pub use ast::{Expr, FuncDef, Stmt};
-pub use engine::{Engine, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
+pub use engine::{Engine, ExecStats, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
 pub use error::EngineError;
 pub use exec::Ctx;
 pub use heap::{Heap, HostClassId, ObjHandle, ObjKind, Sym};

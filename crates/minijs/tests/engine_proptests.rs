@@ -1,5 +1,6 @@
 //! Property-based tests for the engine: NaN-boxing, parser robustness,
-//! cross-configuration determinism, the string model and `ToInt32`.
+//! cross-configuration determinism, the string model, `ToInt32` and the
+//! operator model the typed evaluation paths must agree with.
 
 use lir::{FaultPolicy, Machine};
 use minijs::{parse_program, to_int32, Engine, Heap, NanBox, Value};
@@ -56,6 +57,166 @@ fn draw_double(kind: usize, bits: u64, offset: i64) -> f64 {
 /// The model's rendering of a character code (NaN past the end).
 fn show_code(c: Option<&char>) -> String {
     c.map_or("NaN".into(), |&c| format!("{}", u32::from(c)))
+}
+
+/// An operand of the operator model, as the engine sees it.
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    Num(f64),
+    /// A string with its `ToNumber`.
+    Str(&'static str, f64),
+    Bool(bool),
+    Null,
+    Undefined,
+    /// `[1]`: a fresh array, so never equal to another operand.
+    Array,
+    /// `{}`: a fresh object.
+    Object,
+}
+
+/// The operands, each with the script literal that makes it.
+const OPERANDS: [(&str, Operand); 26] = [
+    ("0/0", Operand::Num(f64::NAN)),
+    ("0", Operand::Num(0.0)),
+    ("-0", Operand::Num(-0.0)),
+    ("1/0", Operand::Num(f64::INFINITY)),
+    ("-1/0", Operand::Num(f64::NEG_INFINITY)),
+    ("0.5", Operand::Num(0.5)),
+    ("-2.75", Operand::Num(-2.75)),
+    ("3", Operand::Num(3.0)),
+    ("-7", Operand::Num(-7.0)),
+    ("2147483647", Operand::Num(2147483647.0)),
+    ("2147483648", Operand::Num(2147483648.0)),
+    ("-2147483648", Operand::Num(-2147483648.0)),
+    ("'42'", Operand::Str("42", 42.0)),
+    ("' 7 '", Operand::Str(" 7 ", 7.0)),
+    ("'0x1f'", Operand::Str("0x1f", 31.0)),
+    ("''", Operand::Str("", 0.0)),
+    ("'abc'", Operand::Str("abc", f64::NAN)),
+    ("'-1.5'", Operand::Str("-1.5", -1.5)),
+    ("'Infinity'", Operand::Str("Infinity", f64::INFINITY)),
+    ("'inf'", Operand::Str("inf", f64::NAN)),
+    ("true", Operand::Bool(true)),
+    ("false", Operand::Bool(false)),
+    ("null", Operand::Null),
+    ("undefined", Operand::Undefined),
+    ("[1]", Operand::Array),
+    ("{}", Operand::Object),
+];
+
+/// Every binary operator; the first eleven also assign (`a op= b`).
+const OPERATORS: [&str; 17] =
+    ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>", "<", "<=", ">", ">=", "==", "!="];
+
+/// An operator's result in the model.
+#[derive(Clone, Debug, PartialEq)]
+enum Outcome {
+    Num(f64),
+    Str(String),
+    Bool(bool),
+}
+
+impl Outcome {
+    fn truthy(&self) -> bool {
+        match self {
+            Outcome::Num(n) => *n != 0.0 && !n.is_nan(),
+            Outcome::Str(s) => !s.is_empty(),
+            Outcome::Bool(b) => *b,
+        }
+    }
+
+    /// Rendered as [`show_value`] renders the engine's result.
+    fn show(&self) -> String {
+        match self {
+            Outcome::Num(n) => format!("{n:?}"),
+            Outcome::Str(s) => format!("'{s}'"),
+            Outcome::Bool(b) => format!("{b}"),
+        }
+    }
+}
+
+fn model_to_number(v: Operand) -> f64 {
+    match v {
+        Operand::Num(n) | Operand::Str(_, n) => n,
+        Operand::Bool(b) => f64::from(u8::from(b)),
+        Operand::Null => 0.0,
+        Operand::Undefined | Operand::Array | Operand::Object => f64::NAN,
+    }
+}
+
+fn model_to_string(v: Operand) -> String {
+    match v {
+        Operand::Num(n) if n.is_nan() => "NaN".into(),
+        Operand::Num(n) if n.is_infinite() => {
+            (if n > 0.0 { "Infinity" } else { "-Infinity" }).into()
+        }
+        Operand::Num(n) if n == n.trunc() => format!("{}", n as i64),
+        Operand::Num(n) => format!("{n}"),
+        Operand::Str(s, _) => s.into(),
+        Operand::Bool(b) => b.to_string(),
+        Operand::Null => "null".into(),
+        Operand::Undefined => "undefined".into(),
+        Operand::Array => "1".into(),
+        Operand::Object => "[object Object]".into(),
+    }
+}
+
+/// The engine's `==`: strict, except that `null` equals `undefined`.
+fn model_eq(a: Operand, b: Operand) -> bool {
+    match (a, b) {
+        (Operand::Num(x), Operand::Num(y)) => x == y,
+        (Operand::Str(x, _), Operand::Str(y, _)) => x == y,
+        (Operand::Bool(x), Operand::Bool(y)) => x == y,
+        (Operand::Null | Operand::Undefined, Operand::Null | Operand::Undefined) => true,
+        _ => false,
+    }
+}
+
+/// `a op b` in the model: `+` concatenates when either side is a string,
+/// `<` and friends compare two strings by text, the bitwise operators
+/// take `ToInt32` (`ToUint32` for shift counts and `>>>`), everything
+/// else works on `ToNumber`.
+fn model_binary(op: &str, a: Operand, b: Operand) -> Outcome {
+    let (x, y) = (model_to_number(a), model_to_number(b));
+    let (i, j, count) = (spec_to_int32(x), spec_to_int32(y), spec_to_int32(y) as u32 & 31);
+    let compare = |holds: fn(std::cmp::Ordering) -> bool| match (a, b) {
+        (Operand::Str(s, _), Operand::Str(t, _)) => holds(s.cmp(t)),
+        _ => x.partial_cmp(&y).is_some_and(holds),
+    };
+    match op {
+        "+" if matches!(a, Operand::Str(..)) || matches!(b, Operand::Str(..)) => {
+            Outcome::Str(model_to_string(a) + &model_to_string(b))
+        }
+        "+" => Outcome::Num(x + y),
+        "-" => Outcome::Num(x - y),
+        "*" => Outcome::Num(x * y),
+        "/" => Outcome::Num(x / y),
+        "%" => Outcome::Num(x % y),
+        "&" => Outcome::Num(f64::from(i & j)),
+        "|" => Outcome::Num(f64::from(i | j)),
+        "^" => Outcome::Num(f64::from(i ^ j)),
+        "<<" => Outcome::Num(f64::from(i << count)),
+        ">>" => Outcome::Num(f64::from(i >> count)),
+        ">>>" => Outcome::Num(f64::from((i as u32) >> count)),
+        "<" => Outcome::Bool(compare(|o| o.is_lt())),
+        "<=" => Outcome::Bool(compare(|o| o.is_le())),
+        ">" => Outcome::Bool(compare(|o| o.is_gt())),
+        ">=" => Outcome::Bool(compare(|o| o.is_ge())),
+        "==" => Outcome::Bool(model_eq(a, b)),
+        "!=" => Outcome::Bool(!model_eq(a, b)),
+        _ => unreachable!("{op}"),
+    }
+}
+
+/// Calls the global function `name` and renders its result (numbers by
+/// bit pattern, so `-0` and `0` differ).
+fn show_value(engine: &mut Engine, machine: &mut Machine, name: &str) -> String {
+    match engine.eval(machine, &format!("return {name}();")) {
+        Ok(Value::Num(n)) => format!("{n:?}"),
+        Ok(Value::Str(s)) => format!("'{s}'"),
+        Ok(Value::Bool(b)) => format!("{b}"),
+        other => format!("{other:?}"),
+    }
 }
 
 proptest! {
@@ -227,5 +388,64 @@ proptest! {
     fn to_int32_matches_spec(kind in 0usize..6, bits in any::<u64>(), offset in -3i64..4) {
         let n = draw_double(kind, bits, offset);
         prop_assert_eq!(to_int32(n), spec_to_int32(n), "ToInt32({:e})", n);
+    }
+
+    /// The typed paths agree with the operator model on operands held in
+    /// locals, for every operator: the value of `a op b`, its truth in
+    /// `if`, `?:` and `while`, `a op= b`, and `a++`/`a--` with the value
+    /// they leave behind.
+    #[test]
+    fn typed_paths_match_operator_model(
+        x in 0usize..OPERANDS.len(),
+        y in 0usize..OPERANDS.len(),
+    ) {
+        let ((a_src, a), (b_src, b)) = (OPERANDS[x], OPERANDS[y]);
+        let locals = format!("var a = {a_src}; var b = {b_src};");
+        let mut machine = Machine::split(FaultPolicy::Crash).expect("machine");
+        let mut engine = Engine::new(&mut machine).expect("engine");
+        for (k, op) in OPERATORS.iter().enumerate() {
+            let assigns = k < 11;
+            let mut source = format!(
+                "function value() {{ {locals} return a {op} b; }}
+                 function branch() {{ {locals} if (a {op} b) return 1; return 0; }}
+                 function pick() {{ {locals} return (a {op} b) ? 1 : 0; }}
+                 function loop() {{ {locals} var n = 0; while (a {op} b) {{ n++; break; }} return n; }}"
+            );
+            if assigns {
+                source += &format!(
+                    "function assign() {{ {locals} return a {op}= b; }}
+                     function assigned() {{ {locals} a {op}= b; return a; }}"
+                );
+            }
+            engine.eval(&mut machine, &source).expect("definitions");
+            let mut js = |name: &str| show_value(&mut engine, &mut machine, name);
+            let result = model_binary(op, a, b);
+            let truth = if result.truthy() { "1.0" } else { "0.0" };
+            prop_assert_eq!(js("value"), result.show(), "{} {} {}", a_src, op, b_src);
+            prop_assert_eq!(js("branch"), truth, "if ({} {} {})", a_src, op, b_src);
+            prop_assert_eq!(js("pick"), truth, "({} {} {}) ?", a_src, op, b_src);
+            prop_assert_eq!(js("loop"), truth, "while ({} {} {})", a_src, op, b_src);
+            if assigns {
+                prop_assert_eq!(js("assign"), result.show(), "{} {}= {}", a_src, op, b_src);
+                prop_assert_eq!(js("assigned"), result.show(), "{} {}= {}", a_src, op, b_src);
+            }
+        }
+        engine
+            .eval(
+                &mut machine,
+                &format!(
+                    "function post_incr() {{ {locals} return a++; }}
+                     function after_incr() {{ {locals} ++a; return a; }}
+                     function post_decr() {{ {locals} return a--; }}
+                     function after_decr() {{ {locals} a--; return a; }}"
+                ),
+            )
+            .expect("definitions");
+        let mut js = |name: &str| show_value(&mut engine, &mut machine, name);
+        let old = model_to_number(a);
+        prop_assert_eq!(js("post_incr"), format!("{old:?}"), "{}++", a_src);
+        prop_assert_eq!(js("after_incr"), format!("{:?}", old + 1.0), "++{}", a_src);
+        prop_assert_eq!(js("post_decr"), format!("{old:?}"), "{}--", a_src);
+        prop_assert_eq!(js("after_decr"), format!("{:?}", old - 1.0), "{}--", a_src);
     }
 }

@@ -529,3 +529,117 @@ fn typeof_an_undeclared_name_is_undefined() {
     let err = engine.eval(&mut machine, "return typeof nope.x;");
     assert!(matches!(err, Err(EngineError::Reference(ref name)) if name == "nope"), "{err:?}");
 }
+
+#[test]
+fn string_to_number_follows_js() {
+    // Only `Infinity`, optionally signed, names infinity: Rust's `inf` and
+    // `infinity` spellings are NaN.
+    assert_eq!(eval_num("return +'Infinity';"), f64::INFINITY);
+    assert_eq!(eval_num("return +' -Infinity ';"), f64::NEG_INFINITY);
+    assert_eq!(eval_num("return +'+Infinity';"), f64::INFINITY);
+    for text in ["inf", "-inf", "infinity", "INFINITY", "+inf", "nan", "NaN", "Inf"] {
+        assert!(eval_num(&format!("return +'{text}';")).is_nan(), "+'{text}'");
+    }
+    // Unsigned hex, octal and binary integers, either case of prefix.
+    assert_eq!(eval_num("return +'0b101';"), 5.0);
+    assert_eq!(eval_num("return +'0B11';"), 3.0);
+    assert_eq!(eval_num("return +'0o17';"), 15.0);
+    assert_eq!(eval_num("return +'0O7';"), 7.0);
+    assert_eq!(eval_num("return +'0XfF';"), 255.0);
+    assert_eq!(eval_num("return +'0x10000000000000000';"), 18446744073709551616.0);
+    for text in ["-0x10", "+0b1", "0x", "0b2", "0o8", "0x+1", "0x1g", "1 2", "1e", ".", "+"] {
+        assert!(eval_num(&format!("return +'{text}';")).is_nan(), "+'{text}'");
+    }
+    // Decimal literals keep their forms.
+    assert_eq!(eval_num("return +'1.';"), 1.0);
+    assert_eq!(eval_num("return +'-.5';"), -0.5);
+    assert_eq!(eval_num("return +'1e3';"), 1000.0);
+    assert_eq!(eval_num("return +'\\n 007 \\t';"), 7.0);
+    assert_eq!(eval_num("return '0b11' * 2;"), 6.0);
+}
+
+// ---- pooled call frames ----
+
+#[test]
+fn counters_interleaved_with_other_calls_keep_their_own_state() {
+    assert_eq!(
+        eval_num(
+            "function counter(start) { var n = start; return function() { n++; return n; }; } \
+             function noise(a, b) { var t = a * b; return t - a; } \
+             var a = counter(0); var b = counter(100); var junk = 0; \
+             for (var i = 0; i < 5; i++) { junk += noise(i, 3); a(); junk += noise(2, i); b(); b(); } \
+             return a() * 1000 + b();"
+        ),
+        6.0 * 1000.0 + 111.0
+    );
+}
+
+#[test]
+fn a_closure_made_in_a_recursive_call_keeps_its_frame() {
+    // Each level captures its own `depth`; the deeper calls that return
+    // first must not hand that frame to a later call.
+    assert_eq!(
+        eval_num(
+            "var saved = []; \
+             function dive(depth) { var mine = depth * 10; \
+               saved.push(function() { return mine + depth; }); \
+               if (depth < 4) dive(depth + 1); return mine; } \
+             function churn(x) { var y = x + 1; return y; } \
+             dive(0); churn(7); churn(8); \
+             var sum = 0; for (var i = 0; i < saved.length; i++) sum = sum * 100 + saved[i](); \
+             return sum;"
+        ),
+        // 0, 11, 22, 33, 44 in base 100.
+        11223344.0
+    );
+}
+
+#[test]
+fn a_recycled_frame_leaks_nothing_from_the_previous_call() {
+    assert_eq!(
+        eval_str(
+            "function f(k) { if (k) { var v = 5; } return typeof v; } \
+             var first = f(1); return first + ',' + f(0);"
+        ),
+        "number,undefined"
+    );
+    // Missing arguments read as `undefined`, not as the last call's.
+    assert_eq!(
+        eval_str("function g(a, b) { return typeof b; } g(1, 'x'); return g(2);"),
+        "undefined"
+    );
+    // A block scope's frame is cleared as well.
+    assert_eq!(
+        eval_str(
+            "function h(k) { for (var i = 0; i < 1; i++) { if (k) { var w = 1; } } \
+             return typeof w; } h(1); return h(0);"
+        ),
+        "undefined"
+    );
+}
+
+#[test]
+fn a_call_that_fails_mid_body_leaves_later_calls_correct() {
+    let (mut machine, mut engine) = setup();
+    engine
+        .eval(
+            &mut machine,
+            "function g(k) { var a = k * 2; if (k == 1) { missing(); } return a; } \
+             function r(n) { var x = n; if (n == 0) { nope(); } return r(n - 1) + x; } \
+             function s(n) { var y = n * 10; if (n == 0) return 0; return s(n - 1) + y; }",
+        )
+        .unwrap();
+    for src in ["return g(1);", "return r(5);", "return g(g(1));"] {
+        let err = engine.eval(&mut machine, src);
+        assert!(matches!(err, Err(EngineError::Reference(_))), "{src}: {err:?}");
+        let v = engine.eval(&mut machine, "return g(3) * 1000 + s(5);").unwrap();
+        assert!(matches!(v, Value::Num(n) if n == 6150.0), "after {src}: {v:?}");
+    }
+    // Running out of fuel mid-call unwinds the same way.
+    engine.set_fuel(50);
+    let err = engine.eval(&mut machine, "return s(20);");
+    assert!(matches!(err, Err(EngineError::Fuel)), "{err:?}");
+    engine.set_fuel(u64::MAX);
+    let v = engine.eval(&mut machine, "return s(4);").unwrap();
+    assert!(matches!(v, Value::Num(n) if n == 100.0), "{v:?}");
+}
