@@ -4,6 +4,7 @@ use std::rc::Rc;
 
 use crate::heap::Sym;
 use crate::ic::PropIc;
+use crate::lower::Code;
 use crate::string::JsStr;
 
 /// Binary operators.
@@ -44,6 +45,17 @@ pub enum BinaryOp {
     Shr,
     /// `>>>` (zero-fill).
     UShr,
+}
+
+impl BinaryOp {
+    /// Whether the operator is a comparison (its result is a boolean).
+    #[inline]
+    pub fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
+        )
+    }
 }
 
 /// Unary operators.
@@ -139,6 +151,8 @@ pub struct FuncDef {
     /// Where a named function expression binds itself, before the
     /// parameters are written.
     pub self_slot: Option<u32>,
+    /// The body's op stream.
+    pub code: Code,
 }
 
 /// Expressions.

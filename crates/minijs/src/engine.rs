@@ -5,10 +5,10 @@ use std::rc::Rc;
 
 use lir::Machine;
 
-use crate::ast::Stmt;
 use crate::error::EngineError;
 use crate::exec::{Ctx, Env};
 use crate::heap::{Heap, HostClassId};
+use crate::lower::Program;
 use crate::parser::{fmt_f64, parse_program};
 use crate::Value;
 
@@ -118,14 +118,14 @@ const PROGRAM_CACHE_LEN: usize = 64;
 /// configurations.
 ///
 /// The engine compiles each source once: [`Engine::eval`] keeps the
-/// parsed, resolved program of every source it ran (up to
-/// `PROGRAM_CACHE_LEN`), keyed by the exact text, and runs the cached
-/// statements when the source comes again. The AST is engine-internal
-/// state off the simulated heap, so the cache moves nothing between
-/// `M_T` and `M_U` and adds no gate crossing.
+/// parsed, resolved and lowered program of every source it ran (up to
+/// `PROGRAM_CACHE_LEN`), keyed by the exact text, and runs the cached op
+/// stream when the source comes again. Programs are engine-internal state
+/// off the simulated heap, so the cache moves nothing between `M_T` and
+/// `M_U` and adds no gate crossing.
 pub struct Engine {
     heap: Heap,
-    programs: VecDeque<(Box<str>, Rc<[Stmt]>)>,
+    programs: VecDeque<(Box<str>, Rc<Program>)>,
     programs_parsed: u64,
     natives: Vec<NativeFn>,
     host_classes: Vec<HostClass>,
@@ -274,20 +274,43 @@ impl Engine {
     /// parsing it only if no cached program has the same source. A parse
     /// error is not cached.
     pub fn eval(&mut self, machine: &mut Machine, source: &str) -> Result<Value, EngineError> {
-        let program = match self.programs.iter().find(|(cached, _)| **cached == *source) {
-            Some((_, program)) => Rc::clone(program),
-            None => {
-                self.programs_parsed += 1;
-                let program: Rc<[Stmt]> = parse_program(source, &mut self.heap)?.into();
-                if self.programs.len() == PROGRAM_CACHE_LEN {
-                    self.programs.pop_front();
-                }
-                self.programs.push_back((source.into(), Rc::clone(&program)));
-                program
-            }
-        };
+        let program = self.program(source)?;
         let global = Rc::clone(&self.global);
-        let mut ctx = Ctx::new(
+        self.ctx(machine).run(&program.code, &global)
+    }
+
+    /// Evaluates a script on the reference tree walker instead of its op
+    /// stream (closure bodies included).
+    #[cfg(test)]
+    pub(crate) fn eval_walker(
+        &mut self,
+        machine: &mut Machine,
+        source: &str,
+    ) -> Result<Value, EngineError> {
+        let program = self.program(source)?;
+        let global = Rc::clone(&self.global);
+        let mut ctx = self.ctx(machine);
+        ctx.walker = true;
+        ctx.walk_program(&program.stmts, &global)
+    }
+
+    /// The cached program of `source`, parsed and lowered on a miss.
+    fn program(&mut self, source: &str) -> Result<Rc<Program>, EngineError> {
+        if let Some((_, program)) = self.programs.iter().find(|(cached, _)| **cached == *source) {
+            return Ok(Rc::clone(program));
+        }
+        self.programs_parsed += 1;
+        let program = Rc::new(parse_program(source, &mut self.heap)?);
+        if self.programs.len() == PROGRAM_CACHE_LEN {
+            self.programs.pop_front();
+        }
+        self.programs.push_back((source.into(), Rc::clone(&program)));
+        Ok(program)
+    }
+
+    /// An execution context over this engine's state.
+    fn ctx<'a>(&'a mut self, machine: &'a mut Machine) -> Ctx<'a> {
+        Ctx::new(
             machine,
             &mut self.heap,
             &self.natives,
@@ -296,8 +319,7 @@ impl Engine {
             &mut self.rng,
             &mut self.clock,
             &mut self.output,
-        );
-        ctx.exec_program(&program, &global)
+        )
     }
 
     /// Calls a global function by name (the `JS_CallFunctionName` analog).
@@ -308,17 +330,7 @@ impl Engine {
         args: &[Value],
     ) -> Result<Value, EngineError> {
         let f = self.global(name).ok_or_else(|| EngineError::Reference(name.to_string()))?;
-        let mut ctx = Ctx::new(
-            machine,
-            &mut self.heap,
-            &self.natives,
-            &self.host_classes,
-            &mut self.fuel,
-            &mut self.rng,
-            &mut self.clock,
-            &mut self.output,
-        );
-        ctx.call_value(&f, Value::Undefined, args)
+        self.ctx(machine).call_value(&f, Value::Undefined, args)
     }
 
     // ---- standard library ----
@@ -350,7 +362,7 @@ impl Engine {
         }
         math1!("floor", f64::floor);
         math1!("ceil", f64::ceil);
-        math1!("round", f64::round);
+        math1!("round", js_round);
         math1!("abs", f64::abs);
         math1!("sqrt", f64::sqrt);
         math1!("sin", f64::sin);
@@ -386,7 +398,15 @@ impl Engine {
             Rc::new(|ctx, _this, args| {
                 let mut m = f64::INFINITY;
                 for a in args {
-                    m = m.min(ctx.to_number(a)?);
+                    let x = ctx.to_number(a)?;
+                    // NaN wins, and -0 is below +0.
+                    m = if m.is_nan() || x.is_nan() {
+                        f64::NAN
+                    } else if x < m || (x == m && x.is_sign_negative()) {
+                        x
+                    } else {
+                        m
+                    };
                 }
                 Ok(Value::Num(m))
             }),
@@ -398,7 +418,15 @@ impl Engine {
             Rc::new(|ctx, _this, args| {
                 let mut m = f64::NEG_INFINITY;
                 for a in args {
-                    m = m.max(ctx.to_number(a)?);
+                    let x = ctx.to_number(a)?;
+                    // NaN wins, and +0 is above -0.
+                    m = if m.is_nan() || x.is_nan() {
+                        f64::NAN
+                    } else if x > m || (x == m && m.is_sign_negative()) {
+                        x
+                    } else {
+                        m
+                    };
                 }
                 Ok(Value::Num(m))
             }),
@@ -482,30 +510,17 @@ impl Engine {
             Rc::new(|ctx, _this, args| {
                 let s = ctx.to_string_value(args.first().unwrap_or(&Value::Undefined))?;
                 let radix = match args.get(1) {
-                    Some(v) => ctx.to_number(v)? as u32,
-                    None => 10,
+                    Some(v) => crate::to_int32(ctx.to_number(v)?),
+                    None => 0,
                 };
-                let t = s.trim();
-                let (neg, digits) = match t.strip_prefix('-') {
-                    Some(rest) => (true, rest),
-                    None => (false, t.strip_prefix('+').unwrap_or(t)),
-                };
-                let end =
-                    digits.find(|c: char| !c.is_digit(radix.clamp(2, 36))).unwrap_or(digits.len());
-                if end == 0 {
-                    return Ok(Value::Num(f64::NAN));
-                }
-                let v = i64::from_str_radix(&digits[..end], radix.clamp(2, 36))
-                    .map(|v| v as f64)
-                    .unwrap_or(f64::NAN);
-                Ok(Value::Num(if neg { -v } else { v }))
+                Ok(Value::Num(parse_int(&s, radix)))
             }),
         );
         self.register_native(
             "parseFloat",
             Rc::new(|ctx, _this, args| {
                 let s = ctx.to_string_value(args.first().unwrap_or(&Value::Undefined))?;
-                Ok(Value::Num(s.trim().parse().unwrap_or(f64::NAN)))
+                Ok(Value::Num(parse_float(&s)))
             }),
         );
         self.register_native(
@@ -562,6 +577,90 @@ impl Engine {
             }),
         );
         Ok(())
+    }
+}
+
+// ---- number parsing and rounding ----
+
+/// JS `parseInt`: leading white space and a sign are skipped; radix 0
+/// means 10, or 16 when the text starts with `0x`, which radix 16 also
+/// skips; a radix outside 2..=36 gives NaN. The longest prefix of digits
+/// in the radix is the value; no digit at all is NaN.
+fn parse_int(s: &str, radix: i32) -> f64 {
+    let t = s.trim_start_matches(|c: char| c.is_whitespace() || c == '\u{feff}');
+    let (neg, t) = match t.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, t.strip_prefix('+').unwrap_or(t)),
+    };
+    let hex = t.get(..2).is_some_and(|p| p.eq_ignore_ascii_case("0x"));
+    let (radix, t) = match radix {
+        0 | 16 if hex => (16, &t[2..]),
+        0 => (10, t),
+        2..=36 => (radix as u32, t),
+        _ => return f64::NAN,
+    };
+    let end = t.find(|c: char| !c.is_digit(radix)).unwrap_or(t.len());
+    if end == 0 {
+        return f64::NAN;
+    }
+    let v = t[..end]
+        .chars()
+        .filter_map(|c| c.to_digit(radix))
+        .fold(0.0, |n, d| n * f64::from(radix) + f64::from(d));
+    if neg {
+        -v
+    } else {
+        v
+    }
+}
+
+/// JS `parseFloat`: after leading white space, the longest prefix that
+/// is a decimal literal (optional sign, digits with an optional point,
+/// an optional exponent) or a signed `Infinity`; anything else is NaN.
+fn parse_float(s: &str) -> f64 {
+    let t = s.trim_start_matches(|c: char| c.is_whitespace() || c == '\u{feff}');
+    let b = t.as_bytes();
+    let mut end = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    if t[end..].starts_with("Infinity") {
+        return if b[0] == b'-' { f64::NEG_INFINITY } else { f64::INFINITY };
+    }
+    let digits = |from: usize| b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let int = digits(end);
+    end += int;
+    let mut frac = 0;
+    if b.get(end) == Some(&b'.') {
+        frac = digits(end + 1);
+        if int + frac > 0 {
+            end += 1 + frac;
+        }
+    }
+    if int + frac == 0 {
+        return f64::NAN;
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let sign = usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        let exp = digits(end + 1 + sign);
+        if exp > 0 {
+            end += 1 + sign + exp;
+        }
+    }
+    t[..end].parse().unwrap_or(f64::NAN)
+}
+
+/// JS `Math.round`: the nearest integer, halves toward +∞, keeping the
+/// sign of a zero result.
+fn js_round(x: f64) -> f64 {
+    if !x.is_finite() || x == 0.0 {
+        return x;
+    }
+    if (-0.5..0.0).contains(&x) {
+        return -0.0;
+    }
+    let floor = x.floor();
+    if x - floor >= 0.5 {
+        floor + 1.0
+    } else {
+        floor
     }
 }
 

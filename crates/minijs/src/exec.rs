@@ -1,15 +1,24 @@
-//! The tree-walking evaluator.
+//! The op-stream evaluator: runs the streams `crate::lower` builds.
+//!
+//! One loop (`Ctx::run`) runs a program's top level and every closure
+//! body; natives and `Engine::call` re-enter it through
+//! [`Ctx::call_value`]. The operand stack and the callee frames of calls
+//! whose arguments are still running live in the context, so a call
+//! allocates nothing once the frame pool is warm. Every element access
+//! still goes through `Heap::elem_get` → `Machine::mem_read`, and no
+//! rights verdict is cached.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use lir::Machine;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, Layout, Name, Slot, Stmt, Target, UnaryOp};
+use crate::ast::{BinaryOp, FuncDef, Layout, Name, Slot, UnaryOp};
 use crate::engine::{HostClass, HostField, HostFieldKind, NativeFn};
 use crate::error::EngineError;
-use crate::heap::{Closure, Heap, ObjKind, Sym};
+use crate::heap::{Closure, Heap, ObjHandle, ObjKind, Sym};
 use crate::ic::{IcState, PropIc};
+use crate::lower::{Code, Dst, Inst, Method, Op, Src, TreeKind, TreeNode, TREE_DEPTH};
 use crate::parser::fmt_f64;
 use crate::string::JsStr;
 use crate::{to_int32, to_uint32, Value};
@@ -53,23 +62,13 @@ impl Env {
     }
 
     #[inline]
-    fn get(&self, slot: usize) -> Option<Value> {
+    pub(crate) fn get(&self, slot: usize) -> Option<Value> {
         self.slots.borrow()[slot].clone()
     }
 
     #[inline]
-    fn set(&self, slot: usize, value: Value) {
+    pub(crate) fn set(&self, slot: usize, value: Value) {
         self.slots.borrow_mut()[slot] = Some(value);
-    }
-
-    /// The number bound in `slot`, if it holds one (read without cloning
-    /// a `Value`).
-    #[inline]
-    fn num(&self, slot: usize) -> Option<f64> {
-        match self.slots.borrow()[slot] {
-            Some(Value::Num(n)) => Some(n),
-            _ => None,
-        }
     }
 
     /// The nearest frame above this one in which `name` is bound, with
@@ -88,12 +87,53 @@ impl Env {
     }
 }
 
-/// Statement completion.
-enum Flow {
-    Normal,
+/// A plain call whose arguments are running: the callee's frame, taken
+/// before the first argument, or a callee that is not a closure.
+enum Pending {
+    Frame(Rc<FuncDef>, Rc<Env>),
+    Value(Value),
+}
+
+/// How far a call got before its body: a native's (or a failed
+/// builtin's) value, or a closure's filled frame to run.
+enum Called {
+    Done(Value),
+    Enter(Rc<FuncDef>, Rc<Env>),
+}
+
+/// Why the op loop stopped: a closure to enter, or a return.
+enum Transfer {
+    Call { def: Rc<FuncDef>, frame: Rc<Env>, dst: Dst, resume: usize },
     Return(Value),
-    Break,
-    Continue,
+}
+
+/// One running op stream: a closure body, or the stream `Ctx::run` was
+/// given (`def` is `None`).
+struct Act {
+    def: Option<Rc<FuncDef>>,
+    /// The innermost open scope's frame; the call frame when none is open.
+    env: Rc<Env>,
+    /// Scope frames open above the call frame.
+    scopes: u32,
+    pc: usize,
+    stack_base: usize,
+    calls_base: usize,
+    /// Where the caller puts the result.
+    dst: Dst,
+}
+
+impl Act {
+    fn new(def: Option<Rc<FuncDef>>, frame: Rc<Env>, ctx: &Ctx<'_>, dst: Dst) -> Act {
+        Act {
+            def,
+            env: frame,
+            scopes: 0,
+            pc: 0,
+            stack_base: ctx.stack.len(),
+            calls_base: ctx.calls.len(),
+            dst,
+        }
+    }
 }
 
 /// The execution context: everything the evaluator and native functions
@@ -117,6 +157,15 @@ pub struct Ctx<'a> {
     /// Lines produced by the `__print` builtin.
     pub output: &'a mut Vec<String>,
     depth: usize,
+    /// The operand stack, shared by every activation.
+    stack: Vec<Value>,
+    /// Plain calls whose arguments are running, innermost last.
+    calls: Vec<Pending>,
+    /// The callers of the running activations, innermost last.
+    acts: Vec<Act>,
+    /// Whether closure bodies run on the reference tree walker.
+    #[cfg(test)]
+    pub(crate) walker: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -132,38 +181,63 @@ impl<'a> Ctx<'a> {
         clock: &'a mut u64,
         output: &'a mut Vec<String>,
     ) -> Ctx<'a> {
-        Ctx { machine, heap, natives, host_classes, fuel, rng, clock, output, depth: 0 }
-    }
-
-    fn tick(&mut self) -> Result<(), EngineError> {
-        *self.clock += 1;
-        match self.fuel.checked_sub(1) {
-            Some(f) => {
-                *self.fuel = f;
-                Ok(())
-            }
-            None => Err(EngineError::Fuel),
+        Ctx {
+            machine,
+            heap,
+            natives,
+            host_classes,
+            fuel,
+            rng,
+            clock,
+            output,
+            depth: 0,
+            stack: Vec::new(),
+            calls: Vec::new(),
+            acts: Vec::new(),
+            #[cfg(test)]
+            walker: false,
         }
     }
 
-    /// Runs a list of statements in `env` (function declarations hoisted).
-    pub fn exec_program(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Value, EngineError> {
-        match self.exec_block(stmts, env)? {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(Value::Undefined),
+    /// One step: the clock moves first, then the budget is checked.
+    #[cfg(test)]
+    pub(crate) fn tick(&mut self) -> Result<(), EngineError> {
+        self.tick_n(1)
+    }
+
+    /// `n` steps, leaving the clock and the budget exactly where `n` single
+    /// steps would: when the budget runs out partway, the clock has moved
+    /// once past it.
+    #[inline]
+    fn tick_n(&mut self, n: u32) -> Result<(), EngineError> {
+        let n = u64::from(n);
+        match self.fuel.checked_sub(n) {
+            Some(f) => {
+                *self.fuel = f;
+                *self.clock += n;
+                Ok(())
+            }
+            None => {
+                *self.clock += *self.fuel + 1;
+                *self.fuel = 0;
+                Err(EngineError::Fuel)
+            }
         }
     }
 
     /// A frame for a scope with `layout` under `parent`: a pooled one if
     /// any is left, else a fresh allocation.
-    fn frame(&mut self, layout: &Layout, parent: Rc<Env>) -> Rc<Env> {
+    pub(crate) fn frame(&mut self, layout: &Layout, parent: Rc<Env>) -> Rc<Env> {
         let mut frame = self.heap.frame_pool.pop().unwrap_or_else(|| {
             self.heap.fresh_frames += 1;
             Env::root()
         });
         let env = Rc::get_mut(&mut frame).expect("a pooled frame is unshared");
         env.slots.get_mut().resize(layout.len(), None);
-        env.names = Rc::clone(layout);
+        // A pooled frame often served the same scope last time.
+        if !Rc::ptr_eq(&env.names, layout) {
+            env.names = Rc::clone(layout);
+        }
         env.parent = Some(parent);
         frame
     }
@@ -171,7 +245,7 @@ impl<'a> Ctx<'a> {
     /// Ends `frame`'s scope. A frame nothing else holds (no closure
     /// captured it, directly or through an inner frame) is cleared and
     /// pooled; a captured one lives on with its closure.
-    fn release(&mut self, mut frame: Rc<Env>) {
+    pub(crate) fn release(&mut self, mut frame: Rc<Env>) {
         if let Some(env) = Rc::get_mut(&mut frame) {
             env.slots.get_mut().clear();
             env.parent = None;
@@ -179,402 +253,795 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Runs `body` in the frame of a `for` or block scope with `layout`:
-    /// a new one, or `env` itself when the scope can bind nothing (the
-    /// resolver counts no hop for it either).
-    fn in_scope(
-        &mut self,
-        layout: &Layout,
-        env: &Rc<Env>,
-        body: impl FnOnce(&mut Self, &Rc<Env>) -> Result<Flow, EngineError>,
-    ) -> Result<Flow, EngineError> {
-        if layout.is_empty() {
-            return body(self, env);
-        }
-        let scope = self.frame(layout, Rc::clone(env));
-        let flow = body(self, &scope);
+    /// Closes the innermost scope frame: `env` becomes its parent.
+    fn exit_scope(&mut self, env: &mut Rc<Env>) {
+        let parent = env.parent.clone().expect("a scope frame has a parent");
+        let scope = std::mem::replace(env, parent);
         self.release(scope);
-        flow
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Flow, EngineError> {
-        // Hoist function declarations so mutual recursion works.
-        for stmt in stmts {
-            if let Stmt::Func(def, name) = stmt {
-                let handle =
-                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
-                self.declare(env, name, Value::Fun(handle));
+    /// Runs an op stream in `frame` (a call frame, or the root for a
+    /// program), and every closure it calls on the way: a call pushes the
+    /// caller's activation and the loop goes on in the callee's stream,
+    /// so script calls take no native stack.
+    ///
+    /// Whatever way an activation ends, the frames it opened are released
+    /// innermost first, as the walker's unwinding released them: callee
+    /// frames of calls whose arguments were running, then scope frames,
+    /// then its call frame.
+    pub(crate) fn run(&mut self, code: &Code, frame: &Rc<Env>) -> Result<Value, EngineError> {
+        let base = self.acts.len();
+        let mut act = Act::new(None, Rc::clone(frame), self, Dst::Drop);
+        loop {
+            let ops = match &act.def {
+                Some(def) => &def.code.ops[..],
+                None => &code.ops[..],
+            };
+            match self.run_ops(ops, act.pc, &mut act.env, &mut act.scopes) {
+                Ok(Transfer::Call { def, frame, dst, resume }) => {
+                    act.pc = resume;
+                    let callee = Act::new(Some(def), frame, self, dst);
+                    self.acts.push(std::mem::replace(&mut act, callee));
+                }
+                Ok(Transfer::Return(value)) => {
+                    self.leave(&mut act);
+                    if self.acts.len() == base {
+                        return Ok(value);
+                    }
+                    let dst = act.dst;
+                    self.resume_caller(&mut act);
+                    self.put(&act.env, &dst, value);
+                }
+                Err(err) => loop {
+                    self.leave(&mut act);
+                    if self.acts.len() == base {
+                        return Err(err);
+                    }
+                    self.resume_caller(&mut act);
+                },
             }
         }
-        for stmt in stmts {
-            match self.exec_stmt(stmt, env)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, env: &Rc<Env>) -> Result<Flow, EngineError> {
-        self.tick()?;
-        match stmt {
-            Stmt::Var(decls) => {
-                for (name, init) in decls {
-                    let v = match init {
-                        Some(e) => self.eval(e, env)?,
-                        // Re-declaring a bound name keeps its value.
-                        None if self.bound(env, name) => continue,
-                        None => Value::Undefined,
+    /// Releases what an ending activation still holds, innermost first:
+    /// callee frames of calls whose arguments were running, then scope
+    /// frames. Its operands are dropped.
+    fn leave(&mut self, act: &mut Act) {
+        while self.calls.len() > act.calls_base {
+            if let Some(Pending::Frame(_, frame)) = self.calls.pop() {
+                self.release(frame);
+            }
+        }
+        for _ in 0..std::mem::take(&mut act.scopes) {
+            self.exit_scope(&mut act.env);
+        }
+        self.stack.truncate(act.stack_base);
+    }
+
+    /// Ends a called activation (left already) and makes its caller
+    /// current again: the call frame is released as `enter` releases it.
+    fn resume_caller(&mut self, act: &mut Act) {
+        let caller = self.acts.pop().expect("a called activation has a caller");
+        let callee = std::mem::replace(act, caller);
+        self.depth -= 1;
+        self.release(callee.env);
+    }
+
+    /// The op loop: runs `ops` from `pc` until a return or a call of a
+    /// closure. Inlined into `run`, so a script call or return costs no
+    /// native call.
+    #[inline(always)]
+    fn run_ops(
+        &mut self,
+        ops: &[Inst],
+        mut pc: usize,
+        env: &mut Rc<Env>,
+        scopes: &mut u32,
+    ) -> Result<Transfer, EngineError> {
+        /// A call's outcome: a value for `dst`, or a closure to enter.
+        macro_rules! called {
+            ($called:expr, $dst:expr) => {
+                match $called {
+                    Called::Done(value) => self.put(env, $dst, value),
+                    Called::Enter(def, frame) => {
+                        let frame = self.admit(frame)?;
+                        return Ok(Transfer::Call { def, frame, dst: *$dst, resume: pc });
+                    }
+                }
+            };
+        }
+        loop {
+            let Inst { ticks, op } = &ops[pc];
+            let ticks = *ticks;
+            pc += 1;
+            match op {
+                Op::Tick => self.tick_n(ticks)?,
+                Op::Value { src, dst } => {
+                    let value = match self.peek_num(env, src) {
+                        Some(n) => {
+                            self.tick_n(ticks)?;
+                            Value::Num(n)
+                        }
+                        None => self.read1(env, ticks, src)?,
                     };
-                    self.declare(env, name, v);
+                    self.put(env, dst, value);
                 }
-                Ok(Flow::Normal)
-            }
-            Stmt::Func(..) => Ok(Flow::Normal), // Hoisted.
-            Stmt::Expr(e) => {
-                self.eval(e, env)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If(cond, then, alt) => {
-                if self.eval_cond(cond, env)? {
-                    self.exec_block(then, env)
-                } else {
-                    self.exec_block(alt, env)
+                Op::TypeOfName { name, dst } => {
+                    self.tick_n(ticks)?;
+                    let value = self.read(env, name).unwrap_or(Value::Undefined);
+                    let s = self.heap.new_str(value.type_of());
+                    self.put(env, dst, Value::Str(s));
                 }
-            }
-            Stmt::While(cond, body) => {
-                while self.eval_cond(cond, env)? {
-                    match self.exec_block(body, env)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
+                Op::Closure { def, dst } => {
+                    self.tick_n(ticks)?;
+                    let closure = Closure { def: Rc::clone(def), env: Rc::clone(env) };
+                    let handle = self.heap.add_closure(closure);
+                    self.put(env, dst, Value::Fun(handle));
                 }
-                Ok(Flow::Normal)
-            }
-            Stmt::DoWhile(body, cond) => {
-                loop {
-                    match self.exec_block(body, env)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if !self.eval_cond(cond, env)? {
-                        break;
-                    }
+                Op::Array { len, dst } => {
+                    self.tick_n(ticks)?;
+                    let base = self.stack.len() - *len as usize;
+                    let h = self.heap.new_array(self.machine, &self.stack[base..])?;
+                    self.stack.truncate(base);
+                    self.put(env, dst, Value::Obj(h));
                 }
-                Ok(Flow::Normal)
-            }
-            Stmt::For { init, cond, update, body, layout } => {
-                self.in_scope(layout, env, |ctx, scope| {
-                    if let Some(init) = init {
-                        ctx.exec_stmt(init, scope)?;
-                    }
-                    loop {
-                        if let Some(cond) = cond {
-                            if !ctx.eval_cond(cond, scope)? {
-                                break;
-                            }
-                        }
-                        match ctx.exec_block(body, scope)? {
-                            Flow::Break => break,
-                            Flow::Return(v) => return Ok(Flow::Return(v)),
-                            Flow::Normal | Flow::Continue => {}
-                        }
-                        if let Some(update) = update {
-                            ctx.eval(update, scope)?;
-                        }
-                    }
-                    Ok(Flow::Normal)
-                })
-            }
-            Stmt::Return(value) => {
-                let v = match value {
-                    Some(e) => self.eval(e, env)?,
-                    None => Value::Undefined,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Block(body, layout) => {
-                self.in_scope(layout, env, |ctx, scope| ctx.exec_block(body, scope))
-            }
-        }
-    }
-
-    /// Evaluates an expression.
-    pub fn eval(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<Value, EngineError> {
-        self.tick()?;
-        match expr {
-            Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Null => Ok(Value::Null),
-            Expr::Undefined => Ok(Value::Undefined),
-            Expr::This(name) => Ok(self.read(env, name).unwrap_or(Value::Undefined)),
-            Expr::Ident(name) => self.lookup(env, name),
-            Expr::ArrayLit(items) => {
-                let mut vals = Vec::with_capacity(items.len());
-                for item in items {
-                    vals.push(self.eval(item, env)?);
+                Op::NewObject => {
+                    self.tick_n(ticks)?;
+                    let h = self.heap.new_object();
+                    self.stack.push(Value::Obj(h));
                 }
-                Ok(Value::Obj(self.heap.new_array(self.machine, &vals)?))
-            }
-            Expr::ObjectLit(props) => {
-                let h = self.heap.new_object();
-                for (key, value_expr, ic) in props {
-                    let v = self.eval(value_expr, env)?;
-                    self.heap.prop_set_ic(self.machine, h, key, &v, ic)?;
-                }
-                Ok(Value::Obj(h))
-            }
-            Expr::Function(def) => {
-                let handle =
-                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
-                Ok(Value::Fun(handle))
-            }
-            Expr::Call { callee, args } => self.eval_call(callee, args, env),
-            Expr::Member(obj, name, ic) => {
-                let receiver = self.eval(obj, env)?;
-                self.member_get(&receiver, name, Some(ic))
-            }
-            Expr::Index(obj, idx) => {
-                let receiver = self.eval(obj, env)?;
-                let index = self.eval(idx, env)?;
-                self.index_get(&receiver, &index)
-            }
-            Expr::Binary(op, lhs, rhs) => match op {
-                BinaryOp::Add => {
-                    let a = self.eval(lhs, env)?;
-                    let b = self.eval(rhs, env)?;
-                    self.binary(*op, &a, &b)
-                }
-                op if is_comparison(*op) => Ok(Value::Bool(self.compare(*op, lhs, rhs, env)?)),
-                op => Ok(Value::Num(self.arith(*op, lhs, rhs, env)?)),
-            },
-            Expr::And(lhs, rhs) => {
-                let a = self.eval(lhs, env)?;
-                if a.truthy() {
-                    self.eval(rhs, env)
-                } else {
-                    Ok(a)
-                }
-            }
-            Expr::Or(lhs, rhs) => {
-                let a = self.eval(lhs, env)?;
-                if a.truthy() {
-                    Ok(a)
-                } else {
-                    self.eval(rhs, env)
-                }
-            }
-            Expr::Unary(op, operand) => Ok(match op {
-                UnaryOp::Neg => Value::Num(-self.eval_num(operand, env)?),
-                UnaryOp::Plus => Value::Num(self.eval_num(operand, env)?),
-                UnaryOp::Not => Value::Bool(!self.eval_cond(operand, env)?),
-                UnaryOp::BitNot => Value::Num(f64::from(!to_int32(self.eval_num(operand, env)?))),
-                UnaryOp::TypeOf => {
-                    let v = match &**operand {
-                        // `typeof` of a name bound nowhere is "undefined",
-                        // not a ReferenceError.
-                        Expr::Ident(name) => self.read(env, name).unwrap_or(Value::Undefined),
-                        _ => self.eval(operand, env)?,
+                Op::InitProp { key, ic } => {
+                    self.tick_n(ticks)?;
+                    let value = self.pop();
+                    let Some(&Value::Obj(h)) = self.stack.last() else {
+                        unreachable!("an object literal is under its values")
                     };
-                    Value::Str(self.heap.new_str(v.type_of()))
+                    self.heap.prop_set_ic(self.machine, h, key, &value, ic)?;
                 }
-            }),
-            Expr::Ternary(cond, a, b) => {
-                if self.eval_cond(cond, env)? {
-                    self.eval(a, env)
-                } else {
-                    self.eval(b, env)
+                Op::Unary { op, dst } => {
+                    self.tick_n(ticks)?;
+                    let a = self.pop();
+                    let value = self.unary(*op, &a);
+                    self.put(env, dst, value);
                 }
-            }
-            Expr::Assign(target, op, value_expr) => {
-                let value = match op {
-                    AssignOp::Assign => self.eval(value_expr, env)?,
-                    AssignOp::Compound(bin) => {
-                        if let Some(value) = self.compound_num(target, *bin, value_expr, env)? {
-                            return Ok(value);
+                Op::Bin { op, dst } => {
+                    self.tick_n(ticks)?;
+                    let b = self.pop();
+                    let a = self.pop();
+                    let value = self.bin(*op, a, b)?;
+                    self.put(env, dst, value);
+                }
+                Op::Member { name, ic, dst } => {
+                    self.tick_n(ticks)?;
+                    let receiver = self.pop();
+                    let value = self.member_get(&receiver, name, Some(ic))?;
+                    self.put(env, dst, value);
+                }
+                Op::Index { dst } => {
+                    self.tick_n(ticks)?;
+                    let index = self.pop();
+                    let receiver = self.pop();
+                    let value = self.index_get(&receiver, &index)?;
+                    self.put(env, dst, value);
+                }
+                Op::SetMember { name, ic, keep } => {
+                    self.tick_n(ticks)?;
+                    let receiver = self.pop();
+                    let value = self.pop();
+                    self.member_set(&receiver, name, &value, Some(ic))?;
+                    if *keep {
+                        self.stack.push(value);
+                    }
+                }
+                Op::SetIndex { keep } => {
+                    self.tick_n(ticks)?;
+                    let index = self.pop();
+                    let receiver = self.pop();
+                    let value = self.pop();
+                    self.index_set(&receiver, &index, &value)?;
+                    if *keep {
+                        self.stack.push(value);
+                    }
+                }
+                Op::Update { name, op, b, dst } => {
+                    if let (Some(x), Some(y)) = (self.name_num(env, name), self.peek_num(env, b)) {
+                        self.tick_n(ticks)?;
+                        let n = num_op(*op, x, y);
+                        self.store_num(env, name, n);
+                        if let Dst::AssignPush(_) = dst {
+                            self.stack.push(Value::Num(n));
                         }
-                        let current = self.read_target(target, env)?;
-                        let rhs = self.eval(value_expr, env)?;
-                        self.binary(*bin, &current, &rhs)?
+                        continue;
                     }
-                };
-                self.write_target(target, env, &value)?;
-                Ok(value)
-            }
-            Expr::IncrDecr { target, is_incr, prefix } => {
-                let step = if *is_incr { 1.0 } else { -1.0 };
-                if let Target::Ident(name) = target {
-                    if let Some(old) = self.peek_num(env, name) {
-                        self.assign(env, name, Value::Num(old + step));
-                        return Ok(Value::Num(if *prefix { old + step } else { old }));
+                    let (current, b) = self.read2(env, ticks, &Src::Name(*name), b)?;
+                    let value = self.bin(*op, current, b)?;
+                    self.put(env, dst, value);
+                }
+                Op::IncDec { name, step, prefix, dst } => {
+                    self.tick_n(ticks)?;
+                    let old = match self.name_num(env, name) {
+                        Some(old) => {
+                            self.store_num(env, name, old + step);
+                            old
+                        }
+                        None => {
+                            let old = number_of(&self.lookup(env, name)?);
+                            self.assign(env, name, Value::Num(old + step));
+                            old
+                        }
+                    };
+                    if !matches!(dst, Dst::Drop) {
+                        self.put(env, dst, Value::Num(if *prefix { old + step } else { old }));
                     }
                 }
-                let current = self.read_target(target, env)?;
-                let old = self.to_number(&current)?;
-                self.write_target(target, env, &Value::Num(old + step))?;
-                Ok(Value::Num(if *prefix { old + step } else { old }))
-            }
-        }
-    }
-
-    /// `ToNumber` of an expression's value, computed without building a
-    /// `Value` for number literals, slots holding a number and the numeric
-    /// operators. Ticks once per node, as [`Ctx::eval`].
-    fn eval_num(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<f64, EngineError> {
-        match expr {
-            Expr::Num(n) => {
-                self.tick()?;
-                Ok(*n)
-            }
-            Expr::Ident(name) => {
-                self.tick()?;
-                match self.peek_num(env, name) {
-                    Some(n) => Ok(n),
-                    None => Ok(number_of(&self.lookup(env, name)?)),
+                Op::IncDecValue { step, prefix } => {
+                    self.tick_n(ticks)?;
+                    let old = number_of(&self.pop());
+                    self.stack.push(Value::Num(if *prefix { old + step } else { old }));
+                    self.stack.push(Value::Num(old + step));
+                }
+                Op::Put(dst) => {
+                    self.tick_n(ticks)?;
+                    let value = self.pop();
+                    self.put(env, dst, value);
+                }
+                Op::DeclareUndef(name) => {
+                    self.tick_n(ticks)?;
+                    // Re-declaring a bound name keeps its value.
+                    if !self.bound(env, name) {
+                        self.declare(env, name, Value::Undefined);
+                    }
+                }
+                Op::Hoist { def, name } => {
+                    self.tick_n(ticks)?;
+                    let closure = Closure { def: Rc::clone(def), env: Rc::clone(env) };
+                    let handle = self.heap.add_closure(closure);
+                    self.declare(env, name, Value::Fun(handle));
+                }
+                Op::Jump(to) => {
+                    self.tick_n(ticks)?;
+                    pc = *to as usize;
+                }
+                Op::JumpIf { when, to } => {
+                    self.tick_n(ticks)?;
+                    if self.pop().truthy() == *when {
+                        pc = *to as usize;
+                    }
+                }
+                Op::JumpKeep { when, to } => {
+                    self.tick_n(ticks)?;
+                    if self.stack.last().is_some_and(Value::truthy) == *when {
+                        pc = *to as usize;
+                    } else {
+                        self.pop();
+                    }
+                }
+                Op::CmpJump { op, a, b, when, to } => {
+                    let truth = match (self.peek_num(env, a), self.peek_num(env, b)) {
+                        (Some(x), Some(y)) => {
+                            self.tick_n(ticks)?;
+                            compare_nums(*op, x, y)
+                        }
+                        _ => {
+                            let (a, b) = self.read2(env, ticks, a, b)?;
+                            self.compare(*op, &a, &b)
+                        }
+                    };
+                    if truth == *when {
+                        pc = *to as usize;
+                    }
+                }
+                Op::EnterScope(layout) => {
+                    self.tick_n(ticks)?;
+                    *env = self.frame(layout, Rc::clone(env));
+                    *scopes += 1;
+                }
+                Op::ExitScope(n) => {
+                    self.tick_n(ticks)?;
+                    for _ in 0..*n {
+                        self.exit_scope(env);
+                    }
+                    *scopes -= n;
+                }
+                Op::Return => {
+                    self.tick_n(ticks)?;
+                    return Ok(Transfer::Return(self.pop()));
+                }
+                Op::ReturnUndef => {
+                    self.tick_n(ticks)?;
+                    return Ok(Transfer::Return(Value::Undefined));
+                }
+                Op::CallBegin => {
+                    self.tick_n(ticks)?;
+                    let callee = self.pop();
+                    self.begin_call(callee);
+                }
+                Op::Call { argc, dst } => {
+                    self.tick_n(ticks)?;
+                    called!(self.finish_call(*argc as usize)?, dst);
+                }
+                Op::CallName { callee, args, dst } => {
+                    let arg_ticks = args.iter().map(Src::nodes).sum::<u32>();
+                    self.tick_n(ticks - arg_ticks)?;
+                    let callee = self.lookup(env, callee)?;
+                    called!(self.call_in_place(env, callee, arg_ticks, args)?, dst);
+                }
+                Op::CallMethod { name, method, ic, argc, dst } => {
+                    self.tick_n(ticks)?;
+                    let args = self.pop_args(*argc as usize);
+                    let receiver = self.pop();
+                    called!(self.method(&receiver, name, *method, ic, args.as_slice())?, dst);
                 }
             }
-            Expr::Binary(op, lhs, rhs) if is_arithmetic(*op) => {
-                self.tick()?;
-                self.arith(*op, lhs, rhs, env)
-            }
-            // Everything else, array reads included (`index_get` already
-            // reads the element straight through `Heap::elem_get`).
-            _ => {
-                let v = self.eval(expr, env)?;
-                Ok(number_of(&v))
-            }
         }
     }
 
-    /// The truthiness of an expression's value, computed without building
-    /// a `Value` for comparisons of numbers, `&&`, `||` and `!`. Ticks once
-    /// per node, as [`Ctx::eval`].
-    fn eval_cond(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<bool, EngineError> {
-        match expr {
-            Expr::Binary(op, lhs, rhs) if is_comparison(*op) => {
-                self.tick()?;
-                self.compare(*op, lhs, rhs, env)
-            }
-            Expr::And(lhs, rhs) => {
-                self.tick()?;
-                Ok(self.eval_cond(lhs, env)? && self.eval_cond(rhs, env)?)
-            }
-            Expr::Or(lhs, rhs) => {
-                self.tick()?;
-                Ok(self.eval_cond(lhs, env)? || self.eval_cond(rhs, env)?)
-            }
-            Expr::Unary(UnaryOp::Not, operand) => {
-                self.tick()?;
-                Ok(!self.eval_cond(operand, env)?)
-            }
-            _ => Ok(self.eval(expr, env)?.truthy()),
-        }
-    }
-
-    /// A numeric operator (every binary operator but `+` and the
-    /// comparisons) over its operands' `ToNumber`, left to right.
     #[inline]
-    fn arith(
-        &mut self,
-        op: BinaryOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        env: &Rc<Env>,
-    ) -> Result<f64, EngineError> {
-        let a = self.eval_num(lhs, env)?;
-        let b = self.eval_num(rhs, env)?;
-        Ok(arith(op, a, b))
+    fn pop(&mut self) -> Value {
+        self.stack.pop().expect("lowering balances the operand stack")
     }
 
-    /// A comparison; two numbers compare without the generic operator.
-    fn compare(
-        &mut self,
-        op: BinaryOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        env: &Rc<Env>,
-    ) -> Result<bool, EngineError> {
-        let a = self.eval(lhs, env)?;
-        let b = self.eval(rhs, env)?;
-        match (&a, &b) {
-            (Value::Num(x), Value::Num(y)) => Ok(compare_nums(op, *x, *y)),
-            _ => Ok(self.compare_values(op, &a, &b)),
+    /// Pops the last `argc` operands, in order.
+    fn pop_args(&mut self, argc: usize) -> ArgBuf {
+        let mut buf = ArgBuf::new(argc);
+        let base = self.stack.len() - argc;
+        for (slot, v) in buf.as_mut_slice().iter_mut().zip(self.stack.drain(base..)) {
+            *slot = v;
+        }
+        buf
+    }
+
+    /// Puts an op's result where the lowering sent it.
+    #[inline]
+    fn put(&mut self, env: &Env, dst: &Dst, value: Value) {
+        match dst {
+            Dst::Push => self.stack.push(value),
+            Dst::Drop => {}
+            Dst::Declare(name) => self.declare(env, name, value),
+            Dst::Assign(name) => self.assign(env, name, value),
+            Dst::AssignPush(name) => {
+                self.assign(env, name, value.clone());
+                self.stack.push(value);
+            }
         }
     }
 
-    /// `name op= value` on a name bound to a number, written back to its
-    /// slot; `None` (nothing evaluated) when the target is not a name or
-    /// the name holds anything else.
-    fn compound_num(
-        &mut self,
-        target: &Target,
-        op: BinaryOp,
-        value_expr: &Expr,
-        env: &Rc<Env>,
-    ) -> Result<Option<Value>, EngineError> {
-        let Target::Ident(name) = target else { return Ok(None) };
-        let Some(current) = self.peek_num(env, name) else { return Ok(None) };
-        let value = if is_arithmetic(op) {
-            Value::Num(arith(op, current, self.eval_num(value_expr, env)?))
-        } else {
-            match self.eval(value_expr, env)? {
-                Value::Num(rhs) if op == BinaryOp::Add => Value::Num(current + rhs),
-                rhs => self.binary(op, &Value::Num(current), &rhs)?,
-            }
+    /// A bound slot's value.
+    #[inline]
+    fn peek_name(&self, env: &Env, name: &Name) -> Option<Value> {
+        match name.slot {
+            Slot::Global(slot) => self.heap.global(slot),
+            Slot::Local { hops, slot } => env.up(hops).get(slot as usize),
+        }
+    }
+
+    /// An in-place operand's value if it is a number literal or a bound
+    /// slot holding a number (no `Value` is built for it).
+    #[inline]
+    fn peek_num(&self, env: &Env, src: &Src) -> Option<f64> {
+        match src {
+            Src::Num(n) => Some(*n),
+            Src::Name(name) => self.name_num(env, name),
+            _ => None,
+        }
+    }
+
+    /// A bound slot's value if it is a number or an object.
+    #[inline]
+    fn peek_fast(&self, env: &Env, name: &Name) -> Option<Fast> {
+        let fast = |v: &Value| match *v {
+            Value::Num(n) => Some(Fast::Num(n)),
+            Value::Obj(h) => Some(Fast::Obj(h)),
+            _ => None,
         };
-        self.assign(env, name, value.clone());
-        Ok(Some(value))
+        match name.slot {
+            Slot::Global(slot) => fast(self.heap.global_ref(slot)?),
+            Slot::Local { hops, slot } => {
+                fast(env.up(hops).slots.borrow()[slot as usize].as_ref()?)
+            }
+        }
     }
 
-    fn eval_call(
-        &mut self,
-        callee: &Expr,
-        args: &[Expr],
-        env: &Rc<Env>,
-    ) -> Result<Value, EngineError> {
-        if let Expr::Member(obj, name, ic) = callee {
-            let receiver = self.eval(obj, env)?;
-            // Builtin methods on primitives and arrays dispatch directly;
-            // everything else is a property holding a function value.
-            let args = self.eval_args(args, env)?;
-            if let Some(result) = self.builtin_method(&receiver, name, args.as_slice())? {
-                return Ok(result);
-            }
-            let f = self.member_get(&receiver, name, Some(ic))?;
-            return self.call_value(&f, receiver, args.as_slice());
+    /// The number a bound slot holds, if it holds one.
+    #[inline]
+    fn name_num(&self, env: &Env, name: &Name) -> Option<f64> {
+        match self.peek_fast(env, name)? {
+            Fast::Num(n) => Some(n),
+            Fast::Obj(_) => None,
         }
-        match self.eval(callee, env)? {
+    }
+
+    /// Ticks the steps an effect must follow: `due` of the op's steps, of
+    /// which `ticked` are spent.
+    #[inline]
+    fn settle(&mut self, due: u32, ticked: &mut u32) -> Result<(), EngineError> {
+        if due <= *ticked {
+            return Ok(());
+        }
+        let n = due - std::mem::replace(ticked, due);
+        self.tick_n(n)
+    }
+
+    /// Reads an in-place operand whose nodes the walker entered after
+    /// `base` of the op's steps. Reading a literal or a bound slot, and
+    /// every operator on numbers, has no effect, so only what has one
+    /// (a by-name walk, a `ReferenceError`, an element or member read, a
+    /// string concatenation) first ticks every step the walker took before
+    /// it.
+    fn operand(
+        &mut self,
+        env: &Env,
+        src: &Src,
+        base: u32,
+        ticked: &mut u32,
+    ) -> Result<Value, EngineError> {
+        match src {
+            Src::Num(n) => Ok(Value::Num(*n)),
+            Src::Lit(value) => Ok(value.clone()),
+            Src::Name(name) => self.name_operand(env, name, base + 1, ticked),
+            Src::Tree(nodes) => self.tree(env, nodes, base, ticked),
+        }
+    }
+
+    /// A name's value, read as `operand` reads it: `due` steps precede a
+    /// by-name walk or a `ReferenceError`.
+    #[inline]
+    fn name_operand(
+        &mut self,
+        env: &Env,
+        name: &Name,
+        due: u32,
+        ticked: &mut u32,
+    ) -> Result<Value, EngineError> {
+        match self.peek_name(env, name) {
+            Some(value) => Ok(value),
+            None => {
+                self.settle(due, ticked)?;
+                self.lookup(env, name)
+            }
+        }
+    }
+
+    /// Evaluates an operand tree as `operand` reads it: numbers and
+    /// objects on the native stack, until a node needs any other value.
+    /// From there on the tree runs on the value stack.
+    fn tree(
+        &mut self,
+        env: &Env,
+        nodes: &[TreeNode],
+        base: u32,
+        ticked: &mut u32,
+    ) -> Result<Value, EngineError> {
+        let mut stack = [Fast::Num(0.0); TREE_DEPTH];
+        let mut sp = 0;
+        // Moves what the native stack holds (and a value just read) to
+        // the value stack, and goes on there from node `at`.
+        macro_rules! values_from {
+            ($at:expr, $read:expr) => {{
+                self.stack.extend(stack[..sp].iter().map(|&f| Value::from(f)));
+                self.stack.extend($read);
+                return self.tree_values(env, nodes, $at, base, ticked);
+            }};
+        }
+        for (at, node) in nodes.iter().enumerate() {
+            let item = match &node.kind {
+                TreeKind::Num(n) => Fast::Num(*n),
+                TreeKind::Name(name) | TreeKind::This(name) => match self.peek_fast(env, name) {
+                    Some(fast) => fast,
+                    None => values_from!(at, None),
+                },
+                TreeKind::Unary(op) if *op != UnaryOp::Not => match stack[sp - 1] {
+                    Fast::Num(x) => {
+                        sp -= 1;
+                        Fast::Num(unary_num(*op, x))
+                    }
+                    Fast::Obj(_) => values_from!(at, None),
+                },
+                TreeKind::Bin(op) if !op.is_comparison() => match (stack[sp - 2], stack[sp - 1]) {
+                    (Fast::Num(x), Fast::Num(y)) => {
+                        sp -= 2;
+                        Fast::Num(num_op(*op, x, y))
+                    }
+                    _ => values_from!(at, None),
+                },
+                TreeKind::Index => match (stack[sp - 2], stack[sp - 1]) {
+                    (Fast::Obj(h), Fast::Num(i)) => {
+                        self.settle(base + node.entered, ticked)?;
+                        sp -= 2;
+                        match self.index_get(&Value::Obj(h), &Value::Num(i))? {
+                            Value::Num(n) => Fast::Num(n),
+                            Value::Obj(h) => Fast::Obj(h),
+                            other => values_from!(at + 1, Some(other)),
+                        }
+                    }
+                    _ => values_from!(at, None),
+                },
+                TreeKind::Member { name, ic } => match stack[sp - 1] {
+                    Fast::Obj(h) => {
+                        self.settle(base + node.entered, ticked)?;
+                        sp -= 1;
+                        match self.member_get(&Value::Obj(h), name, Some(ic))? {
+                            Value::Num(n) => Fast::Num(n),
+                            Value::Obj(h) => Fast::Obj(h),
+                            other => values_from!(at + 1, Some(other)),
+                        }
+                    }
+                    Fast::Num(_) => values_from!(at, None),
+                },
+                _ => values_from!(at, None),
+            };
+            stack[sp] = item;
+            sp += 1;
+        }
+        Ok(Value::from(stack[0]))
+    }
+
+    /// Evaluates tree nodes from `at` on the value stack, which holds the
+    /// values of the nodes before it.
+    fn tree_values(
+        &mut self,
+        env: &Env,
+        nodes: &[TreeNode],
+        at: usize,
+        base: u32,
+        ticked: &mut u32,
+    ) -> Result<Value, EngineError> {
+        for node in &nodes[at..] {
+            let due = base + node.entered;
+            let value = match &node.kind {
+                TreeKind::Num(n) => Value::Num(*n),
+                TreeKind::Lit(value) => value.clone(),
+                TreeKind::Name(name) => self.name_operand(env, name, due, ticked)?,
+                TreeKind::This(name) => match self.peek_name(env, name) {
+                    Some(value) => value,
+                    None => {
+                        self.settle(due, ticked)?;
+                        self.read(env, name).unwrap_or(Value::Undefined)
+                    }
+                },
+                TreeKind::Unary(op) => {
+                    let a = self.pop();
+                    self.unary(*op, &a)
+                }
+                TreeKind::Bin(op) => {
+                    let b = self.pop();
+                    let a = self.pop();
+                    match (&a, &b) {
+                        (Value::Num(x), Value::Num(y)) => num_binary(*op, *x, *y),
+                        (Value::Str(_), _) | (_, Value::Str(_)) if *op == BinaryOp::Add => {
+                            self.settle(due, ticked)?;
+                            self.binary(*op, &a, &b)?
+                        }
+                        _ => self.binary(*op, &a, &b)?,
+                    }
+                }
+                TreeKind::Index => {
+                    self.settle(due, ticked)?;
+                    let index = self.pop();
+                    let receiver = self.pop();
+                    self.index_get(&receiver, &index)?
+                }
+                TreeKind::Member { name, ic } => {
+                    self.settle(due, ticked)?;
+                    let receiver = self.pop();
+                    self.member_get(&receiver, name, Some(ic))?
+                }
+            };
+            self.stack.push(value);
+        }
+        Ok(self.pop())
+    }
+
+    /// Reads one in-place operand, whose nodes are the last of the op's
+    /// `ticks`, then ticks the rest.
+    #[inline]
+    fn read1(&mut self, env: &Env, ticks: u32, a: &Src) -> Result<Value, EngineError> {
+        let mut ticked = 0;
+        let value = self.operand(env, a, ticks - a.nodes(), &mut ticked)?;
+        self.tick_n(ticks - ticked)?;
+        Ok(value)
+    }
+
+    /// Reads two in-place operands, whose nodes are the last of the op's
+    /// `ticks`, then ticks the rest.
+    #[inline]
+    fn read2(
+        &mut self,
+        env: &Env,
+        ticks: u32,
+        a: &Src,
+        b: &Src,
+    ) -> Result<(Value, Value), EngineError> {
+        let mut ticked = 0;
+        let x = self.operand(env, a, ticks - a.nodes() - b.nodes(), &mut ticked)?;
+        let y = self.operand(env, b, ticks - b.nodes(), &mut ticked)?;
+        self.tick_n(ticks - ticked)?;
+        Ok((x, y))
+    }
+
+    /// Reads in-place operands in order into a buffer, as `read2` does.
+    fn read_all(&mut self, env: &Env, ticks: u32, srcs: &[Src]) -> Result<ArgBuf, EngineError> {
+        let mut buf = ArgBuf::new(srcs.len());
+        let mut ticked = 0;
+        let mut base = ticks - srcs.iter().map(Src::nodes).sum::<u32>();
+        for (src, slot) in srcs.iter().zip(buf.as_mut_slice()) {
+            *slot = self.operand(env, src, base, &mut ticked)?;
+            base += src.nodes();
+        }
+        self.tick_n(ticks - ticked)?;
+        Ok(buf)
+    }
+
+    /// A binary operator; two numbers take no generic path.
+    #[inline]
+    fn bin(&mut self, op: BinaryOp, a: Value, b: Value) -> Result<Value, EngineError> {
+        match (&a, &b) {
+            (Value::Num(x), Value::Num(y)) => Ok(num_binary(op, *x, *y)),
+            _ => self.binary(op, &a, &b),
+        }
+    }
+
+    /// A comparison's truth; two numbers take no generic path.
+    #[inline]
+    fn compare(&self, op: BinaryOp, a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Num(x), Value::Num(y)) => compare_nums(op, *x, *y),
+            _ => self.compare_values(op, a, b),
+        }
+    }
+
+    /// A unary operator.
+    pub(crate) fn unary(&mut self, op: UnaryOp, a: &Value) -> Value {
+        match op {
+            UnaryOp::Neg => Value::Num(-number_of(a)),
+            UnaryOp::Plus => Value::Num(number_of(a)),
+            UnaryOp::Not => Value::Bool(!a.truthy()),
+            UnaryOp::BitNot => Value::Num(f64::from(!to_int32(number_of(a)))),
+            UnaryOp::TypeOf => Value::Str(self.heap.new_str(a.type_of())),
+        }
+    }
+
+    /// Writes a number into a name whose slot is bound.
+    #[inline]
+    fn store_num(&mut self, env: &Env, name: &Name, n: f64) {
+        match name.slot {
+            Slot::Global(slot) => self.heap.set_global(slot, Value::Num(n)),
+            Slot::Local { hops, slot } => env.up(hops).set(slot as usize, Value::Num(n)),
+        }
+    }
+
+    /// A plain call whose arguments are read in place: a closure's frame
+    /// is taken before they are read, and they are written straight into
+    /// its parameter slots.
+    fn call_in_place(
+        &mut self,
+        env: &Env,
+        callee: Value,
+        ticks: u32,
+        args: &[Src],
+    ) -> Result<Called, EngineError> {
+        let closure = match callee {
+            Value::Fun(handle) => self.heap.closure(handle).ok().cloned().map(|c| (handle, c)),
+            _ => None,
+        };
+        let Some((handle, Closure { def, env: captured })) = closure else {
             // A stale handle takes the generic path, which fails only
             // after the arguments ran.
-            Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
-                self.call_closure(handle, Value::Undefined, Args::Exprs(args, env))
+            let args = self.read_all(env, ticks, args)?;
+            return self.invoke(&callee, Value::Undefined, args.as_slice());
+        };
+        let frame = self.frame(&def.layout, captured);
+        frame.set(0, Value::Undefined);
+        if let Some(slot) = def.self_slot {
+            frame.set(slot as usize, Value::Fun(handle));
+        }
+        if let Err(err) = self.fill_params(env, &def, &frame, ticks, args) {
+            self.release(frame);
+            return Err(err);
+        }
+        for &slot in def.param_slots.iter().skip(args.len()) {
+            frame.set(slot as usize, Value::Undefined);
+        }
+        Ok(Called::Enter(def, frame))
+    }
+
+    /// Writes in-place arguments into a callee's parameter slots, read as
+    /// `read_all` reads them.
+    fn fill_params(
+        &mut self,
+        env: &Env,
+        def: &FuncDef,
+        frame: &Env,
+        ticks: u32,
+        args: &[Src],
+    ) -> Result<(), EngineError> {
+        let mut ticked = 0;
+        let mut base = 0;
+        for (i, src) in args.iter().enumerate() {
+            let value = self.operand(env, src, base, &mut ticked)?;
+            base += src.nodes();
+            if let Some(&slot) = def.param_slots.get(i) {
+                frame.set(slot as usize, value);
             }
-            target => {
-                let args = self.eval_args(args, env)?;
-                self.call_value(&target, Value::Undefined, args.as_slice())
+        }
+        self.tick_n(ticks - ticked)
+    }
+
+    /// Starts a plain call: a closure's frame is taken, with `this` and
+    /// the function's own name bound, before the arguments run. A stale
+    /// handle takes the generic path, which fails only after they ran.
+    fn begin_call(&mut self, callee: Value) {
+        let pending = match callee {
+            Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
+                let Closure { def, env } = self.heap.closure(handle).expect("checked").clone();
+                let frame = self.frame(&def.layout, env);
+                frame.set(0, Value::Undefined);
+                if let Some(slot) = def.self_slot {
+                    frame.set(slot as usize, Value::Fun(handle));
+                }
+                Pending::Frame(def, frame)
+            }
+            other => Pending::Value(other),
+        };
+        self.calls.push(pending);
+    }
+
+    /// Finishes the innermost plain call with its `argc` arguments: a
+    /// closure's are written straight into the frame `begin_call` took
+    /// (missing ones as `undefined`).
+    fn finish_call(&mut self, argc: usize) -> Result<Called, EngineError> {
+        match self.calls.pop().expect("a call was begun") {
+            Pending::Frame(def, frame) => {
+                let base = self.stack.len() - argc;
+                for (i, v) in self.stack.drain(base..).enumerate() {
+                    if let Some(&slot) = def.param_slots.get(i) {
+                        frame.set(slot as usize, v);
+                    }
+                }
+                for &slot in def.param_slots.iter().skip(argc) {
+                    frame.set(slot as usize, Value::Undefined);
+                }
+                Ok(Called::Enter(def, frame))
+            }
+            Pending::Value(callee) => {
+                let args = self.pop_args(argc);
+                self.invoke(&callee, Value::Undefined, args.as_slice())
             }
         }
     }
 
-    /// Evaluates call arguments left to right into an [`ArgBuf`].
-    fn eval_args(&mut self, args: &[Expr], env: &Rc<Env>) -> Result<ArgBuf, EngineError> {
-        if args.len() > STACK_ARGS {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(self.eval(a, env)?);
-            }
-            return Ok(ArgBuf::Heap(vals));
+    /// `receiver.name(args)`, run to its end.
+    #[cfg(test)]
+    pub(crate) fn call_method(
+        &mut self,
+        receiver: Value,
+        name: &str,
+        method: Method,
+        ic: &PropIc,
+        args: &[Value],
+    ) -> Result<Value, EngineError> {
+        match self.method(&receiver, name, method, ic, args)? {
+            Called::Done(value) => Ok(value),
+            Called::Enter(def, frame) => self.enter(def, frame),
         }
-        let mut buf = [const { Value::Undefined }; STACK_ARGS];
-        for (slot, a) in buf.iter_mut().zip(args) {
-            *slot = self.eval(a, env)?;
+    }
+
+    /// `receiver.name(args)`: builtin methods on strings and arrays
+    /// dispatch directly; anything else calls the property's value with
+    /// the receiver as `this`.
+    fn method(
+        &mut self,
+        receiver: &Value,
+        name: &str,
+        method: Method,
+        ic: &PropIc,
+        args: &[Value],
+    ) -> Result<Called, EngineError> {
+        if let Some(result) = self.builtin_method(receiver, method, args)? {
+            return Ok(Called::Done(result));
         }
-        Ok(ArgBuf::Stack(buf, args.len()))
+        let f = self.member_get(receiver, name, Some(ic))?;
+        self.invoke(&f, receiver.clone(), args)
     }
 
     /// Calls a function value (closure or native) with `this` and `args`.
@@ -584,11 +1051,40 @@ impl<'a> Ctx<'a> {
         this: Value,
         args: &[Value],
     ) -> Result<Value, EngineError> {
+        match self.invoke(callee, this, args)? {
+            Called::Done(value) => Ok(value),
+            Called::Enter(def, frame) => self.enter(def, frame),
+        }
+    }
+
+    /// Starts calling a function value: a native runs to its end; a
+    /// closure gets its frame, with `this`, its own name and the
+    /// arguments bound (missing ones as `undefined`), to be entered.
+    fn invoke(
+        &mut self,
+        callee: &Value,
+        this: Value,
+        args: &[Value],
+    ) -> Result<Called, EngineError> {
         if self.depth >= MAX_CALL_DEPTH {
             return Err(EngineError::Range("call stack exceeded".into()));
         }
         match callee {
-            Value::Fun(handle) => self.call_closure(*handle, this, Args::Values(args)),
+            Value::Fun(handle) => {
+                let Closure { def, env } = self.heap.closure(*handle)?.clone();
+                let frame = self.frame(&def.layout, env);
+                frame.set(0, this);
+                if let Some(slot) = def.self_slot {
+                    frame.set(slot as usize, Value::Fun(*handle));
+                }
+                for (&slot, v) in def.param_slots.iter().zip(args) {
+                    frame.set(slot as usize, v.clone());
+                }
+                for &slot in def.param_slots.iter().skip(args.len()) {
+                    frame.set(slot as usize, Value::Undefined);
+                }
+                Ok(Called::Enter(def, frame))
+            }
             Value::Native(handle) => {
                 let native = self
                     .natives
@@ -598,73 +1094,46 @@ impl<'a> Ctx<'a> {
                 self.depth += 1;
                 let result = native(self, this, args);
                 self.depth -= 1;
-                result
+                Ok(Called::Done(result?))
             }
             other => Err(EngineError::Type(format!("{} is not a function", other.type_of()))),
         }
     }
 
-    /// Runs closure `handle` (which must exist) in a pooled frame: `this`,
-    /// the function's own name and the parameters are written straight
-    /// into their slots, missing arguments as `undefined`.
-    fn call_closure(
-        &mut self,
-        handle: u32,
-        this: Value,
-        args: Args<'_>,
-    ) -> Result<Value, EngineError> {
-        let Closure { def, env } = self.heap.closure(handle)?.clone();
-        let frame = self.frame(&def.layout, env);
-        frame.set(0, this);
-        if let Some(slot) = def.self_slot {
-            frame.set(slot as usize, Value::Fun(handle));
-        }
-        let given = match args {
-            Args::Values(vals) => {
-                for (&slot, v) in def.param_slots.iter().zip(vals) {
-                    frame.set(slot as usize, v.clone());
-                }
-                vals.len()
-            }
-            Args::Exprs(exprs, caller) => {
-                for (i, e) in exprs.iter().enumerate() {
-                    let v = match self.eval(e, caller) {
-                        Ok(v) => v,
-                        Err(err) => {
-                            self.release(frame);
-                            return Err(err);
-                        }
-                    };
-                    if let Some(&slot) = def.param_slots.get(i) {
-                        frame.set(slot as usize, v);
-                    }
-                }
-                exprs.len()
-            }
-        };
-        for &slot in def.param_slots.iter().skip(given) {
-            frame.set(slot as usize, Value::Undefined);
-        }
-        // The depth check comes after the arguments ran, as it does for a
-        // call of any other value.
+    /// Admits a call into a closure's filled `frame`: the depth check
+    /// comes after the arguments ran, as it does for a call of any other
+    /// value.
+    fn admit(&mut self, frame: Rc<Env>) -> Result<Rc<Env>, EngineError> {
         if self.depth >= MAX_CALL_DEPTH {
             self.release(frame);
             return Err(EngineError::Range("call stack exceeded".into()));
         }
         self.heap.closure_calls += 1;
         self.depth += 1;
-        let result = self.exec_block(&def.body, &frame);
+        Ok(frame)
+    }
+
+    /// Runs closure body `def` in its filled `frame` on the native stack
+    /// (a call from a native or the embedder), then releases the frame.
+    pub(crate) fn enter(&mut self, def: Rc<FuncDef>, frame: Rc<Env>) -> Result<Value, EngineError> {
+        let frame = self.admit(frame)?;
+        let result = self.body(&def, &frame);
         self.depth -= 1;
         self.release(frame);
-        match result? {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(Value::Undefined),
+        result
+    }
+
+    fn body(&mut self, def: &FuncDef, frame: &Rc<Env>) -> Result<Value, EngineError> {
+        #[cfg(test)]
+        if self.walker {
+            return self.walk_body(def, frame);
         }
+        self.run(&def.code, frame)
     }
 
     // ---- member / index access ----
 
-    fn member_get(
+    pub(crate) fn member_get(
         &mut self,
         receiver: &Value,
         name: &str,
@@ -697,7 +1166,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn member_set(
+    pub(crate) fn member_set(
         &mut self,
         receiver: &Value,
         name: &JsStr,
@@ -726,7 +1195,11 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn index_get(&mut self, receiver: &Value, index: &Value) -> Result<Value, EngineError> {
+    pub(crate) fn index_get(
+        &mut self,
+        receiver: &Value,
+        index: &Value,
+    ) -> Result<Value, EngineError> {
         match (receiver, index) {
             (Value::Obj(h), Value::Num(i)) if self.heap.kind(*h)? == ObjKind::Array => {
                 self.heap.elem_get(self.machine, *h, *i)
@@ -749,7 +1222,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn index_set(
+    pub(crate) fn index_set(
         &mut self,
         receiver: &Value,
         index: &Value,
@@ -770,7 +1243,7 @@ impl<'a> Ctx<'a> {
 
     /// Reads a variable; an unbound name is a `ReferenceError`.
     #[inline]
-    fn lookup(&mut self, env: &Env, name: &Name) -> Result<Value, EngineError> {
+    pub(crate) fn lookup(&mut self, env: &Env, name: &Name) -> Result<Value, EngineError> {
         self.read(env, name)
             .ok_or_else(|| EngineError::Reference(self.heap.name(name.sym).to_string()))
     }
@@ -778,7 +1251,7 @@ impl<'a> Ctx<'a> {
     /// Reads a name through its resolved slot; an unbound slot continues
     /// outward by name. `None` when the name is bound nowhere.
     #[inline]
-    fn read(&mut self, env: &Env, name: &Name) -> Option<Value> {
+    pub(crate) fn read(&mut self, env: &Env, name: &Name) -> Option<Value> {
         match name.slot {
             Slot::Global(slot) => self.heap.global(slot),
             Slot::Local { hops, slot } => {
@@ -788,19 +1261,6 @@ impl<'a> Ctx<'a> {
                     None => self.read_outward(frame, name.sym),
                 }
             }
-        }
-    }
-
-    /// The number `name`'s resolved slot holds, if it holds one: a read
-    /// that clones no `Value`. `None` sends the caller to the full read.
-    #[inline]
-    fn peek_num(&self, env: &Env, name: &Name) -> Option<f64> {
-        match name.slot {
-            Slot::Global(slot) => match self.heap.global_ref(slot) {
-                Some(Value::Num(n)) => Some(*n),
-                _ => None,
-            },
-            Slot::Local { hops, slot } => env.up(hops).num(slot as usize),
         }
     }
 
@@ -819,7 +1279,7 @@ impl<'a> Ctx<'a> {
     /// Assigns to a name: its resolved slot if bound, else the nearest
     /// binding outward by name, else a new global (sloppy-mode JS).
     #[inline]
-    fn assign(&mut self, env: &Env, name: &Name, value: Value) {
+    pub(crate) fn assign(&mut self, env: &Env, name: &Name, value: Value) {
         match name.slot {
             Slot::Global(slot) => self.heap.set_global(slot, value),
             Slot::Local { hops, slot } => {
@@ -849,7 +1309,7 @@ impl<'a> Ctx<'a> {
 
     /// Whether a declaration's own slot is already bound.
     #[inline]
-    fn bound(&self, env: &Env, name: &Name) -> bool {
+    pub(crate) fn bound(&self, env: &Env, name: &Name) -> bool {
         match name.slot {
             Slot::Global(slot) => self.heap.global(slot).is_some(),
             Slot::Local { hops, slot } => env.up(hops).get(slot as usize).is_some(),
@@ -858,48 +1318,10 @@ impl<'a> Ctx<'a> {
 
     /// Binds a `var` or function declaration in its own scope.
     #[inline]
-    fn declare(&mut self, env: &Env, name: &Name, value: Value) {
+    pub(crate) fn declare(&mut self, env: &Env, name: &Name, value: Value) {
         match name.slot {
             Slot::Global(slot) => self.heap.set_global(slot, value),
             Slot::Local { hops, slot } => env.up(hops).set(slot as usize, value),
-        }
-    }
-
-    fn read_target(&mut self, target: &Target, env: &Rc<Env>) -> Result<Value, EngineError> {
-        match target {
-            Target::Ident(name) => self.lookup(env, name),
-            Target::Member(obj, name, ic) => {
-                let receiver = self.eval(obj, env)?;
-                self.member_get(&receiver, name, Some(ic))
-            }
-            Target::Index(obj, idx) => {
-                let receiver = self.eval(obj, env)?;
-                let index = self.eval(idx, env)?;
-                self.index_get(&receiver, &index)
-            }
-        }
-    }
-
-    fn write_target(
-        &mut self,
-        target: &Target,
-        env: &Rc<Env>,
-        value: &Value,
-    ) -> Result<(), EngineError> {
-        match target {
-            Target::Ident(name) => {
-                self.assign(env, name, value.clone());
-                Ok(())
-            }
-            Target::Member(obj, name, ic) => {
-                let receiver = self.eval(obj, env)?;
-                self.member_set(&receiver, name, value, Some(ic))
-            }
-            Target::Index(obj, idx) => {
-                let receiver = self.eval(obj, env)?;
-                let index = self.eval(idx, env)?;
-                self.index_set(&receiver, &index, value)
-            }
         }
     }
 
@@ -1109,7 +1531,12 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn binary(&mut self, op: BinaryOp, a: &Value, b: &Value) -> Result<Value, EngineError> {
+    pub(crate) fn binary(
+        &mut self,
+        op: BinaryOp,
+        a: &Value,
+        b: &Value,
+    ) -> Result<Value, EngineError> {
         Ok(match op {
             BinaryOp::Add => match (a, b) {
                 (Value::Str(_), _) | (_, Value::Str(_)) => {
@@ -1118,7 +1545,7 @@ impl<'a> Ctx<'a> {
                 }
                 _ => Value::Num(self.to_number(a)? + self.to_number(b)?),
             },
-            op if is_comparison(op) => Value::Bool(self.compare_values(op, a, b)),
+            op if op.is_comparison() => Value::Bool(self.compare_values(op, a, b)),
             op => Value::Num(arith(op, self.to_number(a)?, self.to_number(b)?)),
         })
     }
@@ -1158,18 +1585,19 @@ impl<'a> Ctx<'a> {
 
     // ---- builtin methods on primitives and arrays ----
 
-    /// Dispatches builtin methods; returns `None` when `name` is not a
+    /// Dispatches builtin methods; returns `None` when `method` is not a
     /// builtin for this receiver (the caller falls back to properties).
     fn builtin_method(
         &mut self,
         receiver: &Value,
-        name: &str,
+        method: Method,
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
         match receiver {
-            Value::Str(s) => self.string_method(s, name, args),
+            _ if method == Method::None => Ok(None),
+            Value::Str(s) => self.string_method(s, method, args),
             Value::Obj(h) if self.heap.kind(*h)? == ObjKind::Array => {
-                self.array_method(*h, name, args)
+                self.array_method(*h, method, args)
             }
             _ => Ok(None),
         }
@@ -1178,21 +1606,21 @@ impl<'a> Ctx<'a> {
     fn string_method(
         &mut self,
         s: &JsStr,
-        name: &str,
+        method: Method,
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
-        Ok(Some(match name {
-            "charCodeAt" => {
+        Ok(Some(match method {
+            Method::CharCodeAt => {
                 let code = self
                     .char_index(args.first())?
                     .and_then(|i| s.char_at(i, &mut self.heap.string_bytes_walked));
                 Value::Num(code.map_or(f64::NAN, |c| f64::from(u32::from(c))))
             }
-            "charAt" => {
+            Method::CharAt => {
                 let c = self.char_index(args.first())?.and_then(|i| self.char_str(s, i));
                 Value::Str(c.unwrap_or_else(|| self.heap.new_str("")))
             }
-            "substring" => {
+            Method::Substring => {
                 let len = s.char_len();
                 let a = self.clamped_position(args.first(), len)?;
                 let b = match args.get(1) {
@@ -1202,11 +1630,11 @@ impl<'a> Ctx<'a> {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                 Value::Str(self.substring(s, lo, hi))
             }
-            "slice" => {
+            Method::Slice => {
                 let (lo, hi) = self.slice_bounds(args, s.char_len())?;
                 Value::Str(self.substring(s, lo, hi))
             }
-            "indexOf" => {
+            Method::IndexOf => {
                 let needle = self.string_of(args.first().unwrap_or(&Value::Undefined))?;
                 let from = self.clamped_position(args.get(1), s.char_len())?;
                 match s.index_of(&needle, from, &mut self.heap.string_bytes_walked) {
@@ -1214,7 +1642,7 @@ impl<'a> Ctx<'a> {
                     None => Value::Num(-1.0),
                 }
             }
-            "split" => {
+            Method::Split => {
                 let sep = self.string_of(args.first().unwrap_or(&Value::Undefined))?;
                 let limit = match args.get(1) {
                     Some(Value::Undefined) | None => usize::MAX,
@@ -1230,9 +1658,9 @@ impl<'a> Ctx<'a> {
                 };
                 Value::Obj(self.heap.new_array(self.machine, &parts)?)
             }
-            "toUpperCase" => Value::Str(self.heap.new_str(s.to_uppercase())),
-            "toLowerCase" => Value::Str(self.heap.new_str(s.to_lowercase())),
-            "concat" => {
+            Method::ToUpperCase => Value::Str(self.heap.new_str(s.to_uppercase())),
+            Method::ToLowerCase => Value::Str(self.heap.new_str(s.to_lowercase())),
+            Method::Concat => {
                 let mut parts = Vec::with_capacity(args.len() + 1);
                 parts.push(s.clone());
                 for a in args {
@@ -1307,19 +1735,19 @@ impl<'a> Ctx<'a> {
     fn array_method(
         &mut self,
         h: crate::heap::ObjHandle,
-        name: &str,
+        method: Method,
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
-        Ok(Some(match name {
-            "push" => {
+        Ok(Some(match method {
+            Method::Push => {
                 let mut len = 0;
                 for v in args {
                     len = self.heap.array_push(self.machine, h, v)?;
                 }
                 Value::Num(len as f64)
             }
-            "pop" => self.heap.array_pop(self.machine, h)?,
-            "join" => {
+            Method::Pop => self.heap.array_pop(self.machine, h)?,
+            Method::Join => {
                 let sep = match args.first() {
                     Some(v) => self.string_of(v)?,
                     None => self.heap.char_str(','),
@@ -1332,7 +1760,7 @@ impl<'a> Ctx<'a> {
                 }
                 Value::Str(JsStr::join(&parts, &sep, &mut self.heap.string_bytes_copied))
             }
-            "indexOf" => {
+            Method::IndexOf => {
                 let needle = args.first().cloned().unwrap_or(Value::Undefined);
                 let len = self.heap.array_len(self.machine, h)?;
                 let mut found = -1.0;
@@ -1345,7 +1773,7 @@ impl<'a> Ctx<'a> {
                 }
                 Value::Num(found)
             }
-            "slice" => {
+            Method::Slice => {
                 let len = self.heap.array_len(self.machine, h)?;
                 let (start, end) = self.slice_bounds(args, len as usize)?;
                 let mut out = Vec::new();
@@ -1354,7 +1782,7 @@ impl<'a> Ctx<'a> {
                 }
                 Value::Obj(self.heap.new_array(self.machine, &out)?)
             }
-            "concat" => {
+            Method::Concat => {
                 let len = self.heap.array_len(self.machine, h)?;
                 let mut out = Vec::new();
                 for i in 0..len {
@@ -1379,7 +1807,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// `ToNumber`.
-fn number_of(v: &Value) -> f64 {
+pub(crate) fn number_of(v: &Value) -> f64 {
     match v {
         Value::Num(n) => *n,
         Value::Bool(true) => 1.0,
@@ -1424,23 +1852,54 @@ fn string_to_number(s: &str) -> f64 {
     }
 }
 
-/// Whether `op` is a comparison (its result is a boolean).
+/// Any binary operator on two numbers.
 #[inline]
-fn is_comparison(op: BinaryOp) -> bool {
-    matches!(
-        op,
-        BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
-    )
+fn num_binary(op: BinaryOp, x: f64, y: f64) -> Value {
+    match op {
+        BinaryOp::Add => Value::Num(x + y),
+        op if op.is_comparison() => Value::Bool(compare_nums(op, x, y)),
+        op => Value::Num(arith(op, x, y)),
+    }
 }
 
-/// Whether `op` is numeric: its result is a number computed from its
-/// operands' `ToNumber` (every operator but `+` and the comparisons).
-#[inline]
-fn is_arithmetic(op: BinaryOp) -> bool {
-    op != BinaryOp::Add && !is_comparison(op)
+/// A number or an object: what a tree holds on the native stack.
+#[derive(Clone, Copy)]
+enum Fast {
+    Num(f64),
+    Obj(ObjHandle),
 }
 
-/// A numeric operator (see [`is_arithmetic`]) on two numbers.
+impl From<Fast> for Value {
+    fn from(fast: Fast) -> Value {
+        match fast {
+            Fast::Num(n) => Value::Num(n),
+            Fast::Obj(h) => Value::Obj(h),
+        }
+    }
+}
+
+/// Unary `-`, `+` or `~` on a number.
+#[inline]
+fn unary_num(op: UnaryOp, x: f64) -> f64 {
+    match op {
+        UnaryOp::Neg => -x,
+        UnaryOp::BitNot => f64::from(!to_int32(x)),
+        _ => x,
+    }
+}
+
+/// `+` or a numeric operator on two numbers.
+#[inline]
+fn num_op(op: BinaryOp, x: f64, y: f64) -> f64 {
+    if op == BinaryOp::Add {
+        x + y
+    } else {
+        arith(op, x, y)
+    }
+}
+
+/// A numeric operator (every binary operator but `+` and the
+/// comparisons) on two numbers.
 #[inline]
 fn arith(op: BinaryOp, a: f64, b: f64) -> f64 {
     match op {
@@ -1458,7 +1917,7 @@ fn arith(op: BinaryOp, a: f64, b: f64) -> f64 {
     }
 }
 
-/// A comparison (see [`is_comparison`]) of two numbers.
+/// A comparison of two numbers.
 #[inline]
 fn compare_nums(op: BinaryOp, x: f64, y: f64) -> bool {
     match op {
@@ -1472,28 +1931,37 @@ fn compare_nums(op: BinaryOp, x: f64, y: f64) -> bool {
     }
 }
 
-/// Up to this many call arguments are evaluated into a buffer on the
+/// Up to this many call arguments are popped into a buffer on the native
 /// stack.
 const STACK_ARGS: usize = 4;
 
-/// Evaluated call arguments: on the stack when they fit, else on the heap.
+/// Popped call arguments: in a buffer on the native stack when they fit,
+/// else on the heap.
 enum ArgBuf {
     Stack([Value; STACK_ARGS], usize),
     Heap(Vec<Value>),
 }
 
 impl ArgBuf {
+    /// `len` `undefined`s.
+    fn new(len: usize) -> ArgBuf {
+        if len > STACK_ARGS {
+            return ArgBuf::Heap(vec![Value::Undefined; len]);
+        }
+        ArgBuf::Stack([const { Value::Undefined }; STACK_ARGS], len)
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Value] {
+        match self {
+            ArgBuf::Stack(buf, len) => &mut buf[..*len],
+            ArgBuf::Heap(vals) => vals,
+        }
+    }
+
     fn as_slice(&self) -> &[Value] {
         match self {
             ArgBuf::Stack(buf, len) => &buf[..*len],
             ArgBuf::Heap(vals) => vals,
         }
     }
-}
-
-/// The arguments of a closure call: still to be evaluated in the caller's
-/// frame, or already values.
-enum Args<'a> {
-    Exprs(&'a [Expr], &'a Rc<Env>),
-    Values(&'a [Value]),
 }

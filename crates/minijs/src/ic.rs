@@ -1,6 +1,7 @@
 //! Per-site inline caches for property access.
 //!
-//! Every `obj.name` site in the AST carries a [`PropIc`]: a one-entry
+//! Every `obj.name` site in the AST carries a [`PropIc`], which the op
+//! lowered from the site shares: a one-entry
 //! cache keyed by the receiver's *shape* (for engine objects) or host
 //! class (for DOM references). A hit skips the property-table walk — it
 //! never skips the rights-checked memory access itself, so MPK
@@ -68,11 +69,12 @@ pub struct IcEntry {
 }
 
 /// A per-site inline cache (interior-mutable so the evaluator can fill
-/// it through the shared `&Expr`).
+/// it through a shared op or `&Expr`).
 ///
 /// The entry lives behind an `Rc` so `Expr` stays pointer-sized here
-/// (deeply nested sources recurse on `Expr` size) and so cloned AST
-/// fragments keep feeding the same site cache.
+/// (deeply nested sources recurse on `Expr` size), and so the ops lowered
+/// from a site, and cloned AST fragments, keep feeding the same site
+/// cache.
 #[derive(Clone, Debug)]
 pub struct PropIc(Rc<Cell<IcEntry>>);
 

@@ -5,10 +5,11 @@
 //! input, and shares the address space with the Rust browser. This crate
 //! is that untrusted compartment, built from scratch:
 //!
-//! - a lexer, parser, and tree-walking evaluator for a JavaScript subset
-//!   large enough to run the benchmark kernels (closures, objects, arrays,
-//!   strings, bitwise/`ToInt32` semantics, `Math`/`JSON`/`String`
-//!   builtins);
+//! - a lexer and parser for a JavaScript subset large enough to run the
+//!   benchmark kernels (closures, objects, arrays, strings,
+//!   bitwise/`ToInt32` semantics, `Math`/`JSON`/`String` builtins), which
+//!   lowers each program once into linear streams of typed ops, and the
+//!   one loop that runs them;
 //! - engine heap data (array elements, object property slots) lives in the
 //!   simulated untrusted pool `M_U`, NaN-boxed, and **every** element
 //!   access is rights-checked against the thread's PKRU — so when the
@@ -35,10 +36,13 @@ mod exec;
 mod heap;
 mod ic;
 mod lexer;
+mod lower;
 mod nanbox;
 mod parser;
 mod resolve;
 mod string;
+#[cfg(test)]
+mod walker;
 
 pub use ast::{Expr, FuncDef, Stmt};
 pub use engine::{Engine, ExecStats, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
@@ -46,6 +50,7 @@ pub use error::EngineError;
 pub use exec::Ctx;
 pub use heap::{Heap, HostClassId, ObjHandle, ObjKind, Sym};
 pub use ic::{IcEntry, IcState, PropIc};
+pub use lower::{Code, Program};
 pub use nanbox::{DecodedBox, NanBox};
 pub use parser::parse_program;
 pub use string::JsStr;

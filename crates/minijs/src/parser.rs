@@ -7,12 +7,14 @@ use crate::error::EngineError;
 use crate::heap::{Heap, Sym};
 use crate::ic::PropIc;
 use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lower::{lower_program, Code, Program};
 use crate::resolve::resolve_program;
 use crate::string::JsStr;
 
 /// Parses a whole program, interning every identifier in `heap`'s string
-/// table, and resolves every name to its slot (`crate::resolve`).
-pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Vec<Stmt>, EngineError> {
+/// table, resolves every name to its slot (`crate::resolve`) and lowers
+/// it to op streams (`crate::lower`).
+pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Program, EngineError> {
     let toks = lex(source, heap)?;
     let mut p = Parser { toks, pos: 0, heap };
     let mut stmts = Vec::new();
@@ -20,7 +22,7 @@ pub fn parse_program(source: &str, heap: &mut Heap) -> Result<Vec<Stmt>, EngineE
         stmts.push(p.stmt()?);
     }
     resolve_program(&mut stmts, p.heap);
-    Ok(stmts)
+    Ok(lower_program(stmts))
 }
 
 struct Parser<'h> {
@@ -262,6 +264,7 @@ impl Parser<'_> {
             layout: Rc::from([]),
             param_slots: Vec::new(),
             self_slot: None,
+            code: Code::default(),
         })
     }
 
@@ -518,7 +521,7 @@ mod tests {
     use super::*;
 
     fn parse_program(source: &str) -> Result<Vec<Stmt>, EngineError> {
-        super::parse_program(source, &mut Heap::new())
+        Ok(super::parse_program(source, &mut Heap::new())?.stmts)
     }
 
     #[test]

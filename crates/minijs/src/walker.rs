@@ -1,0 +1,817 @@
+//! The reference tree walker, compiled for tests only.
+//!
+//! This is the engine's evaluator as it was before lowering, in its plain
+//! generic form: one tick on entering each statement and expression node,
+//! operands evaluated left to right into `Value`s, and every operator,
+//! member access and call through the same helpers the op stream uses.
+//! The differential proptest below runs random programs on both and
+//! requires the same results, errors, counters and clock, also when the
+//! step budget runs out partway.
+
+use std::rc::Rc;
+
+use crate::ast::{AssignOp, Expr, FuncDef, Layout, Stmt, Target, UnaryOp};
+use crate::error::EngineError;
+use crate::exec::{number_of, Ctx, Env};
+use crate::heap::Closure;
+use crate::lower::Method;
+use crate::Value;
+
+/// Statement completion.
+enum Flow {
+    Normal,
+    Return(Value),
+    Break,
+    Continue,
+}
+
+impl Ctx<'_> {
+    /// Runs a program's statements in the root frame.
+    pub(crate) fn walk_program(
+        &mut self,
+        stmts: &[Stmt],
+        env: &Rc<Env>,
+    ) -> Result<Value, EngineError> {
+        match self.exec_block(stmts, env)? {
+            Flow::Return(v) => Ok(v),
+            _ => Ok(Value::Undefined),
+        }
+    }
+
+    /// Runs a closure body in its filled frame.
+    pub(crate) fn walk_body(
+        &mut self,
+        def: &FuncDef,
+        frame: &Rc<Env>,
+    ) -> Result<Value, EngineError> {
+        self.walk_program(&def.body, frame)
+    }
+
+    /// Runs `body` in the frame of a `for` or block scope with `layout`:
+    /// a new one, or `env` itself when the scope can bind nothing.
+    fn in_scope(
+        &mut self,
+        layout: &Layout,
+        env: &Rc<Env>,
+        body: impl FnOnce(&mut Self, &Rc<Env>) -> Result<Flow, EngineError>,
+    ) -> Result<Flow, EngineError> {
+        if layout.is_empty() {
+            return body(self, env);
+        }
+        let scope = self.frame(layout, Rc::clone(env));
+        let flow = body(self, &scope);
+        self.release(scope);
+        flow
+    }
+
+    fn exec_block(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Flow, EngineError> {
+        // Hoist function declarations so mutual recursion works.
+        for stmt in stmts {
+            if let Stmt::Func(def, name) = stmt {
+                let handle =
+                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
+                self.declare(env, name, Value::Fun(handle));
+            }
+        }
+        for stmt in stmts {
+            match self.exec_stmt(stmt, env)? {
+                Flow::Normal => {}
+                other => return Ok(other),
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_stmt(&mut self, stmt: &Stmt, env: &Rc<Env>) -> Result<Flow, EngineError> {
+        self.tick()?;
+        match stmt {
+            Stmt::Var(decls) => {
+                for (name, init) in decls {
+                    let v = match init {
+                        Some(e) => self.eval(e, env)?,
+                        // Re-declaring a bound name keeps its value.
+                        None if self.bound(env, name) => continue,
+                        None => Value::Undefined,
+                    };
+                    self.declare(env, name, v);
+                }
+                Ok(Flow::Normal)
+            }
+            Stmt::Func(..) => Ok(Flow::Normal), // Hoisted.
+            Stmt::Expr(e) => {
+                self.eval(e, env)?;
+                Ok(Flow::Normal)
+            }
+            Stmt::If(cond, then, alt) => {
+                if self.eval(cond, env)?.truthy() {
+                    self.exec_block(then, env)
+                } else {
+                    self.exec_block(alt, env)
+                }
+            }
+            Stmt::While(cond, body) => {
+                while self.eval(cond, env)?.truthy() {
+                    match self.exec_block(body, env)? {
+                        Flow::Break => break,
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        Flow::Normal | Flow::Continue => {}
+                    }
+                }
+                Ok(Flow::Normal)
+            }
+            Stmt::DoWhile(body, cond) => {
+                loop {
+                    match self.exec_block(body, env)? {
+                        Flow::Break => break,
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        Flow::Normal | Flow::Continue => {}
+                    }
+                    if !self.eval(cond, env)?.truthy() {
+                        break;
+                    }
+                }
+                Ok(Flow::Normal)
+            }
+            Stmt::For { init, cond, update, body, layout } => {
+                self.in_scope(layout, env, |ctx, scope| {
+                    if let Some(init) = init {
+                        ctx.exec_stmt(init, scope)?;
+                    }
+                    loop {
+                        if let Some(cond) = cond {
+                            if !ctx.eval(cond, scope)?.truthy() {
+                                break;
+                            }
+                        }
+                        match ctx.exec_block(body, scope)? {
+                            Flow::Break => break,
+                            Flow::Return(v) => return Ok(Flow::Return(v)),
+                            Flow::Normal | Flow::Continue => {}
+                        }
+                        if let Some(update) = update {
+                            ctx.eval(update, scope)?;
+                        }
+                    }
+                    Ok(Flow::Normal)
+                })
+            }
+            Stmt::Return(value) => {
+                let v = match value {
+                    Some(e) => self.eval(e, env)?,
+                    None => Value::Undefined,
+                };
+                Ok(Flow::Return(v))
+            }
+            Stmt::Break => Ok(Flow::Break),
+            Stmt::Continue => Ok(Flow::Continue),
+            Stmt::Block(body, layout) => {
+                self.in_scope(layout, env, |ctx, scope| ctx.exec_block(body, scope))
+            }
+        }
+    }
+
+    /// Evaluates an expression.
+    pub(crate) fn eval(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<Value, EngineError> {
+        self.tick()?;
+        match expr {
+            Expr::Num(n) => Ok(Value::Num(*n)),
+            Expr::Str(s) => Ok(Value::Str(s.clone())),
+            Expr::Bool(b) => Ok(Value::Bool(*b)),
+            Expr::Null => Ok(Value::Null),
+            Expr::Undefined => Ok(Value::Undefined),
+            Expr::This(name) => Ok(self.read(env, name).unwrap_or(Value::Undefined)),
+            Expr::Ident(name) => self.lookup(env, name),
+            Expr::ArrayLit(items) => {
+                let mut vals = Vec::with_capacity(items.len());
+                for item in items {
+                    vals.push(self.eval(item, env)?);
+                }
+                Ok(Value::Obj(self.heap.new_array(self.machine, &vals)?))
+            }
+            Expr::ObjectLit(props) => {
+                let h = self.heap.new_object();
+                for (key, value_expr, ic) in props {
+                    let v = self.eval(value_expr, env)?;
+                    self.heap.prop_set_ic(self.machine, h, key, &v, ic)?;
+                }
+                Ok(Value::Obj(h))
+            }
+            Expr::Function(def) => {
+                let handle =
+                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
+                Ok(Value::Fun(handle))
+            }
+            Expr::Call { callee, args } => self.eval_call(callee, args, env),
+            Expr::Member(obj, name, ic) => {
+                let receiver = self.eval(obj, env)?;
+                self.member_get(&receiver, name, Some(ic))
+            }
+            Expr::Index(obj, idx) => {
+                let receiver = self.eval(obj, env)?;
+                let index = self.eval(idx, env)?;
+                self.index_get(&receiver, &index)
+            }
+            Expr::Binary(op, lhs, rhs) => {
+                let a = self.eval(lhs, env)?;
+                let b = self.eval(rhs, env)?;
+                self.binary(*op, &a, &b)
+            }
+            Expr::And(lhs, rhs) => {
+                let a = self.eval(lhs, env)?;
+                if a.truthy() {
+                    self.eval(rhs, env)
+                } else {
+                    Ok(a)
+                }
+            }
+            Expr::Or(lhs, rhs) => {
+                let a = self.eval(lhs, env)?;
+                if a.truthy() {
+                    Ok(a)
+                } else {
+                    self.eval(rhs, env)
+                }
+            }
+            Expr::Unary(op, operand) => {
+                let v = match (op, &**operand) {
+                    // `typeof` of a name bound nowhere is "undefined", not
+                    // a ReferenceError.
+                    (UnaryOp::TypeOf, Expr::Ident(name)) => {
+                        self.read(env, name).unwrap_or(Value::Undefined)
+                    }
+                    _ => self.eval(operand, env)?,
+                };
+                Ok(self.unary(*op, &v))
+            }
+            Expr::Ternary(cond, a, b) => {
+                if self.eval(cond, env)?.truthy() {
+                    self.eval(a, env)
+                } else {
+                    self.eval(b, env)
+                }
+            }
+            Expr::Assign(target, op, value_expr) => {
+                let value = match op {
+                    AssignOp::Assign => self.eval(value_expr, env)?,
+                    AssignOp::Compound(bin) => {
+                        let current = self.read_target(target, env)?;
+                        let rhs = self.eval(value_expr, env)?;
+                        self.binary(*bin, &current, &rhs)?
+                    }
+                };
+                self.write_target(target, env, &value)?;
+                Ok(value)
+            }
+            Expr::IncrDecr { target, is_incr, prefix } => {
+                let step = if *is_incr { 1.0 } else { -1.0 };
+                let old = number_of(&self.read_target(target, env)?);
+                self.write_target(target, env, &Value::Num(old + step))?;
+                Ok(Value::Num(if *prefix { old + step } else { old }))
+            }
+        }
+    }
+
+    fn eval_call(
+        &mut self,
+        callee: &Expr,
+        args: &[Expr],
+        env: &Rc<Env>,
+    ) -> Result<Value, EngineError> {
+        if let Expr::Member(obj, name, ic) = callee {
+            let receiver = self.eval(obj, env)?;
+            let args = self.eval_args(args, env)?;
+            return self.call_method(receiver, name, Method::of(name), ic, &args);
+        }
+        match self.eval(callee, env)? {
+            // A closure's frame is taken before its arguments run; they
+            // are written straight into it.
+            Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
+                let Closure { def, env: captured } = self.heap.closure(handle)?.clone();
+                let frame = self.frame(&def.layout, captured);
+                frame.set(0, Value::Undefined);
+                if let Some(slot) = def.self_slot {
+                    frame.set(slot as usize, Value::Fun(handle));
+                }
+                for (i, e) in args.iter().enumerate() {
+                    let v = match self.eval(e, env) {
+                        Ok(v) => v,
+                        Err(err) => {
+                            self.release(frame);
+                            return Err(err);
+                        }
+                    };
+                    if let Some(&slot) = def.param_slots.get(i) {
+                        frame.set(slot as usize, v);
+                    }
+                }
+                for &slot in def.param_slots.iter().skip(args.len()) {
+                    frame.set(slot as usize, Value::Undefined);
+                }
+                self.enter(def, frame)
+            }
+            // A stale handle takes the generic path, which fails only
+            // after the arguments ran.
+            target => {
+                let args = self.eval_args(args, env)?;
+                self.call_value(&target, Value::Undefined, &args)
+            }
+        }
+    }
+
+    fn eval_args(&mut self, args: &[Expr], env: &Rc<Env>) -> Result<Vec<Value>, EngineError> {
+        args.iter().map(|a| self.eval(a, env)).collect()
+    }
+
+    fn read_target(&mut self, target: &Target, env: &Rc<Env>) -> Result<Value, EngineError> {
+        match target {
+            Target::Ident(name) => self.lookup(env, name),
+            Target::Member(obj, name, ic) => {
+                let receiver = self.eval(obj, env)?;
+                self.member_get(&receiver, name, Some(ic))
+            }
+            Target::Index(obj, idx) => {
+                let receiver = self.eval(obj, env)?;
+                let index = self.eval(idx, env)?;
+                self.index_get(&receiver, &index)
+            }
+        }
+    }
+
+    fn write_target(
+        &mut self,
+        target: &Target,
+        env: &Rc<Env>,
+        value: &Value,
+    ) -> Result<(), EngineError> {
+        match target {
+            Target::Ident(name) => {
+                self.assign(env, name, value.clone());
+                Ok(())
+            }
+            Target::Member(obj, name, ic) => {
+                let receiver = self.eval(obj, env)?;
+                self.member_set(&receiver, name, value, Some(ic))
+            }
+            Target::Index(obj, idx) => {
+                let receiver = self.eval(obj, env)?;
+                let index = self.eval(idx, env)?;
+                self.index_set(&receiver, &index, value)
+            }
+        }
+    }
+}
+
+mod tests {
+    //! The differential proptest: random programs from the language subset
+    //! run on the op stream and on the walker must agree on everything the
+    //! engine reports.
+
+    use lir::{FaultPolicy, Machine};
+    use proptest::prelude::*;
+
+    use crate::{Engine, EngineError, Value};
+
+    /// Names a generated program binds at its top (and reads and writes
+    /// anywhere); `w` is bound nowhere, so reading it is a
+    /// `ReferenceError`, and `u` only ever becomes an implicit global.
+    const VARS: [&str; 6] = ["x", "y", "z", "s", "arr", "obj"];
+
+    /// Builds source text from a tape of choices; an exhausted tape picks
+    /// the first (simplest) choice everywhere, so shrinking the tape
+    /// shrinks the program.
+    struct Gen<'t> {
+        tape: &'t [u32],
+        at: usize,
+        out: String,
+        /// Nesting depth of statements and expressions.
+        depth: u32,
+        /// Counter names in use by enclosing loops.
+        loops: u32,
+        /// Functions declared so far (`f0`, `f1`, ...).
+        funcs: u32,
+        /// Whether a function body is being generated.
+        in_func: bool,
+    }
+
+    impl Gen<'_> {
+        fn pick(&mut self, n: u32) -> u32 {
+            let choice = self.tape.get(self.at).copied().unwrap_or(0);
+            self.at += 1;
+            choice % n
+        }
+
+        /// A name to assign: rarely the implicit global `u`.
+        fn var(&mut self) -> &'static str {
+            match self.pick(16) {
+                0 => "u",
+                i => VARS[(i as usize) % 4],
+            }
+        }
+
+        /// A name to read: a global, a parameter or local of the enclosing
+        /// function, an enclosing loop's counter, or rarely `w` or `u`.
+        fn read(&mut self) -> String {
+            let mut names: Vec<String> = VARS[..4].iter().map(|v| v.to_string()).collect();
+            if self.in_func {
+                names.extend(["a", "b", "t", "this"].map(String::from));
+            }
+            names.extend((0..self.loops).map(|l| format!("i{l}")));
+            match self.pick(64) {
+                0 => "w".into(),
+                1 => "u".into(),
+                i => names[i as usize % names.len()].clone(),
+            }
+        }
+
+        fn program(mut self) -> String {
+            self.out +=
+                "var x = 1, y = 2.5, z = 'ab', s = 0, arr = [1, 2, 3], obj = {p: 1, q: 'r'};\n";
+            self.out += "function mk() { var c = 0; return function(d) { c += d; return c; }; }\n";
+            let n = 1 + self.pick(10);
+            for _ in 0..n {
+                self.stmt();
+            }
+            self.out +=
+                "return '' + x + '|' + y + '|' + z + '|' + s + '|' + arr + '|' + obj.p + obj.q;\n";
+            self.out
+        }
+
+        fn block(&mut self) {
+            self.out += "{ ";
+            let n = self.pick(3);
+            for _ in 0..n {
+                self.stmt();
+            }
+            self.out += "} ";
+        }
+
+        fn stmt(&mut self) {
+            self.depth += 1;
+            let deep = self.depth > 3;
+            match self.pick(if deep { 8 } else { 18 }) {
+                0 => {
+                    let v = self.var();
+                    self.out += &format!("var {v} = ");
+                    self.expr();
+                    self.out += "; ";
+                }
+                1 => {
+                    let v = self.var();
+                    self.out += &format!("{v} = ");
+                    self.expr();
+                    self.out += "; ";
+                }
+                2 => {
+                    let v = self.var();
+                    let op =
+                        ["+=", "-=", "*=", "|=", "<<=", ">>>=", "%=", "^="][self.pick(8) as usize];
+                    self.out += &format!("{v} {op} ");
+                    self.expr();
+                    self.out += "; ";
+                }
+                3 => {
+                    let v = self.var();
+                    let form = ["{v}++", "++{v}", "{v}--", "--{v}"][self.pick(4) as usize];
+                    self.out += &form.replace("{v}", v);
+                    self.out += "; ";
+                }
+                4 => {
+                    self.out += "arr[";
+                    self.expr();
+                    self.out += "] = ";
+                    self.expr();
+                    self.out += "; ";
+                }
+                5 => {
+                    let form =
+                        ["obj.p = ", "obj.q += ", "obj.t = ", "arr[1] += "][self.pick(4) as usize];
+                    self.out += form;
+                    self.expr();
+                    self.out += "; ";
+                }
+                6 => {
+                    self.expr();
+                    self.out += "; ";
+                }
+                7 if self.loops > 0 => {
+                    self.out += "if (";
+                    self.expr();
+                    let jump = if self.pick(2) == 0 { ") break; " } else { ") continue; " };
+                    self.out += jump;
+                }
+                7 => {
+                    self.out += "s += ";
+                    self.expr();
+                    self.out += "; ";
+                }
+                8 | 9 => {
+                    self.out += "if (";
+                    self.expr();
+                    self.out += ") ";
+                    self.block();
+                    if self.pick(2) == 1 {
+                        self.out += "else ";
+                        self.block();
+                    }
+                }
+                10 => {
+                    let i = format!("i{}", self.loops);
+                    let bound = 1 + self.pick(4);
+                    let scoped = if self.pick(2) == 0 { "var " } else { "" };
+                    self.out += &format!("for ({scoped}{i} = 0; {i} < {bound}; {i}++) ");
+                    self.loops += 1;
+                    self.block();
+                    self.loops -= 1;
+                }
+                11 => {
+                    let i = format!("i{}", self.loops);
+                    let bound = 1 + self.pick(3);
+                    self.out += &format!("var {i} = 0; while ({i} < {bound}) {{ {i}++; ");
+                    self.loops += 1;
+                    self.block();
+                    self.loops -= 1;
+                    self.out += "} ";
+                }
+                12 => {
+                    let i = format!("i{}", self.loops);
+                    self.out += &format!("var {i} = 0; do {{ {i}++; ");
+                    self.loops += 1;
+                    self.block();
+                    self.loops -= 1;
+                    let bound = 1 + self.pick(3);
+                    self.out += &format!("}} while ({i} < {bound}); ");
+                }
+                13 => {
+                    let f = self.funcs;
+                    self.funcs += 1;
+                    let saved = self.loops;
+                    self.loops = 0;
+                    let outer = std::mem::replace(&mut self.in_func, true);
+                    self.out += &format!("function f{f}(a, b) {{ var t = a; ");
+                    self.block();
+                    self.out += "return ";
+                    self.expr();
+                    self.out += "; } ";
+                    self.loops = saved;
+                    self.in_func = outer;
+                }
+                14 => {
+                    self.out += "{ let y = ";
+                    self.expr();
+                    self.out += "; ";
+                    self.stmt();
+                    self.out += "} ";
+                }
+                15 => {
+                    self.out += "var h = function(a) { return a + ";
+                    self.expr();
+                    self.out += "; }; s = h(";
+                    self.expr();
+                    self.out += "); ";
+                }
+                16 => {
+                    // A closure that reads `this`, called as a method with
+                    // the receiver in place or on the stack, or plainly.
+                    let body = ["this.p + a", "this.q", "(this.p = a)", "typeof this"]
+                        [self.pick(4) as usize];
+                    let call = ["obj.m(", "[obj][0].m(", "obj.m(1, ", "g("][self.pick(4) as usize];
+                    self.out += &format!(
+                        "obj.m = function(a) {{ return {body}; }}; var g = obj.m; s = {call}"
+                    );
+                    self.expr();
+                    self.out += "); ";
+                }
+                _ => {
+                    self.out += "var k = mk(); k(";
+                    self.expr();
+                    self.out += "); s = k(1); ";
+                }
+            }
+            self.depth -= 1;
+        }
+
+        fn expr(&mut self) {
+            self.depth += 1;
+            let deep = self.depth > 5;
+            match self.pick(if deep { 3 } else { 16 }) {
+                0 => {
+                    let lit = [
+                        "0",
+                        "1",
+                        "3",
+                        "-1",
+                        "0.5",
+                        "'ab'",
+                        "'7'",
+                        "true",
+                        "null",
+                        "undefined",
+                        "2147483648",
+                        "(0/0)",
+                    ][self.pick(12) as usize];
+                    self.out += lit;
+                }
+                1 => {
+                    let v = self.read();
+                    self.out += &v;
+                }
+                2 => {
+                    let v = self.read();
+                    self.out += &v;
+                }
+                3..=5 => {
+                    let op = [
+                        "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&", "|", "^",
+                        "<<", ">>", ">>>", "&&", "||", "===",
+                    ][self.pick(20) as usize];
+                    self.out += "(";
+                    self.expr();
+                    self.out += &format!(" {op} ");
+                    self.expr();
+                    self.out += ")";
+                }
+                6 => {
+                    let op = ["-", "!", "~", "typeof ", "+"][self.pick(5) as usize];
+                    self.out += op;
+                    self.out += "(";
+                    self.expr();
+                    self.out += ")";
+                }
+                7 => {
+                    self.out += "(";
+                    self.expr();
+                    self.out += " ? ";
+                    self.expr();
+                    self.out += " : ";
+                    self.expr();
+                    self.out += ")";
+                }
+                8 => {
+                    self.out += "arr[";
+                    self.expr();
+                    let close = if self.pick(3) == 0 { "]" } else { " & 3]" };
+                    self.out += close;
+                }
+                9 => {
+                    let m = ["obj.p", "obj.q", "arr.length", "z.length", "obj.none"]
+                        [self.pick(5) as usize];
+                    self.out += m;
+                }
+                10 => {
+                    let call = [
+                        "Math.floor(",
+                        "Math.max(1, ",
+                        "Math.min(",
+                        "parseInt(",
+                        "parseFloat(",
+                        "String.fromCharCode(65, ",
+                        "isNaN(",
+                        "z.charCodeAt(",
+                        "z.indexOf('b', ",
+                        "arr.push(",
+                        "arr.indexOf(",
+                        "z.charAt(",
+                        "z.concat(",
+                        "Math.round(",
+                    ][self.pick(14) as usize];
+                    self.out += call;
+                    self.expr();
+                    self.out += ")";
+                }
+                11 if self.funcs > 0 => {
+                    let f = self.pick(self.funcs);
+                    self.out += &format!("f{f}(");
+                    self.expr();
+                    if self.pick(2) == 0 {
+                        self.out += ", ";
+                        self.expr();
+                    }
+                    self.out += ")";
+                }
+                11 => self.out += "arr.join('-')",
+                12 => {
+                    self.out += "[";
+                    self.expr();
+                    self.out += ", ";
+                    self.expr();
+                    self.out += "]";
+                }
+                13 => {
+                    self.out += "({p: ";
+                    self.expr();
+                    self.out += "}).p";
+                }
+                14 => {
+                    let v = self.var();
+                    let form = ["({v} = ", "({v} += ", "({v}++ + "][self.pick(3) as usize];
+                    self.out += &form.replace("{v}", v);
+                    self.expr();
+                    self.out += ")";
+                }
+                _ => {
+                    self.out += "(function(a) { return a * 2; })(";
+                    self.expr();
+                    self.out += ")";
+                }
+            }
+            self.depth -= 1;
+        }
+    }
+
+    /// Everything a run leaves observable.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        result: String,
+        exec: crate::ExecStats,
+        ic: (u64, u64),
+        compile: (u64, u64),
+        elems: u64,
+        strings: (u64, u64),
+        output: Vec<String>,
+        globals: Vec<String>,
+    }
+
+    /// Runs `source` on a fresh engine, on the walker or the op stream,
+    /// on a thread whose stack holds the walker's recursion 128 calls deep
+    /// in a debug build.
+    fn run(source: &str, walker: bool, fuel: u64, ic: bool) -> Outcome {
+        let source = source.to_string();
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || run_here(&source, walker, fuel, ic))
+            .expect("spawn")
+            .join()
+            .expect("the run panicked")
+    }
+
+    fn run_here(source: &str, walker: bool, fuel: u64, ic: bool) -> Outcome {
+        let mut machine = Machine::split(FaultPolicy::Crash).expect("machine");
+        let mut engine = Engine::new(&mut machine).expect("engine");
+        engine.set_fuel(fuel);
+        engine.set_ic_enabled(ic);
+        let result = if walker {
+            engine.eval_walker(&mut machine, source)
+        } else {
+            engine.eval(&mut machine, source)
+        };
+        let result = match result {
+            Ok(Value::Num(n)) if n.is_nan() => "NaN".to_string(),
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("{e:?}"),
+        };
+        let globals = VARS
+            .iter()
+            .chain(&["u", "h", "k", "g", "f0", "f1", "i0", "i1"])
+            .map(|name| match engine.global(name) {
+                Some(Value::Num(n)) if n.is_nan() => "NaN".to_string(),
+                other => format!("{other:?}"),
+            })
+            .collect();
+        Outcome {
+            result,
+            exec: engine.exec_stats(),
+            ic: engine.ic_stats(),
+            compile: engine.compile_stats(),
+            elems: engine.elem_accesses(),
+            strings: engine.string_work(),
+            output: engine.take_output(),
+            globals,
+        }
+    }
+
+    /// The program a tape describes.
+    fn gen(tape: &[u32]) -> String {
+        Gen { tape, at: 0, out: String::new(), depth: 0, loops: 0, funcs: 0, in_func: false }
+            .program()
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The op stream and the walker agree on every generated program:
+        /// the value or error, every counter, the clock and the globals
+        /// left behind; and again under a budget that runs out partway,
+        /// where the op stream must stop at the same clock, exactly one
+        /// past the budget.
+        #[test]
+        fn op_stream_matches_the_walker(
+            tape in proptest::collection::vec(any::<u32>(), 0..160),
+            cut in any::<u64>(),
+            ic in any::<bool>(),
+        ) {
+            let source = gen(&tape);
+            let budget = 20_000;
+            let ops = run(&source, false, budget, ic);
+            let walked = run(&source, true, budget, ic);
+            prop_assert_eq!(&ops, &walked, "{}", source);
+            let steps = ops.exec.steps;
+            if steps > 0 {
+                let fuel = cut % steps.min(budget);
+                let ops = run(&source, false, fuel, ic);
+                let walked = run(&source, true, fuel, ic);
+                prop_assert_eq!(&ops, &walked, "fuel {}: {}", fuel, source);
+                prop_assert_eq!(&ops.result, &format!("{:?}", EngineError::Fuel), "{}", source);
+                prop_assert_eq!(ops.exec.steps, fuel + 1, "{}", source);
+            }
+        }
+    }
+}

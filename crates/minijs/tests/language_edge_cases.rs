@@ -643,3 +643,55 @@ fn a_call_that_fails_mid_body_leaves_later_calls_correct() {
     let v = engine.eval(&mut machine, "return s(4);").unwrap();
     assert!(matches!(v, Value::Num(n) if n == 100.0), "{v:?}");
 }
+
+#[test]
+fn parse_float_takes_the_longest_decimal_prefix() {
+    assert_eq!(eval_num("return parseFloat('3.5px');"), 3.5);
+    assert_eq!(eval_num("return parseFloat('  -.5e1x');"), -5.0);
+    assert_eq!(eval_num("return parseFloat('1e');"), 1.0);
+    assert_eq!(eval_num("return parseFloat('7.');"), 7.0);
+    assert_eq!(eval_num("return parseFloat('-Infinityx');"), f64::NEG_INFINITY);
+    assert!(eval_num("return parseFloat('inf');").is_nan());
+    assert!(eval_num("return parseFloat('.');").is_nan());
+    assert!(eval_num("return parseFloat('');").is_nan());
+}
+
+#[test]
+fn parse_int_reads_hex_prefixes_and_checks_the_radix() {
+    assert_eq!(eval_num("return parseInt('0x1f');"), 31.0);
+    assert_eq!(eval_num("return parseInt('0X1F', 16);"), 31.0);
+    assert_eq!(eval_num("return parseInt('-0x10');"), -16.0);
+    assert_eq!(eval_num("return parseInt('0x1f', 10);"), 0.0);
+    assert_eq!(eval_num("return parseInt('12', 0);"), 12.0);
+    assert_eq!(eval_num("return parseInt('12', undefined);"), 12.0);
+    assert_eq!(eval_num("return parseInt('z', 36);"), 35.0);
+    assert!(eval_num("return parseInt('12', 1);").is_nan());
+    assert!(eval_num("return parseInt('12', 37);").is_nan());
+    assert!(eval_num("return parseInt('0x');").is_nan());
+}
+
+#[test]
+fn math_max_and_min_propagate_nan_and_order_zeros() {
+    assert!(eval_num("return Math.max(1, 0/0);").is_nan());
+    assert!(eval_num("return Math.max(0/0, 1);").is_nan());
+    assert!(eval_num("return Math.min(1, 'x', 2);").is_nan());
+    assert_eq!(eval_num("return Math.max();"), f64::NEG_INFINITY);
+    assert_eq!(eval_num("return Math.min();"), f64::INFINITY);
+    let max_zero = eval_num("return Math.max(-0, 0);");
+    assert!(max_zero == 0.0 && max_zero.is_sign_positive());
+    let min_zero = eval_num("return Math.min(0, -0);");
+    assert!(min_zero == 0.0 && min_zero.is_sign_negative());
+}
+
+#[test]
+fn math_round_takes_halves_toward_positive_infinity() {
+    assert_eq!(eval_num("return Math.round(2.5);"), 3.0);
+    assert_eq!(eval_num("return Math.round(-2.5);"), -2.0);
+    assert_eq!(eval_num("return Math.round(-2.6);"), -3.0);
+    assert_eq!(eval_num("return Math.round(0.49999999999999994);"), 0.0);
+    let minus_zero = eval_num("return Math.round(-0.4);");
+    assert!(minus_zero == 0.0 && minus_zero.is_sign_negative());
+    let half = eval_num("return Math.round(-0.5);");
+    assert!(half == 0.0 && half.is_sign_negative());
+    assert!(eval_num("return Math.round(0/0);").is_nan());
+}

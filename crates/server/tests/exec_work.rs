@@ -6,10 +6,12 @@
 //! each script's step count is pinned to the value the generic evaluator
 //! gave. Finished call and scope frames are pooled, so once a first pass
 //! has filled the pool, a second pass takes no frame from the allocator.
+//! A step budget that runs out stops a script exactly one tick past it,
+//! and leaves the browser able to run the script again in full.
 
-use minijs::{ExecStats, Value};
+use minijs::{EngineError, ExecStats, Value};
 use pkru_server::catalog;
-use servolite::{Browser, BrowserConfig};
+use servolite::{Browser, BrowserConfig, BrowserError};
 use workloads::micro_page;
 
 /// Steps per catalog script (`eval_script` + `call_script("run")`).
@@ -91,4 +93,46 @@ fn a_captured_frame_is_never_pooled() {
     // `counter` and for `c` (the pool is empty), then only for `c`, whose
     // frames do come back.
     assert_eq!(after.fresh_frames - before.fresh_frames, 4, "fresh frames");
+}
+
+/// Budgets per script, spread from none at all to one step short.
+const BUDGETS: u64 = 8;
+
+#[test]
+fn a_spent_budget_stops_each_script_one_tick_past_it() {
+    let mut browser = browser();
+    let reference: Vec<Value> = catalog()
+        .iter()
+        .map(|spec| {
+            browser
+                .eval_script(&spec.source)
+                .and_then(|_| browser.call_script("run", &[]))
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+        })
+        .collect();
+    for ((spec, &(name, steps)), expected) in catalog().iter().zip(&STEPS).zip(&reference) {
+        assert_eq!(spec.name, name);
+        for k in 0..BUDGETS {
+            let fuel = (steps - 1) * k / (BUDGETS - 1);
+            browser.engine.set_fuel(fuel);
+            let before = browser.engine.exec_stats().steps;
+            let result =
+                browser.eval_script(&spec.source).and_then(|_| browser.call_script("run", &[]));
+            assert!(
+                matches!(result, Err(BrowserError::Engine(EngineError::Fuel))),
+                "{name} with {fuel} steps: {result:?}"
+            );
+            // `tick` moves the clock before it checks the budget.
+            let ticks = browser.engine.exec_stats().steps - before;
+            assert_eq!(ticks, fuel + 1, "{name} with {fuel} steps");
+        }
+        browser.engine.set_fuel(u64::MAX);
+        let before = browser.engine.exec_stats().steps;
+        let value = browser
+            .eval_script(&spec.source)
+            .and_then(|_| browser.call_script("run", &[]))
+            .unwrap_or_else(|e| panic!("{name} after its budgets: {e}"));
+        assert_eq!(browser.engine.exec_stats().steps - before, steps, "{name} after its budgets");
+        assert_eq!(format!("{value:?}"), format!("{expected:?}"), "{name} after its budgets");
+    }
 }
