@@ -6,8 +6,8 @@ use std::rc::Rc;
 use lir::Machine;
 
 use crate::error::EngineError;
-use crate::exec::{Ctx, Env};
-use crate::heap::{Heap, HostClassId};
+use crate::exec::{Ctx, Env, Stacks};
+use crate::heap::{Checkpoint, Heap, HostClassId, Rewind};
 use crate::lower::Program;
 use crate::parser::{fmt_f64, parse_program};
 use crate::Value;
@@ -134,6 +134,7 @@ pub struct Engine {
     rng: u64,
     clock: u64,
     output: Vec<String>,
+    stacks: Stacks,
 }
 
 impl Engine {
@@ -151,6 +152,7 @@ impl Engine {
             rng: 0x9E37_79B9_7F4A_7C15,
             clock: 0,
             output: Vec::new(),
+            stacks: Stacks::default(),
         };
         engine.install_stdlib(machine)?;
         Ok(engine)
@@ -208,6 +210,30 @@ impl Engine {
             calls: self.heap.closure_calls,
             fresh_frames: self.heap.fresh_frames,
         }
+    }
+
+    /// A checkpoint of the heap at its current state; see
+    /// [`Engine::rewind`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        self.heap.checkpoint()
+    }
+
+    /// Takes the heap back to `cp` ([`Heap::rewind`]). `roots` are the
+    /// script values the embedder holds; the engine's root scope binds
+    /// nothing itself (its bindings are the global slots, which the
+    /// rewind restores).
+    pub fn rewind<'r>(
+        &mut self,
+        machine: &mut Machine,
+        cp: &mut Checkpoint,
+        roots: impl IntoIterator<Item = &'r Value>,
+    ) -> Rewind {
+        self.heap.rewind(machine, cp, roots)
+    }
+
+    /// Heap rewinds so far: `(went back, refused, buffers leaked)`.
+    pub fn rewind_stats(&self) -> (u64, u64, u64) {
+        (self.heap.rewinds, self.heap.rewinds_refused, self.heap.rewind_leaks)
     }
 
     /// Registers a native and binds it as a global function.
@@ -319,6 +345,7 @@ impl Engine {
             &mut self.rng,
             &mut self.clock,
             &mut self.output,
+            &mut self.stacks,
         )
     }
 

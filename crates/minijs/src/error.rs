@@ -33,6 +33,9 @@ pub enum EngineError {
     Fuel,
     /// An error thrown by a host function.
     Host(String),
+    /// A handle to an object or a closure (named) that a heap rewind
+    /// dropped: its slot has moved on to a newer generation.
+    StaleHandle(&'static str),
 }
 
 impl fmt::Display for EngineError {
@@ -49,6 +52,7 @@ impl fmt::Display for EngineError {
             EngineError::Alloc(e) => write!(f, "allocation failure: {e}"),
             EngineError::Fuel => write!(f, "script step budget exhausted"),
             EngineError::Host(m) => write!(f, "host error: {m}"),
+            EngineError::StaleHandle(kind) => write!(f, "TypeError: stale {kind} handle"),
         }
     }
 }

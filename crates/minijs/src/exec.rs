@@ -61,6 +61,16 @@ impl Env {
         env
     }
 
+    /// The frame's slots.
+    pub(crate) fn values(&self) -> std::cell::Ref<'_, Vec<Option<Value>>> {
+        self.slots.borrow()
+    }
+
+    /// The enclosing frame.
+    pub(crate) fn parent(&self) -> Option<&Env> {
+        self.parent.as_deref()
+    }
+
     #[inline]
     pub(crate) fn get(&self, slot: usize) -> Option<Value> {
         self.slots.borrow()[slot].clone()
@@ -136,6 +146,16 @@ impl Act {
     }
 }
 
+/// The evaluator's stacks, which the engine keeps between contexts: each
+/// context takes them empty but with the capacity earlier runs grew, and
+/// gives them back when it ends.
+#[derive(Default)]
+pub(crate) struct Stacks {
+    stack: Vec<Value>,
+    calls: Vec<Pending>,
+    acts: Vec<Act>,
+}
+
 /// The execution context: everything the evaluator and native functions
 /// need. Natives receive `&mut Ctx`, so they can allocate engine values
 /// and call back into script (the `Callback` micro-benchmark path).
@@ -163,9 +183,23 @@ pub struct Ctx<'a> {
     calls: Vec<Pending>,
     /// The callers of the running activations, innermost last.
     acts: Vec<Act>,
+    /// Where the stacks go back to when the context ends.
+    home: &'a mut Stacks,
     /// Whether closure bodies run on the reference tree walker.
     #[cfg(test)]
     pub(crate) walker: bool,
+}
+
+impl Drop for Ctx<'_> {
+    /// Gives the stacks back to the engine, emptied.
+    fn drop(&mut self) {
+        self.stack.clear();
+        self.calls.clear();
+        self.acts.clear();
+        self.home.stack = std::mem::take(&mut self.stack);
+        self.home.calls = std::mem::take(&mut self.calls);
+        self.home.acts = std::mem::take(&mut self.acts);
+    }
 }
 
 impl<'a> Ctx<'a> {
@@ -180,6 +214,7 @@ impl<'a> Ctx<'a> {
         rng: &'a mut u64,
         clock: &'a mut u64,
         output: &'a mut Vec<String>,
+        home: &'a mut Stacks,
     ) -> Ctx<'a> {
         Ctx {
             machine,
@@ -191,9 +226,10 @@ impl<'a> Ctx<'a> {
             clock,
             output,
             depth: 0,
-            stack: Vec::new(),
-            calls: Vec::new(),
-            acts: Vec::new(),
+            stack: std::mem::take(&mut home.stack),
+            calls: std::mem::take(&mut home.calls),
+            acts: std::mem::take(&mut home.acts),
+            home,
             #[cfg(test)]
             walker: false,
         }
@@ -374,8 +410,7 @@ impl<'a> Ctx<'a> {
                 }
                 Op::Closure { def, dst } => {
                     self.tick_n(ticks)?;
-                    let closure = Closure { def: Rc::clone(def), env: Rc::clone(env) };
-                    let handle = self.heap.add_closure(closure);
+                    let handle = self.heap.add_closure(Rc::clone(def), Rc::clone(env));
                     self.put(env, dst, Value::Fun(handle));
                 }
                 Op::Array { len, dst } => {
@@ -494,8 +529,7 @@ impl<'a> Ctx<'a> {
                 }
                 Op::Hoist { def, name } => {
                     self.tick_n(ticks)?;
-                    let closure = Closure { def: Rc::clone(def), env: Rc::clone(env) };
-                    let handle = self.heap.add_closure(closure);
+                    let handle = self.heap.add_closure(Rc::clone(def), Rc::clone(env));
                     self.declare(env, name, Value::Fun(handle));
                 }
                 Op::Jump(to) => {
@@ -924,7 +958,7 @@ impl<'a> Ctx<'a> {
             Value::Fun(handle) => self.heap.closure(handle).ok().cloned().map(|c| (handle, c)),
             _ => None,
         };
-        let Some((handle, Closure { def, env: captured })) = closure else {
+        let Some((handle, Closure { def, env: captured, .. })) = closure else {
             // A stale handle takes the generic path, which fails only
             // after the arguments ran.
             let args = self.read_all(env, ticks, args)?;
@@ -973,7 +1007,7 @@ impl<'a> Ctx<'a> {
     fn begin_call(&mut self, callee: Value) {
         let pending = match callee {
             Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
-                let Closure { def, env } = self.heap.closure(handle).expect("checked").clone();
+                let Closure { def, env, .. } = self.heap.closure(handle).expect("checked").clone();
                 let frame = self.frame(&def.layout, env);
                 frame.set(0, Value::Undefined);
                 if let Some(slot) = def.self_slot {
@@ -1071,7 +1105,7 @@ impl<'a> Ctx<'a> {
         }
         match callee {
             Value::Fun(handle) => {
-                let Closure { def, env } = self.heap.closure(*handle)?.clone();
+                let Closure { def, env, .. } = self.heap.closure(*handle)?.clone();
                 let frame = self.frame(&def.layout, env);
                 frame.set(0, this);
                 if let Some(slot) = def.self_slot {
@@ -1195,17 +1229,26 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// `receiver[index]`. A number keeps its old meaning where it has
+    /// one: an array element (a non-negative integer, whatever the
+    /// length, so the element fast path and its planted bug stay as they
+    /// are), a string's character or a host node's child. Any other key
+    /// is a property name, its JS `ToString`: `a[-1]` reads property
+    /// `"-1"`, `o[null]` property `"null"`, and a canonical index string
+    /// such as `"2"` is the index 2.
     pub(crate) fn index_get(
         &mut self,
         receiver: &Value,
         index: &Value,
     ) -> Result<Value, EngineError> {
         match (receiver, index) {
-            (Value::Obj(h), Value::Num(i)) if self.heap.kind(*h)? == ObjKind::Array => {
-                self.heap.elem_get(self.machine, *h, *i)
+            (Value::Obj(h), Value::Num(i)) => {
+                if is_elem_index(*i) && self.heap.kind(*h)? == ObjKind::Array {
+                    self.heap.elem_get(self.machine, *h, *i)
+                } else {
+                    self.heap.prop_get(self.machine, *h, &fmt_f64(*i))
+                }
             }
-            (Value::Obj(h), Value::Str(name)) => self.heap.prop_get(self.machine, *h, name),
-            (Value::Obj(h), Value::Num(i)) => self.heap.prop_get(self.machine, *h, &fmt_f64(*i)),
             (Value::Str(s), Value::Num(i)) => {
                 let i = *i;
                 if i < 0.0 || i.fract() != 0.0 {
@@ -1218,10 +1261,18 @@ impl<'a> Ctx<'a> {
                 // class's element spec.
                 self.host_index_get(*addr, class.0, *i)
             }
+            (Value::Obj(_) | Value::Str(_) | Value::HostRef { .. }, _) => {
+                let key = self.string_of(index)?;
+                match canonical_index(&key) {
+                    Some(i) => self.index_get(receiver, &Value::Num(i)),
+                    None => self.member_get(receiver, &key, None),
+                }
+            }
             _ => Err(EngineError::Type(format!("cannot index a {}", receiver.type_of()))),
         }
     }
 
+    /// `receiver[index] = value`, with the keys of [`Ctx::index_get`].
     pub(crate) fn index_set(
         &mut self,
         receiver: &Value,
@@ -1229,13 +1280,20 @@ impl<'a> Ctx<'a> {
         value: &Value,
     ) -> Result<(), EngineError> {
         match (receiver, index) {
-            (Value::Obj(h), Value::Num(i)) if self.heap.kind(*h)? == ObjKind::Array => {
-                self.heap.elem_set(self.machine, *h, *i, value)
-            }
-            (Value::Obj(h), Value::Str(name)) => self.heap.prop_set(self.machine, *h, name, value),
             (Value::Obj(h), Value::Num(i)) => {
-                let key = self.heap.new_str(fmt_f64(*i));
-                self.heap.prop_set(self.machine, *h, &key, value)
+                if is_elem_index(*i) && self.heap.kind(*h)? == ObjKind::Array {
+                    self.heap.elem_set(self.machine, *h, *i, value)
+                } else {
+                    let key = self.heap.new_str(fmt_f64(*i));
+                    self.heap.prop_set(self.machine, *h, &key, value)
+                }
+            }
+            (Value::Obj(_) | Value::HostRef { .. }, index) if !matches!(index, Value::Num(_)) => {
+                let key = self.string_of(index)?;
+                match canonical_index(&key) {
+                    Some(i) => self.index_set(receiver, &Value::Num(i), value),
+                    None => self.member_set(receiver, &key, value, None),
+                }
             }
             _ => Err(EngineError::Type(format!("cannot index-assign a {}", receiver.type_of()))),
         }
@@ -1804,6 +1862,24 @@ impl<'a> Ctx<'a> {
             _ => return Ok(None),
         }))
     }
+}
+
+/// Whether an array reads index `i` as an element (every non-negative
+/// integer; the length check comes after).
+#[inline]
+fn is_elem_index(i: f64) -> bool {
+    i >= 0.0 && i.fract() == 0.0
+}
+
+/// The array index a property key names, if it is one in canonical form:
+/// `"0"` or digits without a leading zero, below 2^32 - 1.
+fn canonical_index(key: &str) -> Option<f64> {
+    let digits = !key.is_empty() && key.len() <= 10 && key.bytes().all(|b| b.is_ascii_digit());
+    if !digits || (key.len() > 1 && key.starts_with('0')) {
+        return None;
+    }
+    let n: u64 = key.parse().ok()?;
+    (n < u64::from(u32::MAX)).then_some(n as f64)
 }
 
 /// `ToNumber`.

@@ -8,7 +8,7 @@
 //! planted length-corruption vulnerability (§5.4) meaningful: the bounds
 //! check trusts a header the attacker can corrupt.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use lir::Machine;
@@ -21,9 +21,53 @@ use crate::nanbox::{DecodedBox, NanBox};
 use crate::string::{AsciiTable, JsStr};
 use crate::Value;
 
-/// Handle to an object in the engine heap.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ObjHandle(pub u32);
+/// Defines a generation-checked handle type (see [`ObjHandle`]).
+macro_rules! handle {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub struct $name {
+            index: u32,
+            gen: u32,
+        }
+
+        impl $name {
+            /// The slot in its table (what a NaN-box stores).
+            pub fn index(self) -> u32 {
+                self.index
+            }
+
+            /// The generation of the slot this handle was made for.
+            pub fn generation(self) -> u32 {
+                self.gen
+            }
+
+            /// A handle to slot `index` at generation `gen`.
+            #[cfg(test)]
+            pub(crate) fn at(index: u32, gen: u32) -> $name {
+                $name { index, gen }
+            }
+        }
+    };
+}
+
+handle! {
+    /// Handle to an object in the engine heap: a slot of the object table
+    /// and the generation of that slot the handle was made for.
+    ///
+    /// [`Heap::rewind`] reuses the slots of the objects it drops, one
+    /// generation later, so a handle kept across a rewind names a slot
+    /// whose generation has moved on: using it is
+    /// [`EngineError::StaleHandle`], never a read of whatever object now
+    /// sits there.
+    ObjHandle
+}
+
+handle! {
+    /// Handle to a closure in the engine heap, generation-checked as
+    /// [`ObjHandle`] is.
+    FunHandle
+}
 
 /// An interned name: an index into the heap's string table.
 ///
@@ -107,12 +151,17 @@ const EMPTY_SHAPE: u32 = 0;
 /// The engine heap.
 pub struct Heap {
     objects: Vec<ObjData>,
+    /// The generation of every object slot ever used: a live object's,
+    /// or the one the next object made in a dropped slot gets.
+    obj_gens: Vec<u32>,
     shapes: Vec<ShapeData>,
     strings: Vec<JsStr>,
     string_index: HashMap<JsStr, u32>,
     /// The one-character ASCII strings.
     ascii: AsciiTable,
     closures: Vec<Closure>,
+    /// The generation of every closure slot ever used.
+    fun_gens: Vec<u32>,
     hostrefs: Vec<(u64, HostClassId)>,
     hostref_index: HashMap<(u64, u32), u64>,
     /// The root scope: one slot per global name, numbered densely in the
@@ -150,6 +199,13 @@ pub struct Heap {
     pub(crate) frame_pool: Vec<Rc<Env>>,
     /// Global IC validity epoch; starts at 1 so a zeroed entry is stale.
     ic_epoch: u64,
+    /// Rewinds that went back to their checkpoint.
+    pub rewinds: u64,
+    /// Rewinds refused (the checkpoint was promoted instead).
+    pub rewinds_refused: u64,
+    /// Buffers of dropped objects the allocator refused to take back
+    /// (their chunk tags in `M_U` were overwritten), left allocated.
+    pub rewind_leaks: u64,
 }
 
 impl Default for Heap {
@@ -163,11 +219,13 @@ impl Heap {
     pub fn new() -> Heap {
         let mut heap = Heap {
             objects: Vec::new(),
+            obj_gens: Vec::new(),
             shapes: vec![ShapeData { props: HashMap::new(), transitions: HashMap::new(), len: 0 }],
             strings: Vec::new(),
             string_index: HashMap::new(),
             ascii: AsciiTable::new(),
             closures: Vec::new(),
+            fun_gens: Vec::new(),
             hostrefs: Vec::new(),
             hostref_index: HashMap::new(),
             globals: Vec::new(),
@@ -185,6 +243,9 @@ impl Heap {
             fresh_frames: 0,
             frame_pool: Vec::new(),
             ic_epoch: 1,
+            rewinds: 0,
+            rewinds_refused: 0,
+            rewind_leaks: 0,
         };
         let this = heap.intern_name("this");
         debug_assert_eq!(this, Sym::THIS);
@@ -208,16 +269,34 @@ impl Heap {
         Ok(self.obj(h)?.shape)
     }
 
+    #[inline]
     fn obj(&self, h: ObjHandle) -> Result<&ObjData, EngineError> {
-        self.objects
-            .get(h.0 as usize)
-            .ok_or_else(|| EngineError::Type("stale object handle".into()))
+        match self.objects.get(h.index as usize) {
+            Some(data) if self.obj_gens[h.index as usize] == h.gen => Ok(data),
+            _ => Err(EngineError::StaleHandle("object")),
+        }
     }
 
     fn obj_mut(&mut self, h: ObjHandle) -> Result<&mut ObjData, EngineError> {
-        self.objects
-            .get_mut(h.0 as usize)
-            .ok_or_else(|| EngineError::Type("stale object handle".into()))
+        match self.objects.get_mut(h.index as usize) {
+            Some(data) if self.obj_gens[h.index as usize] == h.gen => Ok(data),
+            _ => Err(EngineError::StaleHandle("object")),
+        }
+    }
+
+    /// Appends an object record in the next slot, at that slot's
+    /// generation.
+    fn push_object(&mut self, kind: ObjKind, elems_addr: u64) -> ObjHandle {
+        let index = self.objects.len() as u32;
+        let gen = next_gen(&mut self.obj_gens, index);
+        self.objects.push(ObjData {
+            kind,
+            shape: EMPTY_SHAPE,
+            slots_addr: 0,
+            slots_cap: 0,
+            elems_addr,
+        });
+        ObjHandle { index, gen }
     }
 
     /// The kind of `h`.
@@ -227,15 +306,7 @@ impl Heap {
 
     /// Creates a plain object.
     pub fn new_object(&mut self) -> ObjHandle {
-        let h = ObjHandle(self.objects.len() as u32);
-        self.objects.push(ObjData {
-            kind: ObjKind::Plain,
-            shape: EMPTY_SHAPE,
-            slots_addr: 0,
-            slots_cap: 0,
-            elems_addr: 0,
-        });
-        h
+        self.push_object(ObjKind::Plain, 0)
     }
 
     /// Creates an array with the given initial elements.
@@ -248,18 +319,12 @@ impl Heap {
         let addr = machine.alloc.untrusted_alloc(ARRAY_HEADER + 8 * cap)?;
         machine.mem_write(addr, initial.len() as u64)?;
         machine.mem_write(addr + 8, cap)?;
-        let h = ObjHandle(self.objects.len() as u32);
-        self.objects.push(ObjData {
-            kind: ObjKind::Array,
-            shape: EMPTY_SHAPE,
-            slots_addr: 0,
-            slots_cap: 0,
-            elems_addr: addr,
-        });
+        let h = self.push_object(ObjKind::Array, addr);
         for (i, v) in initial.iter().enumerate() {
             let boxed = self.box_value(v);
             machine.mem_write(addr + ARRAY_HEADER + 8 * i as u64, boxed.0)?;
         }
+        clear_elems(machine, addr, initial.len() as u64, cap)?;
         Ok(h)
     }
 
@@ -296,13 +361,12 @@ impl Heap {
         let n = new_len as u64;
         if self.vulnerable {
             // BUG: no clamp against capacity; the header is written as-is.
-            machine.mem_write(addr, n)?;
-            return Ok(());
+            return set_len(machine, addr, n);
         }
         // Patched behavior: shrink freely, grow via the safe path.
         let cap = machine.mem_read(addr + 8)?;
         if n <= cap {
-            machine.mem_write(addr, n)?;
+            set_len(machine, addr, n)?;
         } else {
             self.grow_array(machine, h, n)?;
             machine.mem_write(self.obj(h)?.elems_addr, n)?;
@@ -375,11 +439,8 @@ impl Heap {
             self.grow_array(machine, h, i + 1)?;
         }
         let addr = self.obj(h)?.elems_addr;
-        // Holes created by a sparse write read as `undefined`, not as
-        // whatever stale M_U bytes the buffer previously held.
-        for hole in len..i {
-            machine.mem_write(addr + ARRAY_HEADER + 8 * hole, NanBox::UNDEFINED.0)?;
-        }
+        // The holes a sparse write leaves already read as `undefined`: no
+        // element past the length holds a value (see `set_len`).
         self.elem_writes += 1;
         machine.mem_write(addr + ARRAY_HEADER + 8 * i, boxed.0)?;
         machine.mem_write(addr, i + 1)?; // New length.
@@ -406,7 +467,7 @@ impl Heap {
         }
         let v = self.elem_get(machine, h, (len - 1) as f64)?;
         let addr = self.obj(h)?.elems_addr;
-        machine.mem_write(addr, len - 1)?;
+        set_len(machine, addr, len - 1)?;
         Ok(v)
     }
 
@@ -428,7 +489,8 @@ impl Heap {
         machine.mem_write(new_addr + 8, new_cap)?;
         // Bulk element copy within M_U (the engine's memcpy of its own
         // buffers; rights-equivalent to per-slot untrusted accesses).
-        let bytes = (8 * len.min(cap)) as usize;
+        let copied = len.min(cap);
+        let bytes = (8 * copied) as usize;
         if bytes > 0 {
             let mut buf = vec![0u8; bytes];
             let mut space = machine.space.lock();
@@ -436,6 +498,7 @@ impl Heap {
             space.read_supervisor(old_addr + ARRAY_HEADER, &mut buf).expect("live buffer");
             space.write_supervisor(new_addr + ARRAY_HEADER, &buf).expect("live buffer");
         }
+        clear_elems(machine, new_addr, copied, new_cap)?;
         machine.alloc.dealloc(old_addr)?;
         self.obj_mut(h)?.elems_addr = new_addr;
         Ok(())
@@ -724,17 +787,21 @@ impl Heap {
         self.globals.iter().filter(|v| v.is_some()).count()
     }
 
-    /// Registers a closure, returning its handle.
-    pub fn add_closure(&mut self, closure: Closure) -> u32 {
-        self.closures.push(closure);
-        (self.closures.len() - 1) as u32
+    /// Registers a closure of `def` over `env`, returning its handle.
+    pub fn add_closure(&mut self, def: Rc<FuncDef>, env: Rc<Env>) -> FunHandle {
+        let index = self.closures.len() as u32;
+        let gen = next_gen(&mut self.fun_gens, index);
+        self.closures.push(Closure { def, env });
+        FunHandle { index, gen }
     }
 
     /// Looks up a closure.
-    pub fn closure(&self, handle: u32) -> Result<&Closure, EngineError> {
-        self.closures
-            .get(handle as usize)
-            .ok_or_else(|| EngineError::Type("stale function handle".into()))
+    #[inline]
+    pub fn closure(&self, h: FunHandle) -> Result<&Closure, EngineError> {
+        match self.closures.get(h.index as usize) {
+            Some(closure) if self.fun_gens[h.index as usize] == h.gen => Ok(closure),
+            _ => Err(EngineError::StaleHandle("function")),
+        }
     }
 
     /// Registers (or reuses) a host-reference index for `(addr, class)`.
@@ -746,6 +813,143 @@ impl Heap {
         self.hostrefs.push((addr, class));
         self.hostref_index.insert((addr, class.0), i);
         i
+    }
+
+    /// A checkpoint at the current state: what [`Heap::rewind`] goes
+    /// back to.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            objects: self.objects.len() as u32,
+            closures: self.closures.len() as u32,
+            globals: self.globals.clone(),
+        }
+    }
+
+    /// Goes back to `cp`: drops every object and closure made after it,
+    /// hands the dropped objects' slot and element buffers back to
+    /// `machine`'s allocator, and restores the global slots (slots
+    /// numbered after it become unbound; the table never shrinks, since
+    /// cached programs hold slot numbers). Strings, shapes, host
+    /// references and inline caches are kept: none of them names an
+    /// object or a closure.
+    ///
+    /// First it scans every root older than `cp` for a handle made after
+    /// it: the property slots and elements of old objects, the frames old
+    /// closures captured, and `roots`, the values the embedder holds. If
+    /// it finds one, or a dropped slot's generation is spent, it changes
+    /// nothing, moves `cp` to the current state (a promotion: later
+    /// rewinds still reclaim, and no handle ever dangles) and returns why.
+    ///
+    /// The scan reads `M_U` through the rights-checked machine and the
+    /// frees touch only `M_U` chunk tags, so a rewind needs no `M_T`
+    /// access and no gate crossing.
+    pub fn rewind<'r>(
+        &mut self,
+        machine: &mut Machine,
+        cp: &mut Checkpoint,
+        roots: impl IntoIterator<Item = &'r Value>,
+    ) -> Rewind {
+        let (objects, closures) = (cp.objects as usize, cp.closures as usize);
+        let grew = self.objects.len() > objects || self.closures.len() > closures;
+        if grew {
+            if let Err(refusal) = self.may_rewind(machine, cp, roots) {
+                self.rewinds_refused += 1;
+                *cp = self.checkpoint();
+                return Rewind::Refused(refusal);
+            }
+        }
+        let dropped_objects = bump_gens(&mut self.obj_gens, objects, self.objects.len());
+        let dropped_closures = bump_gens(&mut self.fun_gens, closures, self.closures.len());
+        self.closures.truncate(closures);
+        let (mut freed, mut leaked) = (0, 0);
+        // Newest first, so buffers at the top of the heap go back to its
+        // wilderness.
+        for data in self.objects.drain(objects..).rev() {
+            for addr in [data.slots_addr, data.elems_addr] {
+                if addr == 0 {
+                    continue;
+                }
+                match machine.alloc.dealloc(addr) {
+                    Ok(()) => freed += 1,
+                    Err(_) => leaked += 1,
+                }
+            }
+        }
+        let (kept, added) = self.globals.split_at_mut(cp.globals.len());
+        kept.clone_from_slice(&cp.globals);
+        added.fill(None);
+        self.rewinds += 1;
+        self.rewind_leaks += u64::from(leaked);
+        Rewind::Rewound { objects: dropped_objects, closures: dropped_closures, freed, leaked }
+    }
+
+    /// Whether the heap may go back to `cp`: no root older than it holds
+    /// a handle made after it, and no dropped slot's generation is spent.
+    /// Reads no engine counter.
+    fn may_rewind<'r>(
+        &self,
+        machine: &mut Machine,
+        cp: &Checkpoint,
+        roots: impl IntoIterator<Item = &'r Value>,
+    ) -> Result<(), Refusal> {
+        let newer = |raw: NanBox| match raw.decode() {
+            DecodedBox::Obj(i) => i >= cp.objects,
+            DecodedBox::Fun(i) => i >= cp.closures,
+            _ => false,
+        };
+        for (i, data) in self.objects[..cp.objects as usize].iter().enumerate() {
+            let index = i as u32;
+            let mut read = |addr| machine.mem_read(addr).map_err(|_| Refusal::Unscannable(index));
+            let escaped = Refusal::Escaped(Root::Object(index));
+            for slot in 0..u64::from(self.shapes[data.shape as usize].len) {
+                if newer(NanBox(read(data.slots_addr + 8 * slot)?)) {
+                    return Err(escaped);
+                }
+            }
+            if data.kind == ObjKind::Array {
+                // The whole buffer, not just up to the length: a length
+                // raise exposes what lies past it.
+                let cap = read(data.elems_addr + 8)?;
+                if cap > MAX_ARRAY_LEN {
+                    return Err(Refusal::Unscannable(index));
+                }
+                for e in 0..cap {
+                    if newer(NanBox(read(data.elems_addr + ARRAY_HEADER + 8 * e)?)) {
+                        return Err(escaped);
+                    }
+                }
+            }
+        }
+        let newer_value = |v: &Value| match v {
+            Value::Obj(h) => h.index >= cp.objects,
+            Value::Fun(h) => h.index >= cp.closures,
+            _ => false,
+        };
+        // Closures share frames (every top-level closure captures the
+        // root), so each frame is scanned once.
+        let mut seen: HashSet<*const Env> = HashSet::new();
+        for (i, closure) in self.closures[..cp.closures as usize].iter().enumerate() {
+            let mut frame = Some(&*closure.env);
+            while let Some(env) = frame {
+                if !seen.insert(env) {
+                    break;
+                }
+                if env.values().iter().flatten().any(newer_value) {
+                    return Err(Refusal::Escaped(Root::Closure(i as u32)));
+                }
+                frame = env.parent();
+            }
+        }
+        if roots.into_iter().any(newer_value) {
+            return Err(Refusal::Escaped(Root::Embedder));
+        }
+        let spent = |gens: &[u32]| gens.contains(&u32::MAX);
+        if spent(&self.obj_gens[cp.objects as usize..self.objects.len()])
+            || spent(&self.fun_gens[cp.closures as usize..self.closures.len()])
+        {
+            return Err(Refusal::GenerationExhausted);
+        }
+        Ok(())
     }
 
     /// Encodes an interpreter value for storage in simulated memory.
@@ -763,23 +967,24 @@ impl Heap {
             DecodedBox::Bool(b) => Value::Bool(b),
             DecodedBox::Null => Value::Null,
             DecodedBox::Undefined => Value::Undefined,
-            DecodedBox::Obj(i) => {
-                if (i as usize) < self.objects.len() {
-                    Value::Obj(ObjHandle(i))
-                } else {
-                    return Err(EngineError::Type("corrupted object reference".into()));
-                }
+            // A boxed handle is a bare index: the rewind's root scan
+            // proves no stored one outlives its slot, so it names the
+            // slot's current generation.
+            DecodedBox::Obj(i) if (i as usize) < self.objects.len() => {
+                Value::Obj(ObjHandle { index: i, gen: self.obj_gens[i as usize] })
+            }
+            DecodedBox::Obj(_) => {
+                return Err(EngineError::Type("corrupted object reference".into()))
             }
             DecodedBox::Str(i) => match self.strings.get(i as usize) {
                 Some(s) => Value::Str(s.clone()),
                 None => return Err(EngineError::Type("corrupted string reference".into())),
             },
-            DecodedBox::Fun(i) => {
-                if (i as usize) < self.closures.len() {
-                    Value::Fun(i)
-                } else {
-                    return Err(EngineError::Type("corrupted function reference".into()));
-                }
+            DecodedBox::Fun(i) if (i as usize) < self.closures.len() => {
+                Value::Fun(FunHandle { index: i, gen: self.fun_gens[i as usize] })
+            }
+            DecodedBox::Fun(_) => {
+                return Err(EngineError::Type("corrupted function reference".into()))
             }
             DecodedBox::Native(i) => Value::Native(i),
             DecodedBox::HostRef(i) => match self.hostrefs.get(i as usize) {
@@ -788,6 +993,116 @@ impl Heap {
             },
         })
     }
+}
+
+/// Sets the length header of the array buffer at `addr` to `len`, first
+/// writing `undefined` into the elements a shrink vacates, so that no
+/// element past the length keeps a value: a later length raise reads
+/// `undefined`, as in JS. A header the length bug corrupted (length past
+/// capacity) bounds nothing, so then the buffer is left as it is.
+fn set_len(machine: &mut Machine, addr: u64, len: u64) -> Result<(), EngineError> {
+    let old = machine.mem_read(addr)?;
+    if len < old && old <= machine.mem_read(addr + 8)? {
+        clear_elems(machine, addr, len, old)?;
+    }
+    Ok(machine.mem_write(addr, len)?)
+}
+
+/// Writes `undefined` into elements `from..to` of the array buffer at
+/// `addr`: the part of a new buffer no element was copied into holds
+/// whatever the reused `M_U` chunk held before.
+fn clear_elems(machine: &mut Machine, addr: u64, from: u64, to: u64) -> Result<(), EngineError> {
+    for e in from..to {
+        machine.mem_write(addr + ARRAY_HEADER + 8 * e, NanBox::UNDEFINED.0)?;
+    }
+    Ok(())
+}
+
+/// The generation of table slot `index`, which is the next slot: a slot
+/// used before keeps the generation its last rewind gave it, a new one
+/// starts at 0.
+fn next_gen(gens: &mut Vec<u32>, index: u32) -> u32 {
+    match gens.get(index as usize) {
+        Some(&gen) => gen,
+        None => {
+            gens.push(0);
+            0
+        }
+    }
+}
+
+/// Moves table slots `kept..len` to their next generation (the rewind
+/// checked that none is spent), returning how many there are.
+fn bump_gens(gens: &mut [u32], kept: usize, len: usize) -> u32 {
+    for gen in &mut gens[kept..len] {
+        *gen += 1;
+    }
+    (len - kept) as u32
+}
+
+/// A point [`Heap::rewind`] goes back to: the lengths of the object and
+/// closure tables, and the values of the global slots.
+#[derive(Clone, Debug)]
+pub struct Checkpoint {
+    objects: u32,
+    closures: u32,
+    globals: Vec<Option<Value>>,
+}
+
+impl Checkpoint {
+    /// How many objects are older than the checkpoint.
+    pub fn objects(&self) -> usize {
+        self.objects as usize
+    }
+
+    /// How many closures are older than the checkpoint.
+    pub fn closures(&self) -> usize {
+        self.closures as usize
+    }
+}
+
+/// What [`Heap::rewind`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Rewind {
+    /// The heap is back at its checkpoint.
+    Rewound {
+        /// Objects dropped.
+        objects: u32,
+        /// Closures dropped.
+        closures: u32,
+        /// Slot and element buffers handed back to the allocator.
+        freed: u32,
+        /// Buffers the allocator refused to take back (their chunk tags
+        /// in `M_U` were overwritten), left allocated.
+        leaked: u32,
+    },
+    /// Nothing changed but the checkpoint, which moved to the current
+    /// state.
+    Refused(Refusal),
+}
+
+/// Why [`Heap::rewind`] refused.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Refusal {
+    /// A root older than the checkpoint holds a handle made after it.
+    Escaped(Root),
+    /// The storage of the old object with this index could not be
+    /// scanned: a read faulted, or its array header claims a capacity no
+    /// array can have.
+    Unscannable(u32),
+    /// A dropped slot is at its last generation; reusing it would wrap.
+    GenerationExhausted,
+}
+
+/// Where [`Heap::rewind`] found a handle newer than its checkpoint.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Root {
+    /// A property slot or element of the old object with this index.
+    Object(u32),
+    /// A frame that the old closure with this index captured.
+    Closure(u32),
+    /// A value the embedder holds.
+    Embedder,
 }
 
 #[cfg(test)]
@@ -879,10 +1194,10 @@ mod tests {
         let a = heap.new_array(&mut m, &[Value::Num(7.0)]).unwrap();
         heap.array_set_len(&mut m, a, 1000.0).unwrap();
         assert_eq!(heap.array_len(&mut m, a).unwrap(), 1000);
-        // Element 999 is within the (reallocated) buffer; and element 0
-        // survived the move.
+        // Element 999 is within the (reallocated) buffer and reads as the
+        // hole it is; element 0 survived the move.
         assert!(matches!(heap.elem_get(&mut m, a, 0.0).unwrap(), Value::Num(n) if n == 7.0));
-        assert!(matches!(heap.elem_get(&mut m, a, 999.0).unwrap(), Value::Num(n) if n == 0.0));
+        assert!(matches!(heap.elem_get(&mut m, a, 999.0).unwrap(), Value::Undefined));
     }
 
     #[test]
@@ -905,6 +1220,36 @@ mod tests {
         m.gates.enter_untrusted(&mut m.cpu).unwrap();
         let err = heap.elem_set(&mut m, a, index, &Value::Num(9.0)).unwrap_err();
         assert!(err.is_pkey_violation(), "{err}");
+    }
+
+    #[test]
+    fn rewind_refuses_a_spent_generation_instead_of_wrapping() {
+        let (mut m, mut heap) = setup();
+        let mut cp = heap.checkpoint();
+        let h = heap.new_object();
+        assert!(matches!(heap.rewind(&mut m, &mut cp, []), Rewind::Rewound { objects: 1, .. }));
+        let h2 = heap.new_object();
+        assert_eq!((h2.index, h2.gen), (h.index, 1));
+        assert_eq!(heap.shape_of(h).unwrap_err().to_string(), "TypeError: stale object handle");
+        // The slot's last generation: reusing it once more would wrap.
+        heap.obj_gens[0] = u32::MAX;
+        let rewind = heap.rewind(&mut m, &mut cp, []);
+        assert_eq!(rewind, Rewind::Refused(Refusal::GenerationExhausted));
+        assert_eq!(cp.objects(), 1, "promoted");
+        assert_eq!(heap.obj_gens[0], u32::MAX);
+    }
+
+    #[test]
+    fn rewind_refuses_an_old_array_whose_header_cannot_be_scanned() {
+        let (mut m, mut heap) = setup();
+        let a = heap.new_array(&mut m, &[Value::Num(1.0)]).unwrap();
+        let mut cp = heap.checkpoint();
+        heap.new_object();
+        // A capacity no array can have (only memory corruption writes it).
+        m.mem_write(heap.obj(a).unwrap().elems_addr + 8, MAX_ARRAY_LEN + 1).unwrap();
+        let rewind = heap.rewind(&mut m, &mut cp, []);
+        assert_eq!(rewind, Rewind::Refused(Refusal::Unscannable(a.index)));
+        assert_eq!((heap.rewinds, heap.rewinds_refused), (0, 1));
     }
 
     #[test]

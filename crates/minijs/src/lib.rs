@@ -48,7 +48,9 @@ pub use ast::{Expr, FuncDef, Stmt};
 pub use engine::{Engine, ExecStats, HostClass, HostElements, HostField, HostFieldKind, NativeFn};
 pub use error::EngineError;
 pub use exec::Ctx;
-pub use heap::{Heap, HostClassId, ObjHandle, ObjKind, Sym};
+pub use heap::{
+    Checkpoint, FunHandle, Heap, HostClassId, ObjHandle, ObjKind, Refusal, Rewind, Root, Sym,
+};
 pub use ic::{IcEntry, IcState, PropIc};
 pub use lower::{Code, Program};
 pub use nanbox::{DecodedBox, NanBox};
@@ -74,7 +76,7 @@ pub enum Value {
     /// A heap object (plain object or array) by handle.
     Obj(heap::ObjHandle),
     /// A closure by handle.
-    Fun(u32),
+    Fun(heap::FunHandle),
     /// A native (host) function by handle.
     Native(u32),
     /// A raw host structure reference (a DOM node pointer, etc.).

@@ -8,7 +8,7 @@
 //! `0xFFF8` (a range no canonical hardware NaN produces), and payloads use
 //! the low 48 bits.
 
-use crate::{heap::HostClassId, heap::ObjHandle, Value};
+use crate::{heap::HostClassId, Value};
 
 /// Tag values in the top 16 bits of a boxed non-double.
 const TAG_SPECIAL: u64 = 0xFFF9; // undefined / null / bool
@@ -60,8 +60,8 @@ impl NanBox {
             Value::Null => NanBox(pack(TAG_SPECIAL, SPECIAL_NULL)),
             Value::Undefined => NanBox::UNDEFINED,
             Value::Str(_) => unreachable!("strings are boxed via Heap::box_value"),
-            Value::Obj(h) => NanBox(pack(TAG_OBJ, u64::from(h.0))),
-            Value::Fun(h) => NanBox(pack(TAG_FUN, u64::from(*h))),
+            Value::Obj(h) => NanBox(pack(TAG_OBJ, u64::from(h.index()))),
+            Value::Fun(h) => NanBox(pack(TAG_FUN, u64::from(h.index()))),
             Value::Native(h) => NanBox(pack(TAG_NATIVE, u64::from(*h))),
             Value::HostRef { addr, class } => {
                 NanBox(pack(TAG_HOSTREF, hostref_index(*addr, *class)))
@@ -135,16 +135,10 @@ pub enum DecodedBox {
     HostRef(u64),
 }
 
-impl ObjHandle {
-    /// The raw table index.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::{FunHandle, ObjHandle};
 
     fn no_hostref(_: u64, _: HostClassId) -> u64 {
         panic!("no hostref expected")
@@ -183,11 +177,12 @@ mod tests {
 
     #[test]
     fn handles_roundtrip() {
-        let b = NanBox::from_value(&Value::Obj(ObjHandle(7)), no_hostref);
+        // A box keeps the bare index, whatever the handle's generation.
+        let b = NanBox::from_value(&Value::Obj(ObjHandle::at(7, 2)), no_hostref);
         assert_eq!(b.decode(), DecodedBox::Obj(7));
         let b = NanBox::from_str_handle(9);
         assert_eq!(b.decode(), DecodedBox::Str(9));
-        let b = NanBox::from_value(&Value::Fun(3), no_hostref);
+        let b = NanBox::from_value(&Value::Fun(FunHandle::at(3, 1)), no_hostref);
         assert_eq!(b.decode(), DecodedBox::Fun(3));
     }
 

@@ -68,8 +68,7 @@ impl Ctx<'_> {
         // Hoist function declarations so mutual recursion works.
         for stmt in stmts {
             if let Stmt::Func(def, name) = stmt {
-                let handle =
-                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
+                let handle = self.heap.add_closure(Rc::clone(def), Rc::clone(env));
                 self.declare(env, name, Value::Fun(handle));
             }
         }
@@ -197,8 +196,7 @@ impl Ctx<'_> {
                 Ok(Value::Obj(h))
             }
             Expr::Function(def) => {
-                let handle =
-                    self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
+                let handle = self.heap.add_closure(Rc::clone(def), Rc::clone(env));
                 Ok(Value::Fun(handle))
             }
             Expr::Call { callee, args } => self.eval_call(callee, args, env),
@@ -286,7 +284,7 @@ impl Ctx<'_> {
             // A closure's frame is taken before its arguments run; they
             // are written straight into it.
             Value::Fun(handle) if self.heap.closure(handle).is_ok() => {
-                let Closure { def, env: captured } = self.heap.closure(handle)?.clone();
+                let Closure { def, env: captured, .. } = self.heap.closure(handle)?.clone();
                 let frame = self.frame(&def.layout, captured);
                 frame.set(0, Value::Undefined);
                 if let Some(slot) = def.self_slot {
@@ -448,7 +446,7 @@ mod tests {
         fn stmt(&mut self) {
             self.depth += 1;
             let deep = self.depth > 3;
-            match self.pick(if deep { 8 } else { 18 }) {
+            match self.pick(if deep { 8 } else { 19 }) {
                 0 => {
                     let v = self.var();
                     self.out += &format!("var {v} = ");
@@ -581,6 +579,14 @@ mod tests {
                     self.expr();
                     self.out += "); ";
                 }
+                17 => {
+                    let target = ["arr", "obj"][self.pick(2) as usize];
+                    self.out += target;
+                    self.key();
+                    self.out += " = ";
+                    self.expr();
+                    self.out += "; ";
+                }
                 _ => {
                     self.out += "var k = mk(); k(";
                     self.expr();
@@ -590,10 +596,27 @@ mod tests {
             self.depth -= 1;
         }
 
+        /// An index that is not a plain array index: JS reads it as a
+        /// property name (or, for a canonical index string, the index).
+        /// Never `'length'`: writing an array's length through the planted
+        /// setter can claim billions of elements.
+        fn key(&mut self) {
+            const KEYS: [&str; 8] =
+                ["null", "true", "-1", "1.5", "'p'", "'1'", "(0/0)", "undefined"];
+            match self.pick(9) as usize {
+                8 => {
+                    self.out += "[";
+                    self.expr();
+                    self.out += "]";
+                }
+                i => self.out += &format!("[{}]", KEYS[i]),
+            }
+        }
+
         fn expr(&mut self) {
             self.depth += 1;
             let deep = self.depth > 5;
-            match self.pick(if deep { 3 } else { 16 }) {
+            match self.pick(if deep { 3 } else { 17 }) {
                 0 => {
                     let lit = [
                         "0",
@@ -707,6 +730,11 @@ mod tests {
                     self.out += &form.replace("{v}", v);
                     self.expr();
                     self.out += ")";
+                }
+                15 => {
+                    let receiver = ["arr", "obj", "z"][self.pick(3) as usize];
+                    self.out += receiver;
+                    self.key();
                 }
                 _ => {
                     self.out += "(function(a) { return a * 2; })(";

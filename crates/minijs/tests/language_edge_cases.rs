@@ -147,20 +147,60 @@ fn this_binding_in_methods_and_bare_calls() {
 
 #[test]
 fn array_holes_read_as_undefined() {
-    // Sparse writes fill the intervening holes with `undefined`, never
-    // with stale heap bytes.
+    // Sparse writes and length raises expose `undefined` holes, never
+    // stale heap bytes or elements a pop or shrink removed.
     assert_eq!(eval_num("var a = []; a[3] = 9; return a.length;"), 4.0);
     assert!(matches!(eval("var a = []; a[3] = 9; return a[1];"), Value::Undefined));
     assert_eq!(eval_num("var a = []; a[100] = 1; var n = 0; for (var i = 0; i < 100; i++) if (a[i] == undefined) n++; return n;"), 100.0);
+    // `b` reuses the chunk `a` grew out of, which still holds 1..4.
+    let reused = "var a = [1, 2, 3, 4]; a.push(5); var b = []; b[3] = 0; return b[0];";
+    assert!(matches!(eval(reused), Value::Undefined));
+    let reused = "var a = [1, 2, 3, 4]; a.push(5); var b = []; b.length = 2; return b[1];";
+    assert!(matches!(eval(reused), Value::Undefined));
+    assert!(matches!(
+        eval("var a = [1, 2, 3]; a.length = 0; a.length = 3; return a[0];"),
+        Value::Undefined
+    ));
+    assert!(matches!(
+        eval("var a = [1, 2]; a.pop(); a.length = 2; return a[1];"),
+        Value::Undefined
+    ));
 }
 
 #[test]
 fn negative_and_fractional_indices() {
     assert!(matches!(eval("var a = [1]; return a[-1];"), Value::Undefined));
     assert!(matches!(eval("var a = [1, 2]; return a[0.5];"), Value::Undefined));
+    // A negative index is a property name, not an element: the write
+    // lands and leaves the length alone.
+    assert_eq!(eval_num("var a = [1]; a[-2] = 5; return a[-2] * 10 + a.length;"), 51.0);
+}
+
+#[test]
+fn index_keys_follow_js() {
+    // A key that is not an array index is its `ToString`.
+    assert!(matches!(eval("var a = [1, 2]; return a[null];"), Value::Undefined));
+    assert_eq!(eval_num("var a = [1, 2]; a[null] = 7; return a['null'];"), 7.0);
+    assert_eq!(eval_num("var a = [1]; a[-1] = 1; return a['-1'] + a.length;"), 2.0);
+    assert_eq!(eval_num("var a = [1, 2]; a[1.5] = 4; return a['1.5'] + a.length;"), 6.0);
+    assert_eq!(eval_num("var o = {}; o[true] = 3; return o['true'];"), 3.0);
+    assert_eq!(eval_num("var o = {}; o[undefined] = 2; return o['undefined'];"), 2.0);
+    assert_eq!(eval_num("var a = []; a[0/0] = 8; return a.NaN + a.length;"), 8.0);
+    assert_eq!(eval_num("var o = {}; o[[1, 2]] = 5; return o['1,2'];"), 5.0);
+    assert!(matches!(eval("var o = {}; return o[true];"), Value::Undefined));
+    // A canonical index string names the element; others stay names.
+    assert_eq!(eval_num("var a = [4, 5, 6]; return a['2'];"), 6.0);
+    assert_eq!(eval_num("var a = [4, 5]; a['1'] = 9; return a[1];"), 9.0);
+    assert!(matches!(eval("var a = [4, 5]; return a['01'];"), Value::Undefined));
+    assert_eq!(eval_num("var a = [4, 5, 6]; return a['length'];"), 3.0);
+    assert_eq!(eval_str("return 'abc'['1'];"), "b");
+    assert_eq!(eval_num("return 'abc'['length'];"), 3.0);
+    // Numbers on plain objects are names as before.
+    assert_eq!(eval_num("var o = {}; o[1] = 2; return o['1'];"), 2.0);
+    // Indexing null or undefined is still a TypeError.
     let (mut machine, mut engine) = setup();
-    let result = engine.eval(&mut machine, "var a = [1]; a[-2] = 5;");
-    assert!(matches!(result, Err(EngineError::Range(_))));
+    let result = engine.eval(&mut machine, "var n = null; return n[0];");
+    assert!(matches!(result, Err(EngineError::Type(_))), "{result:?}");
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub use classes::{size_class_for, SIZE_CLASSES};
 pub use error::AllocError;
 pub use split::{Domain, PkAlloc, PkAllocConfig, PkAllocStats};
 pub use trusted::TrustedArena;
-pub use untrusted::UntrustedHeap;
+pub use untrusted::{HeapStats, UntrustedHeap};
 
 use pkru_vmem::VirtAddr;
 
@@ -103,4 +103,10 @@ pub trait CompartmentAlloc {
     /// (trusted, untrusted) allocation counts so far — the `%M_U`
     /// statistic of Tables 1 and 2.
     fn alloc_counts(&self) -> (u64, u64);
+
+    /// The statistics of the untrusted heap, for an allocator that has
+    /// one of its own.
+    fn untrusted_heap_stats(&self) -> Option<HeapStats> {
+        None
+    }
 }

@@ -5,7 +5,7 @@ use pkru_vmem::{SharedSpace, VirtAddr};
 
 use crate::error::AllocError;
 use crate::trusted::TrustedArena;
-use crate::untrusted::UntrustedHeap;
+use crate::untrusted::{HeapStats, UntrustedHeap};
 use crate::{CompartmentAlloc, TRUSTED_BASE, TRUSTED_SPAN, UNTRUSTED_BASE, UNTRUSTED_SPAN};
 
 /// Which pool an object lives in.
@@ -202,6 +202,10 @@ impl CompartmentAlloc for PkAlloc {
 
     fn alloc_counts(&self) -> (u64, u64) {
         (self.stats.trusted_allocs, self.stats.untrusted_allocs)
+    }
+
+    fn untrusted_heap_stats(&self) -> Option<HeapStats> {
+        (!self.unified).then(|| self.untrusted.stats())
     }
 
     fn alloc(&mut self, size: u64) -> Result<VirtAddr, AllocError> {

@@ -22,7 +22,7 @@ pub struct HeapStats {
     pub allocs: u64,
     /// Total frees.
     pub frees: u64,
-    /// Bytes carved from the wilderness so far.
+    /// Bytes carved from the wilderness and not given back to it.
     pub wilderness_used: u64,
 }
 
@@ -141,10 +141,19 @@ impl UntrustedHeap {
             return Err(AllocError::InvalidPointer(ptr));
         }
         let tag = Self::read_tag(space, chunk);
-        if tag & INUSE == 0 {
+        let mut size = tag & !INUSE;
+        // The tags live in M_U, where a compromised compartment can
+        // rewrite them: a size that does not bracket a chunk inside the
+        // carved heap with a matching footer is refused, never used to
+        // coalesce, move the wilderness or place a tag.
+        let bracketed = tag & INUSE != 0
+            && size >= MIN_CHUNK
+            && size.is_multiple_of(16)
+            && chunk.checked_add(size).is_some_and(|end| end <= self.wilderness)
+            && Self::read_tag(space, chunk + size - TAG) == tag;
+        if !bracketed {
             return Err(AllocError::InvalidPointer(ptr));
         }
-        let mut size = tag & !INUSE;
         self.stats.frees += 1;
         self.stats.live_bytes -= size - 2 * TAG;
 
@@ -159,6 +168,13 @@ impl UntrustedHeap {
                     size += prev_size;
                 }
             }
+        }
+        // A chunk that ends at the wilderness goes back to it (dlmalloc's
+        // top-chunk consolidation): the next allocations carve it again.
+        if chunk + size == self.wilderness {
+            self.wilderness = chunk;
+            self.stats.wilderness_used -= size;
+            return Ok(());
         }
         // Coalesce forward.
         let next = chunk + size;
@@ -248,6 +264,44 @@ mod tests {
         // than any single original chunk.
         let big = heap.alloc(&mut space, 150).unwrap();
         assert_eq!(big, a);
+    }
+
+    #[test]
+    fn freeing_the_top_chunks_gives_them_back_to_the_wilderness() {
+        let (mut space, mut heap) = heap();
+        let keep = heap.alloc(&mut space, 48).unwrap();
+        let carved = heap.stats().wilderness_used;
+        let a = heap.alloc(&mut space, 48).unwrap();
+        let b = heap.alloc(&mut space, 200).unwrap();
+        // `a` is not at the top: it waits on the free list until `b`
+        // goes, then both return.
+        heap.dealloc(&mut space, a).unwrap();
+        heap.dealloc(&mut space, b).unwrap();
+        assert_eq!(heap.stats().wilderness_used, carved);
+        assert_eq!(heap.alloc(&mut space, 200).unwrap(), a);
+        assert!(heap.usable_size(&mut space, keep).is_some());
+    }
+
+    #[test]
+    fn a_forged_size_tag_is_refused_not_used() {
+        let (mut space, mut heap) = heap();
+        let a = heap.alloc(&mut space, 48).unwrap();
+        let b = heap.alloc(&mut space, 48).unwrap();
+        let carved = heap.stats().wilderness_used;
+        let header = a - TAG;
+        let size = UntrustedHeap::read_tag(&mut space, header) & !INUSE;
+        // Sizes that would end at the wilderness (over `b`, footer not
+        // matching), past it, off the 16-byte grid, or below a chunk.
+        for forged in [2 * size, 1 << 40, size + 8, 16, !INUSE] {
+            space.write_supervisor(header, &(forged | INUSE).to_le_bytes()).unwrap();
+            assert_eq!(heap.dealloc(&mut space, a), Err(AllocError::InvalidPointer(a)));
+        }
+        assert_eq!(heap.stats().wilderness_used, carved);
+        assert_eq!(heap.stats().frees, 0);
+        // The genuine tag still frees, and `b` stays live.
+        space.write_supervisor(header, &(size | INUSE).to_le_bytes()).unwrap();
+        heap.dealloc(&mut space, a).unwrap();
+        assert!(heap.usable_size(&mut space, b).is_some());
     }
 
     #[test]

@@ -72,6 +72,15 @@ pub struct WorkerStats {
     /// Bulk superinstructions the worker's machine executed in place of
     /// per-byte loops.
     pub fused_ops: u64,
+    /// Requests after which the engine heap went back to its checkpoint.
+    pub rewinds: u64,
+    /// Requests after which the heap rewind refused (a handle made during
+    /// the request escaped into older state) and promoted the checkpoint.
+    pub rewinds_refused: u64,
+    /// Buffers of objects those rewinds dropped that the `M_U` allocator
+    /// refused to take back (their chunk tags were overwritten during the
+    /// request), left allocated.
+    pub rewind_leaks: u64,
 }
 
 /// How one request ends. The worker decides it once per request, and
@@ -234,6 +243,16 @@ impl WorkerCell {
         inner.stats.fused_ops += dispatch.fused_ops;
     }
 
+    /// Folds one incarnation's heap rewind counts `(went back, refused,
+    /// buffers leaked)` into the slot total; not incarnation-gated, like
+    /// the dispatch counters.
+    fn add_rewinds(&self, (rewinds, refused, leaks): (u64, u64, u64)) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.stats.rewinds += rewinds;
+        inner.stats.rewinds_refused += refused;
+        inner.stats.rewind_leaks += leaks;
+    }
+
     /// Takes the request the (dead) incarnation was holding, if any.
     pub(crate) fn take_in_flight(&self) -> Option<Request> {
         self.inner.lock().unwrap().in_flight.take()
@@ -355,6 +374,9 @@ pub(crate) fn run_worker(
         message: format!("initial page: {e}"),
         report: None,
     })?;
+    // Every request leaves the engine heap as the page load left it: the
+    // rewind after each one hands the request's objects back to `M_U`.
+    let mut checkpoint = browser.checkpoint();
     // The worker's ambient compartment context, restored after every
     // tenant-tagged request: the single-U untrusted PKRU and the default
     // (deny-all) syscall filter the browser was built with.
@@ -403,6 +425,10 @@ pub(crate) fn run_worker(
                 None => browser.machine.clear_violation_handler(),
             }
         }
+        // Whether the request completed, failed or faulted, the engine
+        // heap goes back to the checkpoint (or, if a handle the request
+        // made escaped into older state, the checkpoint moves forward).
+        browser.rewind(&mut checkpoint);
         match disposal {
             Ok(disposal) => cell.dispose(incarnation, &request, disposal, ctx.overload),
             // The request stays in flight: the supervisor requeues it.
@@ -422,6 +448,7 @@ pub(crate) fn run_worker(
     };
     cell.add_transitions(browser.stats().transitions);
     cell.add_dispatch(browser.dispatch_stats());
+    cell.add_rewinds(browser.engine.rewind_stats());
     served
 }
 

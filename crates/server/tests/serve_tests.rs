@@ -98,6 +98,9 @@ fn report_all_off() -> ServeReport {
             ic_hits: 512,
             ic_misses: 16,
             fused_ops: 128,
+            rewinds: 2,
+            rewinds_refused: 0,
+            rewind_leaks: 0,
         }],
         elapsed_seconds: 0.5,
         throughput_rps: 4.0,

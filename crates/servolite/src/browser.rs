@@ -8,7 +8,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use lir::{FaultPolicy, Machine, MachineConfig, SharedHost, Trap};
-use minijs::{Engine, EngineError, Value};
+use minijs::{Checkpoint, Engine, EngineError, Rewind, Value};
 use pkalloc::AllocError;
 use pkru_gates::GateError;
 use pkru_handler::ViolationHandler;
@@ -379,6 +379,21 @@ impl Browser {
             self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
         }
         Ok(result?)
+    }
+
+    /// A checkpoint of the engine heap at its current state; see
+    /// [`Browser::rewind`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        self.engine.checkpoint()
+    }
+
+    /// Takes the engine heap back to `cp` ([`minijs::Heap::rewind`]), with
+    /// the listener callbacks the browser holds as roots: a callback
+    /// registered after `cp` refuses the rewind and promotes `cp`. Runs
+    /// in whatever compartment the caller is in; it crosses no gate.
+    pub fn rewind(&mut self, cp: &mut Checkpoint) -> Rewind {
+        let listeners = self.listeners.borrow();
+        self.engine.rewind(&mut self.machine, cp, listeners.values().flatten())
     }
 
     /// Allocates a probe object at [`Site::FaultProbe`] and reads it back

@@ -282,6 +282,11 @@ impl AddressSpace {
         self.frames.len() as u64 * PAGE_SIZE
     }
 
+    /// Number of materialized pages whose base lies in `[start, end)`.
+    pub fn resident_pages_in(&self, start: VirtAddr, end: VirtAddr) -> u64 {
+        self.frames.keys().filter(|&&base| (start..end).contains(&base)).count() as u64
+    }
+
     fn region_containing(&self, addr: VirtAddr) -> Option<&Region> {
         let (_, region) = self.regions.range(..=addr).next_back()?;
         (addr < region.end).then_some(region)
