@@ -16,9 +16,11 @@ use lir::Machine;
 use crate::ast::{BinaryOp, FuncDef, Layout, Name, Slot, UnaryOp};
 use crate::engine::{HostClass, HostField, HostFieldKind, NativeFn};
 use crate::error::EngineError;
-use crate::heap::{Closure, Heap, ObjHandle, ObjKind, Sym};
+use crate::heap::{Closure, FunHandle, Heap, ObjHandle, ObjKind, Sym};
 use crate::ic::{IcState, PropIc};
-use crate::lower::{Code, Dst, Inst, Method, Op, Src, TreeKind, TreeNode, TREE_DEPTH};
+use crate::lower::{
+    tree_steps, Code, Dst, Inst, Method, Op, Src, TreeKind, TreeNode, LEAF_SLOTS, TREE_DEPTH,
+};
 use crate::parser::fmt_f64;
 use crate::string::JsStr;
 use crate::{to_int32, to_uint32, Value};
@@ -183,6 +185,10 @@ pub struct Ctx<'a> {
     calls: Vec<Pending>,
     /// The callers of the running activations, innermost last.
     acts: Vec<Act>,
+    /// The slots of the leaf call running: `this`, the parameters and the
+    /// function's own name. A leaf's tree calls nothing, so one buffer
+    /// serves every leaf call.
+    args: [Value; LEAF_SLOTS],
     /// Where the stacks go back to when the context ends.
     home: &'a mut Stacks,
     /// Whether closure bodies run on the reference tree walker.
@@ -229,6 +235,7 @@ impl<'a> Ctx<'a> {
             stack: std::mem::take(&mut home.stack),
             calls: std::mem::take(&mut home.calls),
             acts: std::mem::take(&mut home.acts),
+            args: [const { Value::Undefined }; LEAF_SLOTS],
             home,
             #[cfg(test)]
             walker: false,
@@ -602,6 +609,12 @@ impl<'a> Ctx<'a> {
                 }
                 Op::CallMethod { name, method, ic, argc, dst } => {
                     self.tick_n(ticks)?;
+                    if *argc == 1 {
+                        if let Some(value) = self.method_direct(*method)? {
+                            self.put(env, dst, value);
+                            continue;
+                        }
+                    }
                     let args = self.pop_args(*argc as usize);
                     let receiver = self.pop();
                     called!(self.method(&receiver, name, *method, ic, args.as_slice())?, dst);
@@ -660,20 +673,24 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// What `f` makes of a bound slot's value, read where it lies.
+    #[inline]
+    fn peek_with<T>(
+        &self,
+        env: &Env,
+        name: &Name,
+        f: impl FnOnce(&Value) -> Option<T>,
+    ) -> Option<T> {
+        match name.slot {
+            Slot::Global(slot) => f(self.heap.global_ref(slot)?),
+            Slot::Local { hops, slot } => f(env.up(hops).slots.borrow()[slot as usize].as_ref()?),
+        }
+    }
+
     /// A bound slot's value if it is a number or an object.
     #[inline]
     fn peek_fast(&self, env: &Env, name: &Name) -> Option<Fast> {
-        let fast = |v: &Value| match *v {
-            Value::Num(n) => Some(Fast::Num(n)),
-            Value::Obj(h) => Some(Fast::Obj(h)),
-            _ => None,
-        };
-        match name.slot {
-            Slot::Global(slot) => fast(self.heap.global_ref(slot)?),
-            Slot::Local { hops, slot } => {
-                fast(env.up(hops).slots.borrow()[slot as usize].as_ref()?)
-            }
-        }
+        self.peek_with(env, name, Fast::of)
     }
 
     /// The number a bound slot holds, if it holds one.
@@ -764,6 +781,29 @@ impl<'a> Ctx<'a> {
                     Some(fast) => fast,
                     None => values_from!(at, None),
                 },
+                TreeKind::Arg(slot) => match Fast::of(&self.args[*slot as usize]) {
+                    Some(fast) => fast,
+                    None => values_from!(at, None),
+                },
+                TreeKind::Length { name, ic } => {
+                    let length = |v: &Value| match v {
+                        Value::Str(s) => Some(Fast::Num(s.char_len() as f64)),
+                        Value::Obj(h) => Some(Fast::Obj(*h)),
+                        _ => None,
+                    };
+                    match self.peek_with(env, name, length) {
+                        Some(Fast::Num(n)) => Fast::Num(n),
+                        Some(Fast::Obj(h)) => {
+                            self.settle(base + node.entered, ticked)?;
+                            match self.member_get(&Value::Obj(h), "length", Some(ic))? {
+                                Value::Num(n) => Fast::Num(n),
+                                Value::Obj(h) => Fast::Obj(h),
+                                other => values_from!(at + 1, Some(other)),
+                            }
+                        }
+                        None => values_from!(at, None),
+                    }
+                }
                 TreeKind::Unary(op) if *op != UnaryOp::Not => match stack[sp - 1] {
                     Fast::Num(x) => {
                         sp -= 1;
@@ -833,6 +873,12 @@ impl<'a> Ctx<'a> {
                         self.read(env, name).unwrap_or(Value::Undefined)
                     }
                 },
+                TreeKind::Arg(slot) => self.args[*slot as usize].clone(),
+                TreeKind::Length { name, ic } => {
+                    let receiver = self.name_operand(env, name, due, ticked)?;
+                    self.settle(due, ticked)?;
+                    self.member_get(&receiver, "length", Some(ic))?
+                }
                 TreeKind::Unary(op) => {
                     let a = self.pop();
                     self.unary(*op, &a)
@@ -958,36 +1004,71 @@ impl<'a> Ctx<'a> {
             Value::Fun(handle) => self.heap.closure(handle).ok().cloned().map(|c| (handle, c)),
             _ => None,
         };
-        let Some((handle, Closure { def, env: captured, .. })) = closure else {
+        let Some((handle, closure)) = closure else {
             // A stale handle takes the generic path, which fails only
             // after the arguments ran.
             let args = self.read_all(env, ticks, args)?;
             return self.invoke(&callee, Value::Undefined, args.as_slice());
         };
+        if let Some(leaf) = &closure.def.code.leaf {
+            return self.call_leaf(env, handle, &closure, leaf, ticks, args).map(Called::Done);
+        }
+        let Closure { def, env: captured, .. } = closure;
         let frame = self.frame(&def.layout, captured);
         frame.set(0, Value::Undefined);
         if let Some(slot) = def.self_slot {
             frame.set(slot as usize, Value::Fun(handle));
         }
-        if let Err(err) = self.fill_params(env, &def, &frame, ticks, args) {
+        let filled = self.fill_params(env, &def, ticks, args, |_, slot, v| frame.set(slot, v));
+        if let Err(err) = filled {
             self.release(frame);
             return Err(err);
-        }
-        for &slot in def.param_slots.iter().skip(args.len()) {
-            frame.set(slot as usize, Value::Undefined);
         }
         Ok(Called::Enter(def, frame))
     }
 
-    /// Writes in-place arguments into a callee's parameter slots, read as
-    /// `read_all` reads them.
+    /// Runs a leaf function inside the calling op, as `call_in_place` and
+    /// the callee's stream would: its slots are bound in the argument
+    /// buffer in the frame's order, the depth check and the call count
+    /// follow the arguments, and the returned tree ticks after the
+    /// `return` statement's own step, reading other names from the
+    /// captured scope. No frame is taken and no activation is pushed.
+    fn call_leaf(
+        &mut self,
+        env: &Env,
+        handle: FunHandle,
+        closure: &Closure,
+        leaf: &[TreeNode],
+        ticks: u32,
+        args: &[Src],
+    ) -> Result<Value, EngineError> {
+        let def = &closure.def;
+        self.args[0] = Value::Undefined;
+        if let Some(slot) = def.self_slot {
+            self.args[slot as usize] = Value::Fun(handle);
+        }
+        self.fill_params(env, def, ticks, args, |cx, slot, v| cx.args[slot] = v)?;
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(EngineError::Range("call stack exceeded".into()));
+        }
+        self.heap.closure_calls += 1;
+        let mut ticked = 0;
+        let value = self.tree(&closure.env, leaf, 1, &mut ticked)?;
+        self.tick_n(1 + tree_steps(leaf) - ticked)?;
+        Ok(value)
+    }
+
+    /// Reads in-place arguments as `read_all` reads them and hands each to
+    /// `bind` with the callee's parameter slot it fills (a frame's or the
+    /// leaf argument buffer's); extra ones are read and dropped, missing
+    /// ones bound as `undefined` after the op's steps are ticked.
     fn fill_params(
         &mut self,
         env: &Env,
         def: &FuncDef,
-        frame: &Env,
         ticks: u32,
         args: &[Src],
+        bind: impl Fn(&mut Self, usize, Value),
     ) -> Result<(), EngineError> {
         let mut ticked = 0;
         let mut base = 0;
@@ -995,10 +1076,14 @@ impl<'a> Ctx<'a> {
             let value = self.operand(env, src, base, &mut ticked)?;
             base += src.nodes();
             if let Some(&slot) = def.param_slots.get(i) {
-                frame.set(slot as usize, value);
+                bind(self, slot as usize, value);
             }
         }
-        self.tick_n(ticks - ticked)
+        self.tick_n(ticks - ticked)?;
+        for &slot in def.param_slots.iter().skip(args.len()) {
+            bind(self, slot as usize, Value::Undefined);
+        }
+        Ok(())
     }
 
     /// Starts a plain call: a closure's frame is taken, with `this` and
@@ -1057,6 +1142,30 @@ impl<'a> Ctx<'a> {
         match self.method(&receiver, name, method, ic, args)? {
             Called::Done(value) => Ok(value),
             Called::Enter(def, frame) => self.enter(def, frame),
+        }
+    }
+
+    /// The builtin calls a method call runs without building an argument
+    /// buffer: `charCodeAt`/`charAt` of a string and `push` onto an array,
+    /// each with one argument, popped with the receiver under it. `None`
+    /// (nothing popped) sends the call to [`Ctx::method`].
+    fn method_direct(&mut self, method: Method) -> Result<Option<Value>, EngineError> {
+        let receiver = &self.stack[self.stack.len() - 2];
+        match (method, receiver) {
+            (Method::CharCodeAt | Method::CharAt, Value::Str(_)) => {
+                let i = char_position(number_of(&self.pop()));
+                let Value::Str(s) = self.pop() else { unreachable!("a string was checked") };
+                Ok(Some(self.char_method(&s, method, i)))
+            }
+            // A stale handle fails on the generic path.
+            (Method::Push, Value::Obj(h)) if matches!(self.heap.kind(*h), Ok(ObjKind::Array)) => {
+                let h = *h;
+                let value = self.pop();
+                self.pop();
+                let len = self.heap.array_push(self.machine, h, &value)?;
+                Ok(Some(Value::Num(len as f64)))
+            }
+            _ => Ok(None),
         }
     }
 
@@ -1668,15 +1777,9 @@ impl<'a> Ctx<'a> {
         args: &[Value],
     ) -> Result<Option<Value>, EngineError> {
         Ok(Some(match method {
-            Method::CharCodeAt => {
-                let code = self
-                    .char_index(args.first())?
-                    .and_then(|i| s.char_at(i, &mut self.heap.string_bytes_walked));
-                Value::Num(code.map_or(f64::NAN, |c| f64::from(u32::from(c))))
-            }
-            Method::CharAt => {
-                let c = self.char_index(args.first())?.and_then(|i| self.char_str(s, i));
-                Value::Str(c.unwrap_or_else(|| self.heap.new_str("")))
+            Method::CharCodeAt | Method::CharAt => {
+                let i = args.first().map_or(0.0, number_of);
+                self.char_method(s, method, char_position(i))
             }
             Method::Substring => {
                 let len = s.char_len();
@@ -1742,16 +1845,15 @@ impl<'a> Ctx<'a> {
         s.substring(lo, hi, &mut heap.string_bytes_walked, &mut heap.string_bytes_copied)
     }
 
-    /// A string-method position argument: `ToNumber`, with NaN (so also a
-    /// missing argument) reading as 0 as in JS; a negative or fractional
-    /// position is out of range, as it is for `s[i]`.
-    fn char_index(&self, arg: Option<&Value>) -> Result<Option<usize>, EngineError> {
-        let i = match arg {
-            Some(v) => self.to_number(v)?,
-            None => 0.0,
-        };
-        let i = if i.is_nan() { 0.0 } else { i };
-        Ok((i >= 0.0 && i.fract() == 0.0).then_some(i as usize))
+    /// `s.charCodeAt(i)` or `s.charAt(i)` at position `i` (`None`: out of
+    /// range).
+    fn char_method(&mut self, s: &JsStr, method: Method, i: Option<usize>) -> Value {
+        if method == Method::CharCodeAt {
+            let code = i.and_then(|i| s.char_at(i, &mut self.heap.string_bytes_walked));
+            return Value::Num(code.map_or(f64::NAN, |c| f64::from(u32::from(c))));
+        }
+        let c = i.and_then(|i| self.char_str(s, i));
+        Value::Str(c.unwrap_or_else(|| self.heap.new_str("")))
     }
 
     /// A position argument clamped into `0..=len` (`substring`, the
@@ -1864,6 +1966,15 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// A `charCodeAt`/`charAt` position: JS `ToIntegerOrInfinity` of the
+/// argument's number (NaN, so also a missing argument, reads as 0, and a
+/// fraction truncates toward zero), out of range when negative.
+#[inline]
+fn char_position(i: f64) -> Option<usize> {
+    let i = if i.is_nan() { 0.0 } else { i.trunc() };
+    (i >= 0.0).then_some(i as usize)
+}
+
 /// Whether an array reads index `i` as an element (every non-negative
 /// integer; the length check comes after).
 #[inline]
@@ -1943,6 +2054,18 @@ fn num_binary(op: BinaryOp, x: f64, y: f64) -> Value {
 enum Fast {
     Num(f64),
     Obj(ObjHandle),
+}
+
+impl Fast {
+    /// A number or an object, as a tree holds it.
+    #[inline]
+    fn of(v: &Value) -> Option<Fast> {
+        match *v {
+            Value::Num(n) => Some(Fast::Num(n)),
+            Value::Obj(h) => Some(Fast::Obj(h)),
+            _ => None,
+        }
+    }
 }
 
 impl From<Fast> for Value {

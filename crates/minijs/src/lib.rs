@@ -116,10 +116,11 @@ impl Value {
 
 /// JavaScript `ToInt32` (the bitwise-operator coercion).
 pub fn to_int32(n: f64) -> i32 {
-    // Every double that is already an `i32` (so also `-0.0`) converts
-    // exactly; only the rest need the modular spec path.
-    if f64::from(n as i32) == n {
-        return n as i32;
+    // Below 2^63 in magnitude the truncation to `i64` is exact, and its
+    // low 32 bits are the value modulo 2^32; only NaN, the infinities and
+    // larger magnitudes need the modular spec path.
+    if n.abs() < 9223372036854775808.0 {
+        return n as i64 as i32;
     }
     if !n.is_finite() {
         return 0;
@@ -155,6 +156,14 @@ mod tests {
         assert_eq!(to_int32(2147483648.0), i32::MIN);
         assert_eq!(to_int32(-2147483649.0), i32::MAX);
         assert_eq!(to_uint32(-1.0), u32::MAX);
+        // Past 2^31 and up to 2^63 the `i64` truncation wraps; beyond it
+        // the modular path does.
+        assert_eq!(to_int32(3000000000.5), -1294967296);
+        assert_eq!(to_int32(-3000000000.5), 1294967296);
+        assert_eq!(to_int32(9007199254740993.0), 0);
+        assert_eq!(to_int32(-9223372036854775808.0), 0);
+        assert_eq!(to_int32(1e20), 1661992960);
+        assert_eq!(to_int32(f64::NEG_INFINITY), 0);
     }
 
     #[test]

@@ -27,10 +27,17 @@
 //! read, a string concatenation, a write, a call) first ticks every node
 //! the walker had entered before it (`Ctx::tick_n`). A spent budget or an
 //! error therefore lands at the same clock with the same state behind it.
+//!
+//! **Leaf functions.** A function whose body is one `return` of an
+//! operand tree is a *leaf*: its [`Code`] also keeps that tree, with the
+//! function's own slots (`this`, the parameters, its own name) read from
+//! the caller's argument buffer ([`TreeKind::Arg`]) and every other name
+//! one frame closer, from the captured scope. `CallName` runs a leaf
+//! inside the calling op, with no frame and no activation.
 
 use std::rc::Rc;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Layout, Name, Stmt, Target, UnaryOp};
+use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Layout, Name, Slot, Stmt, Target, UnaryOp};
 use crate::ic::PropIc;
 use crate::string::JsStr;
 use crate::Value;
@@ -49,7 +56,13 @@ pub struct Program {
 #[derive(Debug, Default)]
 pub struct Code {
     pub(crate) ops: Box<[Inst]>,
+    /// A leaf function's returned tree, read over its argument buffer.
+    pub(crate) leaf: Option<Box<[TreeNode]>>,
 }
+
+/// The most slots (`this`, parameters, own name) a leaf function has: its
+/// argument buffer's length.
+pub(crate) const LEAF_SLOTS: usize = 8;
 
 /// An op and the steps (nodes the walker entered) it accounts for.
 #[derive(Debug)]
@@ -82,10 +95,17 @@ impl Src {
     /// The nodes the operand stands for, each one step.
     pub(crate) fn nodes(&self) -> u32 {
         match self {
-            Src::Tree(nodes) => nodes.len() as u32,
+            Src::Tree(nodes) => tree_steps(nodes),
             _ => 1,
         }
     }
+}
+
+/// The nodes an operand tree stands for: the root comes last, when every
+/// node has been entered.
+#[inline]
+pub(crate) fn tree_steps(nodes: &[TreeNode]) -> u32 {
+    nodes.last().map_or(0, |root| root.entered)
 }
 
 /// One node of an operand tree, in post-order: an operator's operands are
@@ -104,6 +124,14 @@ pub(crate) enum TreeKind {
     Num(f64),
     Lit(Value),
     This(Name),
+    /// Slot `n` of a leaf call's argument buffer.
+    Arg(u32),
+    /// `name.length`: the name and the member read as one node, so a
+    /// string's length is read where it lies.
+    Length {
+        name: Name,
+        ic: PropIc,
+    },
     /// `-`, `+`, `~` or `!`.
     Unary(UnaryOp),
     /// Any binary operator.
@@ -299,7 +327,8 @@ pub(crate) enum Op {
         argc: u32,
         dst: Dst,
     },
-    /// A plain call of a name with in-place arguments.
+    /// A plain call of a name with in-place arguments; a leaf callee runs
+    /// inside this op.
     CallName {
         callee: Name,
         args: Box<[Src]>,
@@ -327,11 +356,68 @@ pub(crate) fn lower_program(mut stmts: Vec<Stmt>) -> Program {
     }
 }
 
-/// Lowers a function body into its own stream.
+/// Lowers a function body into its own stream, and marks a leaf.
 fn lower_function(def: &mut FuncDef) {
     let mut lower = Lower::default();
     lower.block(&mut def.body);
     def.code = lower.finish();
+    def.code.leaf = leaf(def);
+}
+
+/// A leaf function's returned tree over its argument buffer: the body is
+/// one `return` of an operand tree, and the frame has at most
+/// [`LEAF_SLOTS`] slots. The function's own slots (hop 0) become buffer
+/// reads; every other local name is one hop closer, counted from the
+/// captured scope the call frame would have had as its parent.
+fn leaf(def: &FuncDef) -> Option<Box<[TreeNode]>> {
+    let [Stmt::Return(Some(e))] = &def.body[..] else {
+        return None;
+    };
+    if def.layout.len() > LEAF_SLOTS {
+        return None;
+    }
+    let Some(Src::Tree(nodes)) = src_tree(e) else {
+        return None;
+    };
+    let mut out = Vec::with_capacity(nodes.len());
+    for node in nodes.into_vec() {
+        let entered = node.entered;
+        let kind = match node.kind {
+            TreeKind::Name(name) => {
+                own_slot(&name).map_or_else(|| TreeKind::Name(outer(name)), TreeKind::Arg)
+            }
+            TreeKind::This(name) => {
+                own_slot(&name).map_or_else(|| TreeKind::This(outer(name)), TreeKind::Arg)
+            }
+            TreeKind::Length { name, ic } => match own_slot(&name) {
+                // A parameter's length is the buffer read, then the member.
+                Some(slot) => {
+                    out.push(TreeNode { kind: TreeKind::Arg(slot), entered });
+                    TreeKind::Member { name: JsStr::from("length"), ic }
+                }
+                None => TreeKind::Length { name: outer(name), ic },
+            },
+            kind => kind,
+        };
+        out.push(TreeNode { kind, entered });
+    }
+    Some(out.into())
+}
+
+/// The slot of a name the function's own frame binds.
+fn own_slot(name: &Name) -> Option<u32> {
+    match name.slot {
+        Slot::Local { hops: 0, slot } => Some(slot),
+        _ => None,
+    }
+}
+
+/// A name read from the captured scope instead of the call frame.
+fn outer(name: Name) -> Name {
+    match name.slot {
+        Slot::Local { hops, slot } => Name { slot: Slot::Local { hops: hops - 1, slot }, ..name },
+        Slot::Global(_) => name,
+    }
 }
 
 /// An enclosing loop: the scope depth of its body and the jumps that
@@ -416,10 +502,18 @@ fn tree(e: &Expr, nodes: &mut Vec<TreeNode>, entered: &mut u32) -> Option<()> {
             tree(idx, nodes, entered)?;
             TreeKind::Index
         }
-        Expr::Member(obj, name, ic) => {
-            tree(obj, nodes, entered)?;
-            TreeKind::Member { name: name.clone(), ic: ic.clone() }
-        }
+        Expr::Member(obj, name, ic) => match &**obj {
+            // The name is entered right after the member, and both act
+            // once every node is entered.
+            Expr::Ident(recv) if &**name == "length" => {
+                *entered += 1;
+                TreeKind::Length { name: *recv, ic: ic.clone() }
+            }
+            _ => {
+                tree(obj, nodes, entered)?;
+                TreeKind::Member { name: name.clone(), ic: ic.clone() }
+            }
+        },
         _ => return None,
     };
     nodes.push(TreeNode { kind, entered: *entered });
@@ -429,7 +523,7 @@ fn tree(e: &Expr, nodes: &mut Vec<TreeNode>, entered: &mut u32) -> Option<()> {
 impl Lower {
     fn finish(mut self) -> Code {
         self.emit(Op::ReturnUndef);
-        Code { ops: self.ops.into() }
+        Code { ops: self.ops.into(), leaf: None }
     }
 
     /// Appends `op`, which ticks every pending node.

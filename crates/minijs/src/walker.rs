@@ -364,15 +364,26 @@ mod tests {
     //! run on the op stream and on the walker must agree on everything the
     //! engine reports.
 
+    use std::rc::Rc;
+
     use lir::{FaultPolicy, Machine};
     use proptest::prelude::*;
 
-    use crate::{Engine, EngineError, Value};
+    use crate::{Engine, EngineError, HostClass, HostFieldKind, NativeFn, Value};
 
     /// Names a generated program binds at its top (and reads and writes
     /// anywhere); `w` is bound nowhere, so reading it is a
     /// `ReferenceError`, and `u` only ever becomes an implicit global.
     const VARS: [&str; 6] = ["x", "y", "z", "s", "arr", "obj"];
+
+    /// Receivers of method calls and `.length` reads: strings (one not
+    /// ASCII, whose positions are walked), an array,
+    /// a plain object, an object whose `charCodeAt`, `push` and `length`
+    /// are its own (two of them closures), a host node (`n`, whose
+    /// `length` is a field and `push` a native), values read through a
+    /// member or an element, and a call's result.
+    const RECEIVERS: [&str; 11] =
+        ["z", "'aéb'", "arr", "obj", "o2", "n", "obj.q", "arr[0]", "[z][0]", "x", "arr.join('')"];
 
     /// Builds source text from a tape of choices; an exhausted tape picks
     /// the first (simplest) choice everywhere, so shrinking the tape
@@ -389,6 +400,10 @@ mod tests {
         funcs: u32,
         /// Whether a function body is being generated.
         in_func: bool,
+        /// Leaf functions declared so far (`l0`, `l1`, ...).
+        leaves: u32,
+        /// Names of enclosing scopes a nested leaf may read.
+        outer: &'static [&'static str],
     }
 
     impl Gen<'_> {
@@ -414,6 +429,7 @@ mod tests {
                 names.extend(["a", "b", "t", "this"].map(String::from));
             }
             names.extend((0..self.loops).map(|l| format!("i{l}")));
+            names.extend(self.outer.iter().map(|v| v.to_string()));
             match self.pick(64) {
                 0 => "w".into(),
                 1 => "u".into(),
@@ -425,6 +441,8 @@ mod tests {
             self.out +=
                 "var x = 1, y = 2.5, z = 'ab', s = 0, arr = [1, 2, 3], obj = {p: 1, q: 'r'};\n";
             self.out += "function mk() { var c = 0; return function(d) { c += d; return c; }; }\n";
+            self.out += "var o2 = {p: 2, charCodeAt: function(i) { return i + this.p; }, \
+                         push: function(v) { s += v; return s; }, length: 4};\n";
             let n = 1 + self.pick(10);
             for _ in 0..n {
                 self.stmt();
@@ -446,7 +464,7 @@ mod tests {
         fn stmt(&mut self) {
             self.depth += 1;
             let deep = self.depth > 3;
-            match self.pick(if deep { 8 } else { 19 }) {
+            match self.pick(if deep { 8 } else { 23 }) {
                 0 => {
                     let v = self.var();
                     self.out += &format!("var {v} = ");
@@ -474,9 +492,13 @@ mod tests {
                     self.out += "; ";
                 }
                 4 => {
-                    self.out += "arr[";
+                    // `% 16` keeps negative, fractional and NaN keys but no
+                    // index near the 2^28 element cap, whose buffer would
+                    // take gigabytes; the writes of statement 17 take the
+                    // fixed keys at and past the cap.
+                    self.out += "arr[(";
                     self.expr();
-                    self.out += "] = ";
+                    self.out += ") % 16] = ";
                     self.expr();
                     self.out += "; ";
                 }
@@ -587,27 +609,173 @@ mod tests {
                     self.expr();
                     self.out += "; ";
                 }
-                _ => {
+                18 => {
                     self.out += "var k = mk(); k(";
                     self.expr();
                     self.out += "); s = k(1); ";
+                }
+                19 => {
+                    // A leaf: one `return` of an operand tree over its
+                    // parameters, `this`, globals and unbound names.
+                    let l = self.leaves;
+                    self.leaves += 1;
+                    let saved = std::mem::replace(&mut self.loops, 0);
+                    let outer = std::mem::replace(&mut self.in_func, true);
+                    self.out += &format!("function l{l}(a, b) {{ return ");
+                    self.operand();
+                    self.out += "; } ";
+                    self.loops = saved;
+                    self.in_func = outer;
+                }
+                20 => {
+                    // A name bound to a leaf, called with too many and
+                    // then too few arguments, then rebound to another
+                    // leaf, a closure with a frame, a native or a number,
+                    // and called again.
+                    let first = [
+                        "function(a) { return a * 3; }",
+                        "function(a, b) { return b; }",
+                        "function me(a) { return me; }",
+                        "function(a, b) { return a.length + b; }",
+                    ][self.pick(4) as usize];
+                    self.out += &format!("var lf = {first}; s = lf(");
+                    self.operand();
+                    self.out += ", ";
+                    self.operand();
+                    self.out += ", ";
+                    self.operand();
+                    self.out += "); s += lf(";
+                    self.operand();
+                    let second = [
+                        "function(a, b) { return a + b; }",
+                        "function(a) { return this; }",
+                        "function(a) { var q = a; return q + 1; }",
+                        "Math.floor",
+                        "5",
+                        "mk()",
+                    ][self.pick(6) as usize];
+                    self.out += &format!("); lf = {second}; s = lf(");
+                    self.operand();
+                    self.out += ", ";
+                    self.operand();
+                    self.out += "); s += lf(); ";
+                }
+                21 => {
+                    // A leaf nested in a function and a block, reading
+                    // their names, a global and perhaps an unbound name.
+                    self.out += "var k2 = (function(c) { var e = c + 1; \
+                                 { let f = e * 2; return function(d) { return ";
+                    let saved = std::mem::replace(&mut self.loops, 0);
+                    let outer = std::mem::replace(&mut self.in_func, false);
+                    self.outer = &["c", "d", "e", "f"];
+                    self.operand();
+                    self.outer = &[];
+                    self.loops = saved;
+                    self.in_func = outer;
+                    self.out += "; }; } })(";
+                    self.operand();
+                    self.out += "); s = k2(";
+                    self.operand();
+                    self.out += "); ";
+                }
+                _ => {
+                    self.out += "s = ";
+                    self.method_call();
+                    self.out += "; ";
                 }
             }
             self.depth -= 1;
         }
 
-        /// An index that is not a plain array index: JS reads it as a
-        /// property name (or, for a canonical index string, the index).
-        /// Never `'length'`: writing an array's length through the planted
-        /// setter can claim billions of elements.
-        fn key(&mut self) {
-            const KEYS: [&str; 8] =
-                ["null", "true", "-1", "1.5", "'p'", "'1'", "(0/0)", "undefined"];
-            match self.pick(9) as usize {
-                8 => {
-                    self.out += "[";
+        /// An operand read in place: literals and names under operators,
+        /// element and member reads, never a call or an assignment.
+        fn operand(&mut self) {
+            self.depth += 1;
+            match self.pick(if self.depth > 5 { 2 } else { 7 }) {
+                0 => {
+                    let lit = ["0", "1", "7", "-1", "0.5", "'ab'", "'xé'", "null", "2147483648"]
+                        [self.pick(9) as usize];
+                    self.out += lit;
+                }
+                1 | 2 => {
+                    let v = self.read();
+                    self.out += &v;
+                }
+                3 | 4 => {
+                    let op =
+                        ["+", "-", "*", "|", ">>>", "<<", "^", "<", "=="][self.pick(9) as usize];
+                    self.out += "(";
+                    self.operand();
+                    self.out += &format!(" {op} ");
+                    self.operand();
+                    self.out += ")";
+                }
+                5 => {
+                    let v = self.read();
+                    self.out += &v;
+                    self.out += ".length";
+                }
+                _ => {
+                    let m = ["arr[1]", "obj.p", "o2.p", "n.length", "z.length", "-x", "~y"]
+                        [self.pick(7) as usize];
+                    self.out += m;
+                }
+            }
+            self.depth -= 1;
+        }
+
+        /// A call of a builtin or own method, or a `.length` read, on one
+        /// of [`RECEIVERS`], with in-place or stack-fed arguments.
+        fn method_call(&mut self) {
+            let receiver = RECEIVERS[self.pick(RECEIVERS.len() as u32) as usize];
+            self.out += receiver;
+            let method = ["charCodeAt", "charAt", "push", "length", "indexOf", "join", "none"]
+                [self.pick(7) as usize];
+            if method == "length" {
+                self.out += ".length";
+                return;
+            }
+            self.out += &format!(".{method}(");
+            for i in 0..self.pick(3) {
+                if i > 0 {
+                    self.out += ", ";
+                }
+                if self.pick(4) == 0 {
                     self.expr();
-                    self.out += "]";
+                } else {
+                    self.operand();
+                }
+            }
+            self.out += ")";
+        }
+
+        /// An index that is not a small plain array index: JS reads it as
+        /// a property name (or, for a canonical index string, the index),
+        /// or it is an index at or past the 2^28 element cap, whose write
+        /// fails without allocating. A computed index is taken `% 16`: one
+        /// just under the cap would fill a buffer of gigabytes. Never
+        /// `'length'`: writing an array's length through the planted setter
+        /// can claim billions of elements.
+        fn key(&mut self) {
+            const KEYS: [&str; 12] = [
+                "null",
+                "true",
+                "-1",
+                "1.5",
+                "'p'",
+                "'1'",
+                "(0/0)",
+                "undefined",
+                "'7'",
+                "2147483648",
+                "268435456",
+                "4294967296",
+            ];
+            match self.pick(KEYS.len() as u32 + 1) as usize {
+                12 => {
+                    self.out += "[(";
+                    self.expr();
+                    self.out += ") % 16]";
                 }
                 i => self.out += &format!("[{}]", KEYS[i]),
             }
@@ -616,7 +784,7 @@ mod tests {
         fn expr(&mut self) {
             self.depth += 1;
             let deep = self.depth > 5;
-            match self.pick(if deep { 3 } else { 17 }) {
+            match self.pick(if deep { 3 } else { 19 }) {
                 0 => {
                     let lit = [
                         "0",
@@ -736,11 +904,30 @@ mod tests {
                     self.out += receiver;
                     self.key();
                 }
-                _ => {
+                16 => {
                     self.out += "(function(a) { return a * 2; })(";
                     self.expr();
                     self.out += ")";
                 }
+                17 if self.leaves > 0 => {
+                    // A leaf called with none to three arguments, in place
+                    // or stack-fed.
+                    let l = self.pick(self.leaves);
+                    self.out += &format!("l{l}(");
+                    for i in 0..self.pick(4) {
+                        if i > 0 {
+                            self.out += ", ";
+                        }
+                        if self.pick(4) == 0 {
+                            self.expr();
+                        } else {
+                            self.operand();
+                        }
+                    }
+                    self.out += ")";
+                }
+                17 => self.operand(),
+                _ => self.method_call(),
             }
             self.depth -= 1;
         }
@@ -775,6 +962,16 @@ mod tests {
     fn run_here(source: &str, walker: bool, fuel: u64, ic: bool) -> Outcome {
         let mut machine = Machine::split(FaultPolicy::Crash).expect("machine");
         let mut engine = Engine::new(&mut machine).expect("engine");
+        // A host node `n`: `[length: u64]`, and a native `push` that
+        // counts its arguments.
+        let addr = machine.alloc.alloc(8).expect("host node");
+        machine.mem_write(addr, 3).expect("host node");
+        let push: NativeFn = Rc::new(|_, _, args| Ok(Value::Num(args.len() as f64)));
+        let push = engine.add_method_native(push);
+        let mut class = HostClass::new("Node").field("length", 0, HostFieldKind::U64, false);
+        class.methods.insert("push".into(), push);
+        let class = engine.define_host_class(class);
+        engine.set_global("n", Engine::host_ref(addr, class));
         engine.set_fuel(fuel);
         engine.set_ic_enabled(ic);
         let result = if walker {
@@ -789,7 +986,7 @@ mod tests {
         };
         let globals = VARS
             .iter()
-            .chain(&["u", "h", "k", "g", "f0", "f1", "i0", "i1"])
+            .chain(&["u", "h", "k", "g", "f0", "f1", "i0", "i1", "l0", "l1", "lf", "k2", "o2"])
             .map(|name| match engine.global(name) {
                 Some(Value::Num(n)) if n.is_nan() => "NaN".to_string(),
                 other => format!("{other:?}"),
@@ -809,8 +1006,18 @@ mod tests {
 
     /// The program a tape describes.
     fn gen(tape: &[u32]) -> String {
-        Gen { tape, at: 0, out: String::new(), depth: 0, loops: 0, funcs: 0, in_func: false }
-            .program()
+        Gen {
+            tape,
+            at: 0,
+            out: String::new(),
+            depth: 0,
+            loops: 0,
+            funcs: 0,
+            in_func: false,
+            leaves: 0,
+            outer: &[],
+        }
+        .program()
     }
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
@@ -819,7 +1026,8 @@ mod tests {
         /// the value or error, every counter, the clock and the globals
         /// left behind; and again under a budget that runs out partway,
         /// where the op stream must stop at the same clock, exactly one
-        /// past the budget.
+        /// past the budget. The one exception is frames: a leaf call takes
+        /// none, so the op stream may allocate fewer, never more.
         #[test]
         fn op_stream_matches_the_walker(
             tape in proptest::collection::vec(any::<u32>(), 0..160),
@@ -828,14 +1036,18 @@ mod tests {
         ) {
             let source = gen(&tape);
             let budget = 20_000;
-            let ops = run(&source, false, budget, ic);
+            let mut ops = run(&source, false, budget, ic);
             let walked = run(&source, true, budget, ic);
+            prop_assert!(ops.exec.fresh_frames <= walked.exec.fresh_frames, "{}", source);
+            ops.exec.fresh_frames = walked.exec.fresh_frames;
             prop_assert_eq!(&ops, &walked, "{}", source);
             let steps = ops.exec.steps;
             if steps > 0 {
                 let fuel = cut % steps.min(budget);
-                let ops = run(&source, false, fuel, ic);
+                let mut ops = run(&source, false, fuel, ic);
                 let walked = run(&source, true, fuel, ic);
+                prop_assert!(ops.exec.fresh_frames <= walked.exec.fresh_frames, "{}", source);
+                ops.exec.fresh_frames = walked.exec.fresh_frames;
                 prop_assert_eq!(&ops, &walked, "fuel {}: {}", fuel, source);
                 prop_assert_eq!(&ops.result, &format!("{:?}", EngineError::Fuel), "{}", source);
                 prop_assert_eq!(ops.exec.steps, fuel + 1, "{}", source);

@@ -382,11 +382,17 @@ fn char_code_at_counts_characters_not_bytes() {
 #[test]
 fn string_index_arguments_are_coerced_and_range_checked() {
     assert!(eval_num("return 'abcdef'.charCodeAt(-1);").is_nan());
-    assert!(eval_num("return 'abcdef'.charCodeAt(1.5);").is_nan());
+    // Positions are `ToIntegerOrInfinity`: a fraction truncates toward
+    // zero, so -0.5 is position 0; an index `s[i]` does not truncate.
+    assert_eq!(eval_num("return 'abcdef'.charCodeAt(1.5);"), 98.0);
+    assert_eq!(eval_num("return 'abcdef'.charCodeAt(-0.5);"), 97.0);
+    assert!(matches!(eval("return 'abcdef'[1.5];"), Value::Undefined));
     assert_eq!(eval_num("return 'abcdef'.charCodeAt('2');"), 99.0);
     assert_eq!(eval_num("return 'abcdef'.charCodeAt();"), 97.0);
     assert_eq!(eval_str("return 'abcdef'.charAt(-1);"), "");
-    assert_eq!(eval_str("return 'abcdef'.charAt(1.5);"), "");
+    assert_eq!(eval_str("return 'abcdef'.charAt(1.5);"), "b");
+    assert_eq!(eval_str("return 'abcdef'.charAt(-0.5);"), "a");
+    assert_eq!(eval_str("return 'abcdef'.charAt(1 / 0);"), "");
     assert_eq!(eval_str("return 'abcdef'.charAt('2');"), "c");
     assert_eq!(eval_str("return 'abcdef'.charAt(9);"), "");
     assert_eq!(eval_str("return 'abcdef'.substring('2');"), "cdef");
@@ -734,4 +740,85 @@ fn math_round_takes_halves_toward_positive_infinity() {
     let half = eval_num("return Math.round(-0.5);");
     assert!(half == 0.0 && half.is_sign_negative());
     assert!(eval_num("return Math.round(0/0);").is_nan());
+}
+
+// ---- leaf calls (a body of one `return` runs inside the calling op) ----
+
+#[test]
+fn a_leaf_reads_missing_arguments_as_undefined() {
+    let src = "function f(a, b) { return b; } var full = f(1, 2); return f(1);";
+    assert!(matches!(eval(src), Value::Undefined));
+    assert!(matches!(eval("function f(a, b) { return b; } return f();"), Value::Undefined));
+    assert_eq!(eval_num("function f(a) { return a; } return f(5, 6, 7);"), 5.0);
+    // Extra arguments still run: their errors surface.
+    let (mut machine, mut engine) = setup();
+    let err = engine.eval(&mut machine, "function f(a) { return a; } return f(1, nope);");
+    assert!(matches!(err, Err(EngineError::Reference(ref n)) if n == "nope"), "{err:?}");
+}
+
+#[test]
+fn a_leaf_call_runs_argument_effects_in_order() {
+    // Arguments read in place: the first one's error wins.
+    let (mut machine, mut engine) = setup();
+    let src = "var o = {}; function f(a, b) { return a; } return f(o.x.y, nope);";
+    let err = engine.eval(&mut machine, src).unwrap_err();
+    assert!(matches!(err, EngineError::Type(_)), "{err:?}");
+    // Arguments with writes: each sees the one before.
+    let src = "var t = ''; function f(a, b) { return a + '/' + b; } return f(t += 'a', t += 'b');";
+    assert_eq!(eval_str(src), "a/ab");
+    // Arguments, then the body, which reads the names they wrote.
+    let src = "var t = 1; function f(a) { return a * 10 + t; } return f(t = 4);";
+    assert_eq!(eval_num(src), 44.0);
+}
+
+#[test]
+fn the_depth_limit_fires_at_the_same_call_through_a_leaf() {
+    // `down(n)` runs n + 1 frames deep, then calls `tail`.
+    let depth = |tail: &str, n: u32| {
+        let (mut machine, mut engine) = setup();
+        let src = format!(
+            "{tail} function down(n) {{ if (n == 0) return tail(1); return down(n - 1); }} \
+             return down({n});"
+        );
+        engine.eval(&mut machine, &src)
+    };
+    for tail in ["function tail(a) { return a; }", "function tail(a) { var b = a; return b; }"] {
+        assert!(matches!(depth(tail, 126), Ok(Value::Num(n)) if n == 1.0), "{tail}");
+        let err = depth(tail, 127).unwrap_err();
+        assert!(matches!(err, EngineError::Range(_)), "{tail}: {err:?}");
+    }
+}
+
+#[test]
+fn a_leaf_handle_kept_across_a_rewind_is_stale() {
+    let (mut machine, mut engine) = setup();
+    let mut cp = engine.checkpoint();
+    let fun = engine.eval(&mut machine, "return function(a, b) { return a + b; };").unwrap();
+    let obj = engine.eval(&mut machine, "return {p: 7};").unwrap();
+    assert!(matches!(engine.rewind(&mut machine, &mut cp, []), minijs::Rewind::Rewound { .. }));
+    engine.eval(&mut machine, "var g = function(a, b) { return a * b; }; var o = {p: 9};").unwrap();
+    engine.set_global("oldf", fun);
+    engine.set_global("old", obj);
+    let err = engine.eval(&mut machine, "return oldf(1, 2);").unwrap_err();
+    assert!(matches!(err, EngineError::StaleHandle("function")), "{err}");
+    // A stale handle passed into a leaf fails inside its tree.
+    let err = engine.eval(&mut machine, "function p(x) { return x.p; } return p(old);");
+    assert!(matches!(err, Err(EngineError::StaleHandle("object"))), "{err:?}");
+}
+
+#[test]
+fn a_budget_spent_inside_a_leaf_stops_one_tick_past_it() {
+    let src = "var s = 'ab'; function f(a, b) { return a + b * 2 + s.length + a; } \
+               var r = f(1, 2) + f(3); return r;";
+    let (mut machine, mut engine) = setup();
+    assert!(eval_num(src).is_nan(), "f(3) adds undefined");
+    engine.eval(&mut machine, src).unwrap();
+    let steps = engine.exec_stats().steps;
+    for fuel in 0..steps {
+        let (mut machine, mut engine) = setup();
+        engine.set_fuel(fuel);
+        let err = engine.eval(&mut machine, src).unwrap_err();
+        assert!(matches!(err, EngineError::Fuel), "fuel {fuel}: {err:?}");
+        assert_eq!(engine.exec_stats().steps, fuel + 1, "fuel {fuel}");
+    }
 }

@@ -35,7 +35,7 @@ pub use baseline::BaselineAlloc;
 pub use classes::{size_class_for, SIZE_CLASSES};
 pub use error::AllocError;
 pub use split::{Domain, PkAlloc, PkAllocConfig, PkAllocStats};
-pub use trusted::TrustedArena;
+pub use trusted::{ArenaStats, TrustedArena};
 pub use untrusted::{HeapStats, UntrustedHeap};
 
 use pkru_vmem::VirtAddr;
@@ -107,6 +107,11 @@ pub trait CompartmentAlloc {
     /// The statistics of the untrusted heap, for an allocator that has
     /// one of its own.
     fn untrusted_heap_stats(&self) -> Option<HeapStats> {
+        None
+    }
+
+    /// The statistics of the trusted arena, for an allocator that has one.
+    fn trusted_arena_stats(&self) -> Option<ArenaStats> {
         None
     }
 }

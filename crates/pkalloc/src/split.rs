@@ -4,7 +4,7 @@ use pkru_mpk::Pkey;
 use pkru_vmem::{SharedSpace, VirtAddr};
 
 use crate::error::AllocError;
-use crate::trusted::TrustedArena;
+use crate::trusted::{ArenaStats, TrustedArena};
 use crate::untrusted::{HeapStats, UntrustedHeap};
 use crate::{CompartmentAlloc, TRUSTED_BASE, TRUSTED_SPAN, UNTRUSTED_BASE, UNTRUSTED_SPAN};
 
@@ -206,6 +206,10 @@ impl CompartmentAlloc for PkAlloc {
 
     fn untrusted_heap_stats(&self) -> Option<HeapStats> {
         (!self.unified).then(|| self.untrusted.stats())
+    }
+
+    fn trusted_arena_stats(&self) -> Option<ArenaStats> {
+        Some(self.trusted.stats())
     }
 
     fn alloc(&mut self, size: u64) -> Result<VirtAddr, AllocError> {

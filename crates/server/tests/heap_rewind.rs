@@ -106,8 +106,9 @@ fn rewinding_after_every_request_plateaus_the_untrusted_heap() {
     assert_eq!(wilderness_end, wilderness, "the untrusted heap grew after the first pass");
     assert_eq!(untrusted_pages_end, untrusted_pages, "M_U pages grew after the first pass");
     // Only trusted DOM work still demand-pages: every page load builds a
-    // new tree and `dom_attr` writes new attribute values, and the DOM
-    // frees neither. Every other script adds no page at all.
+    // new tree and never frees the old one, and the first `dom_attr` on
+    // each new tree gives its node a new attribute table (the values an
+    // overwrite replaces are freed). Every other script adds no page.
     for (name, pages) in &grew {
         if ![PAGE_LOAD, "dom_attr"].contains(name) {
             assert_eq!(*pages, 0, "{name} demand-paged after the first pass");

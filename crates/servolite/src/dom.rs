@@ -68,12 +68,14 @@ pub struct Dom {
     pub profiling: bool,
     /// Total nodes created.
     pub node_count: u64,
+    /// Replaced attribute buffers left allocated (see `set_attribute`).
+    pub leaked_buffers: u64,
 }
 
 impl Dom {
     /// Creates an empty DOM over the given site bindings.
     pub fn new(sites: SiteRegistry, profiling: bool) -> Dom {
-        Dom { sites, atoms: Atoms::new(), root: 0, profiling, node_count: 0 }
+        Dom { sites, atoms: Atoms::new(), root: 0, profiling, node_count: 0, leaked_buffers: 0 }
     }
 
     /// Allocates at a named site, honoring the site's pool binding and
@@ -93,6 +95,35 @@ impl Dom {
         }
         self.sites.count(site);
         Ok(addr)
+    }
+
+    /// Frees `old`, the text buffer that the field at `from` pointed to
+    /// before `new`, written at the same site, replaced it. A field in
+    /// `M_U` may have been forged by script, so a buffer of `M_T` read from
+    /// one is never freed; nor is one outside the site's pool, or one whose
+    /// length header overruns its allocation. Such a buffer, and one the
+    /// allocator refuses, is left allocated and counted in `leaked_buffers`.
+    fn free_replaced(&mut self, machine: &mut Machine, from: u64, old: u64, new: u64) {
+        if old == 0 {
+            return;
+        }
+        let pool = machine.alloc.domain_of(new);
+        let trusted_field = pool == Some(Domain::Untrusted)
+            || machine.alloc.domain_of(from) == Some(Domain::Trusted);
+        let whole = machine.alloc.usable_size(old).is_some_and(|size| {
+            machine.mem_read(old).is_ok_and(|len| len.checked_add(8).is_some_and(|n| n <= size))
+        });
+        if trusted_field
+            && machine.alloc.domain_of(old) == pool
+            && whole
+            && machine.alloc.dealloc(old).is_ok()
+        {
+            if self.profiling {
+                machine.profiler.metadata.log_dealloc(old);
+            }
+        } else {
+            self.leaked_buffers += 1;
+        }
     }
 
     /// Writes a `[len][bytes...]` text buffer at a named site.
@@ -282,7 +313,8 @@ impl Dom {
     }
 
     /// Sets an attribute; `id` and `class` have dedicated fields, the rest
-    /// append to the attribute table.
+    /// append to the attribute table. The value an overwrite replaces is
+    /// freed when its pointer can be trusted, and leaked otherwise.
     pub fn set_attribute(
         &mut self,
         machine: &mut Machine,
@@ -291,13 +323,16 @@ impl Dom {
         value: &str,
     ) -> Result<(), BrowserError> {
         match name {
-            "id" => {
-                let buf = self.write_text_buffer(machine, Site::IdBuffer, value)?;
-                self.set_field(machine, node, off::ID, buf)
-            }
-            "class" => {
-                let buf = self.write_text_buffer(machine, Site::ClassBuffer, value)?;
-                self.set_field(machine, node, off::CLASS, buf)
+            "id" | "class" => {
+                let (site, field) = match name {
+                    "id" => (Site::IdBuffer, off::ID),
+                    _ => (Site::ClassBuffer, off::CLASS),
+                };
+                let old = self.field(machine, node, field)?;
+                let buf = self.write_text_buffer(machine, site, value)?;
+                self.set_field(machine, node, field, buf)?;
+                self.free_replaced(machine, node + field, old, buf);
+                Ok(())
             }
             _ => {
                 // Attribute table: [count][cap][(name, value) * cap].
@@ -315,9 +350,11 @@ impl Dom {
                 for i in 0..count {
                     let slot = table + 16 + 16 * i;
                     if machine.mem_read(slot)? == name_addr {
+                        let old = machine.mem_read(slot + 8)?;
                         let value_addr =
                             self.write_text_buffer(machine, Site::AttrValueBuffer, value)?;
                         machine.mem_write(slot + 8, value_addr)?;
+                        self.free_replaced(machine, slot + 8, old, value_addr);
                         return Ok(());
                     }
                 }
