@@ -21,7 +21,7 @@
 //! per phase for CI; `--test` shrinks the sweep to a smoke run.
 
 use bench::{header, smoke_mode};
-use servolite::{BrowserConfig, DispatchOptions};
+use servolite::BrowserConfig;
 use workloads::{dromaeo, profile_for, run_benchmark_lane, Benchmark};
 
 use pkru_provenance::json::JsonValue;
@@ -76,15 +76,7 @@ fn suite_phase(name: &'static str, benchmarks: &[Benchmark], profile: &Profile) 
     let (mut on_seconds, mut off_seconds) = (0.0, 0.0);
     let (mut hits, mut misses, mut flushes) = (0u64, 0u64, 0u64);
     for benchmark in benchmarks {
-        let lane = |tlb| {
-            run_benchmark_lane(
-                BrowserConfig::Mpk,
-                Some(profile),
-                benchmark,
-                tlb,
-                DispatchOptions::default(),
-            )
-        };
+        let lane = |tlb| run_benchmark_lane(BrowserConfig::Mpk, Some(profile), benchmark, tlb);
         let (on_row, tlb, _) = lane(true).expect("tlb-on run");
         let (off_row, _, _) = lane(false).expect("tlb-off run");
         assert_eq!(

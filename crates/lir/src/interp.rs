@@ -1,17 +1,22 @@
 //! The LIR interpreter.
 //!
-//! Two dispatch lanes execute the same modules: the default
-//! direct-threaded lane ([`crate::threaded::ThreadedModule`], pre-decoded
-//! op streams with resolved callees and fused superinstructions) and the
-//! legacy match-per-instruction loop below, kept verbatim as the
-//! reference lane for the `dispatch_ablation` bench and the coherence
-//! proptest. The two are pinned bit-identical (outputs, traps, `instret`,
-//! violation accounting) — only the dispatch cost differs.
+//! [`Interp`] runs modules on the direct-threaded op stream
+//! ([`crate::threaded::ThreadedModule`]: pre-decoded op streams with
+//! resolved callees and fused superinstructions), decoded once when the
+//! interpreter is built. The match-per-instruction loop it replaced is
+//! kept below, compiled for tests only, as the oracle the op stream is
+//! pinned against: outputs, traps, `instret`, fuel and violation
+//! accounting must be bit-identical (the `lanes` tests).
 
-use crate::ir::{BinOp, FuncId, Instr, Module, Operand, SiteDomain};
+use crate::ir::{BinOp, FuncId, Module};
+#[cfg(test)]
+use crate::ir::{Instr, Operand, SiteDomain};
 use crate::machine::Machine;
 use crate::threaded::ThreadedModule;
 use crate::trap::Trap;
+
+#[cfg(test)]
+mod lanes;
 
 /// Maximum call depth (the dom suites nest compartment callbacks deeply,
 /// but anything past this is a runaway recursion).
@@ -21,51 +26,37 @@ pub(crate) const MAX_DEPTH: usize = 200;
 pub struct Interp<'a> {
     module: &'a Module,
     machine: &'a mut Machine,
-    /// Pre-decoded threaded form; `None` selects the legacy loop.
-    threaded: Option<ThreadedModule>,
+    threaded: ThreadedModule,
 }
 
 impl<'a> Interp<'a> {
-    /// Creates an interpreter for `module` over `machine` using the
-    /// default direct-threaded dispatch (the module is pre-decoded here,
-    /// once).
+    /// Creates an interpreter for `module` over `machine` (the module is
+    /// pre-decoded here, once).
     pub fn new(module: &'a Module, machine: &'a mut Machine) -> Interp<'a> {
-        Interp::with_dispatch(module, machine, true)
-    }
-
-    /// Creates an interpreter pinned to the legacy match-per-instruction
-    /// loop (the legacy lane of `dispatch_ablation`, and the oracle of
-    /// the dispatch coherence tests).
-    pub fn legacy(module: &'a Module, machine: &'a mut Machine) -> Interp<'a> {
-        Interp::with_dispatch(module, machine, false)
-    }
-
-    /// Creates an interpreter with an explicit dispatch selection.
-    pub fn with_dispatch(
-        module: &'a Module,
-        machine: &'a mut Machine,
-        threaded: bool,
-    ) -> Interp<'a> {
-        let threaded = threaded.then(|| ThreadedModule::decode(module));
-        Interp { module, machine, threaded }
-    }
-
-    /// Creates an interpreter reusing an already-decoded threaded form
-    /// (decode-once-run-many callers; `threaded` must have been decoded
-    /// from `module`).
-    pub fn with_threaded(
-        module: &'a Module,
-        machine: &'a mut Machine,
-        threaded: ThreadedModule,
-    ) -> Interp<'a> {
-        Interp { module, machine, threaded: Some(threaded) }
+        Interp { module, machine, threaded: ThreadedModule::decode(module) }
     }
 
     /// Runs the named entry function with `args`, returning its result.
     pub fn run(&mut self, entry: &str, args: &[i64]) -> Result<Option<i64>, Trap> {
-        if let Some(threaded) = &self.threaded {
-            return threaded.run(self.module, self.machine, entry, args);
-        }
+        self.threaded.run(self.module, self.machine, entry, args)
+    }
+}
+
+/// The reference match-per-instruction loop: walks the nested blocks,
+/// resolves callees by name and allocates a register file per call.
+#[cfg(test)]
+pub(crate) struct Legacy<'a> {
+    module: &'a Module,
+    machine: &'a mut Machine,
+}
+
+#[cfg(test)]
+impl<'a> Legacy<'a> {
+    pub(crate) fn new(module: &'a Module, machine: &'a mut Machine) -> Legacy<'a> {
+        Legacy { module, machine }
+    }
+
+    pub(crate) fn run(&mut self, entry: &str, args: &[i64]) -> Result<Option<i64>, Trap> {
         let id =
             self.module.find(entry).ok_or_else(|| Trap::UndefinedFunction(entry.to_string()))?;
         self.call(id, args, 0)
@@ -227,6 +218,7 @@ impl<'a> Interp<'a> {
     }
 }
 
+#[cfg(test)]
 fn read(regs: &[i64], op: Operand) -> i64 {
     match op {
         Operand::Reg(r) => regs[r as usize],

@@ -180,10 +180,6 @@ pub struct Machine {
     /// threaded interpreter plus bulk page-run memory ops taken by
     /// [`Machine::mem_read_bytes`]/[`Machine::mem_write_bytes`].
     pub fused_ops: u64,
-    /// Whether bulk memory superinstructions are taken (the legacy
-    /// ablation lane turns them off so it measures the true per-byte
-    /// dispatch cost).
-    fused: bool,
     /// The key protecting the trusted pool.
     trusted_pkey: Pkey,
     /// The serve-time MPK violation handler, consulted for pkey faults
@@ -220,7 +216,6 @@ impl Machine {
             instret: 0,
             fuel: config.fuel,
             fused_ops: 0,
-            fused: true,
             trusted_pkey,
             handler: None,
             syscall_filter: SyscallFilter::deny_all(),
@@ -257,7 +252,6 @@ impl Machine {
             instret: 0,
             fuel: config.fuel,
             fused_ops: 0,
-            fused: true,
             trusted_pkey: host.trusted_pkey(),
             handler: None,
             syscall_filter: SyscallFilter::deny_all(),
@@ -444,31 +438,18 @@ impl Machine {
         }
     }
 
-    /// Whether bulk memory superinstructions are taken.
-    pub fn fused(&self) -> bool {
-        self.fused
-    }
-
-    /// Selects whether [`Machine::mem_read_bytes`]/[`Machine::mem_write_bytes`]
-    /// may fuse page runs (the ablation toggle; off pins the exact legacy
-    /// per-byte path).
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
     /// A rights-checked multi-byte load with fault-policy handling.
     ///
-    /// With fusion on (and the TLB enabled — the bulk path rides the
-    /// TLB's single-page fast path), the buffer is split at page
-    /// boundaries and each run is served by **one** TLB lookup + one
-    /// rights check instead of one per byte; `pkru.allows` still runs
-    /// live on every access, it is simply amortized over the run the way
-    /// a hardware line fill amortizes a walk. A faulting run falls back
-    /// to the per-byte path so fault resolution (audit logging,
-    /// single-step profiling, partial-progress semantics) stays
-    /// byte-identical to the unfused lane.
+    /// With the TLB enabled (the bulk path rides the TLB's single-page
+    /// fast path), the buffer is split at page boundaries and each run is
+    /// served by **one** TLB lookup + one rights check instead of one per
+    /// byte; `pkru.allows` still runs live on every access, it is simply
+    /// amortized over the run the way a hardware line fill amortizes a
+    /// walk. A faulting run falls back to the per-byte path so fault
+    /// resolution (audit logging, single-step profiling, partial-progress
+    /// semantics) stays byte-identical to [`Machine::mem_read_u8`].
     pub fn mem_read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Trap> {
-        if !self.fused || !self.tlb.enabled() {
+        if !self.tlb.enabled() {
             for (i, b) in buf.iter_mut().enumerate() {
                 *b = self.mem_read_u8(addr.wrapping_add(i as u64))?;
             }
@@ -497,10 +478,10 @@ impl Machine {
     ///
     /// Same fusion contract as [`Machine::mem_read_bytes`]: one TLB
     /// lookup + live rights check per page run, per-byte fallback on any
-    /// fault so partial writes land exactly as the unfused lane would
-    /// leave them.
+    /// fault so partial writes land exactly as [`Machine::mem_write_u8`]
+    /// would leave them.
     pub fn mem_write_bytes(&mut self, addr: VirtAddr, bytes: &[u8]) -> Result<(), Trap> {
-        if !self.fused || !self.tlb.enabled() {
+        if !self.tlb.enabled() {
             for (i, b) in bytes.iter().enumerate() {
                 self.mem_write_u8(addr.wrapping_add(i as u64), *b)?;
             }

@@ -1,9 +1,9 @@
 //! Direct-threaded dispatch: pre-decoded functions for the interpreter.
 //!
-//! The legacy [`Interp`](crate::interp::Interp) loop walks the nested
-//! `Vec<Block>` structure instruction by instruction: every step pays a
-//! block bounds check, an iterator advance, and — for `Call`/`FuncAddr` —
-//! a by-name `HashMap` walk over the module. [`ThreadedModule::decode`]
+//! The legacy match loop (kept in `interp.rs` as a test oracle) walks
+//! the nested `Vec<Block>` structure instruction by instruction: every
+//! step pays a block bounds check, an iterator advance, and — for
+//! `Call`/`FuncAddr` — a by-name `HashMap` walk over the module. [`ThreadedModule::decode`]
 //! does all of that work once at module-load time:
 //!
 //! - each function's blocks are **flattened into one linear op stream**;
@@ -25,7 +25,7 @@
 //!   no intermediate collection.
 //!
 //! Decoding changes *when* work happens, never *what* happens: the
-//! dispatch coherence suite pins threaded and legacy lanes to
+//! `interp` unit tests pin the op stream and the legacy loop to
 //! bit-identical outputs, traps, instruction counts, and violation
 //! accounting.
 

@@ -1,169 +1,21 @@
-//! Threaded-dispatch lane pinned against the legacy match loop.
-//!
-//! Every test runs the same module through both dispatch lanes and
-//! asserts bit-identical results, traps, `instret`, fuel, and output —
-//! the decode-time refactor must change *when* work happens, never
-//! *what* happens.
+//! The threaded interpreter's public surface: a decoded stream reused
+//! across runs, and the machine's fused page-run memory ops pinned
+//! against the per-byte accessors. (The op stream's bit-identity with
+//! the legacy match loop is pinned by the `interp` unit tests, where
+//! that loop lives.)
 
-use lir::{
-    parse_module, FaultPolicy, Function, Instr, Interp, Machine, Module, ThreadedModule, Trap,
-};
-
-/// Runs `entry` through the legacy and threaded lanes on fresh machines,
-/// asserts lane equality, and returns the shared outcome plus the
-/// threaded lane's superinstruction count.
-fn run_both(module: &Module, entry: &str, args: &[i64]) -> (Result<Option<i64>, Trap>, u64) {
-    let mut legacy = Machine::split(FaultPolicy::Crash).unwrap();
-    let r_legacy = Interp::legacy(module, &mut legacy).run(entry, args);
-    let mut threaded = Machine::split(FaultPolicy::Crash).unwrap();
-    let r_threaded = Interp::new(module, &mut threaded).run(entry, args);
-    assert_eq!(r_legacy, r_threaded, "lane results diverge");
-    assert_eq!(legacy.instret, threaded.instret, "instret diverges");
-    assert_eq!(legacy.fuel, threaded.fuel, "fuel accounting diverges");
-    assert_eq!(legacy.output, threaded.output, "print output diverges");
-    assert_eq!(legacy.fused_ops, 0, "legacy lane must not fuse");
-    (r_threaded, threaded.fused_ops)
-}
-
-#[test]
-fn undefined_callee_still_traps_with_the_same_message() {
-    // Resolution moved to decode time; the trap must stay lazy (only if
-    // the call executes) and carry the identical by-name message.
-    let module =
-        parse_module("fn @f(0) {\nbb0:\n  print 7\n  %0 = call @missing()\n  ret %0\n}").unwrap();
-    let (result, _) = run_both(&module, "f", &[]);
-    assert_eq!(result, Err(Trap::UndefinedFunction("missing".to_string())));
-}
-
-#[test]
-fn undefined_func_addr_still_traps_with_the_same_message() {
-    let module = parse_module("fn @f(0) {\nbb0:\n  %0 = addr @nowhere\n  ret %0\n}").unwrap();
-    let (result, _) = run_both(&module, "f", &[]);
-    assert_eq!(result, Err(Trap::UndefinedFunction("nowhere".to_string())));
-}
-
-#[test]
-fn undefined_callee_on_untaken_path_never_traps() {
-    // The bad call sits on the not-taken branch: decode must not turn a
-    // lazy runtime trap into an eager decode failure.
-    let module = parse_module(
-        "fn @f(1) {\nbb0:\n  brif %0, bb1, bb2\nbb1:\n  %1 = call @missing()\n  ret %1\nbb2:\n  ret 11\n}",
-    )
-    .unwrap();
-    let (result, _) = run_both(&module, "f", &[0]);
-    assert_eq!(result, Ok(Some(11)));
-    let (result, _) = run_both(&module, "f", &[1]);
-    assert_eq!(result, Err(Trap::UndefinedFunction("missing".to_string())));
-}
-
-fn countdown_module() -> Module {
-    parse_module(
-        "fn @f(1) {\nbb0:\n  %1 = eq %0, 0\n  brif %1, bb1, bb2\nbb1:\n  ret 0\nbb2:\n  %2 = sub %0, 1\n  %3 = call @f(%2)\n  ret %3\n}",
-    )
-    .unwrap()
-}
-
-#[test]
-fn max_depth_unchanged_by_frame_arena() {
-    // MAX_DEPTH is 200: a 200-deep chain (entry at depth 0) completes,
-    // one deeper overflows — in both lanes, at the same instret.
-    let module = countdown_module();
-    let (ok, _) = run_both(&module, "f", &[200]);
-    assert_eq!(ok, Ok(Some(0)));
-    let (overflow, _) = run_both(&module, "f", &[201]);
-    assert_eq!(overflow, Err(Trap::StackOverflow));
-}
-
-#[test]
-fn compare_branch_pairs_fuse_and_stay_bit_identical() {
-    // sum 1..=10: the loop back-edge is a `le` feeding `brif` — a fused
-    // superinstruction in the threaded lane.
-    let module = parse_module(
-        "fn @f(0) {\nbb0:\n  %0 = const 0\n  %1 = const 1\n  br bb1\nbb1:\n  %0 = add %0, %1\n  %1 = add %1, 1\n  %2 = le %1, 10\n  brif %2, bb1, bb2\nbb2:\n  ret %0\n}",
-    )
-    .unwrap();
-    assert!(ThreadedModule::decode(&module).fused_sites() >= 1, "back-edge must fuse");
-    let (result, fused_ops) = run_both(&module, "f", &[]);
-    assert_eq!(result, Ok(Some(55)));
-    assert_eq!(fused_ops, 10, "one fused execution per loop iteration");
-}
-
-#[test]
-fn fused_division_by_zero_traps_at_the_same_instruction() {
-    // The Bin half of a fused pair can trap; the trap must land after
-    // the Bin's own tick, exactly as the unfused lane sequences it.
-    let module =
-        parse_module("fn @f(1) {\nbb0:\n  %1 = div 10, %0\n  brif %1, bb1, bb1\nbb1:\n  ret %1\n}")
-            .unwrap();
-    let (result, _) = run_both(&module, "f", &[0]);
-    assert_eq!(result, Err(Trap::DivisionByZero));
-    let (result, _) = run_both(&module, "f", &[5]);
-    assert_eq!(result, Ok(Some(2)));
-}
-
-#[test]
-fn bad_block_target_parity() {
-    // A branch to a block the function does not have: the legacy loop
-    // faults on `blocks.get` *before* ticking the next instruction.
-    let mut module = Module::new();
-    let mut f = Function::new("f", 0);
-    f.blocks[0].instrs.push(Instr::Br { target: 5 });
-    module.add_function(f);
-    let (result, _) = run_both(&module, "f", &[]);
-    assert_eq!(result, Err(Trap::BadBlock(5)));
-}
-
-#[test]
-fn missing_terminator_parity() {
-    let mut module = Module::new();
-    let mut f = Function::new("f", 0);
-    f.num_regs = 1;
-    f.blocks[0].instrs.push(Instr::Const { dst: 0, value: 3 });
-    module.add_function(f);
-    let (result, _) = run_both(&module, "f", &[]);
-    assert_eq!(result, Err(Trap::MissingTerminator));
-
-    // An entirely empty entry block trips the same trap at instret 0.
-    let mut module = Module::new();
-    module.add_function(Function::new("g", 0));
-    let (result, _) = run_both(&module, "g", &[]);
-    assert_eq!(result, Err(Trap::MissingTerminator));
-}
-
-#[test]
-fn gates_and_callbacks_match_across_lanes() {
-    // Indirect calls through pre-resolved addresses plus gate pairs:
-    // transition counts and PKRU round-trips must agree.
-    let src = "
-fn @double(1) {
-bb0:
-  %1 = mul %0, 2
-  ret %1
-}
-fn @apply(2) {
-bb0:
-  %2 = icall %0(%1)
-  ret %2
-}
-fn @main(0) {
-bb0:
-  %0 = addr @double
-  %1 = call @apply(%0, 21)
-  ret %1
-}
-";
-    let module = parse_module(src).unwrap();
-    let (result, _) = run_both(&module, "main", &[]);
-    assert_eq!(result, Ok(Some(42)));
-}
+use lir::{parse_module, FaultPolicy, Machine, ThreadedModule, Trap};
 
 #[test]
 fn decode_once_run_many_reuses_the_stream() {
-    let module = countdown_module();
+    let module = parse_module(
+        "fn @f(1) {\nbb0:\n  %1 = eq %0, 0\n  brif %1, bb1, bb2\nbb1:\n  ret 0\nbb2:\n  %2 = sub %0, 1\n  %3 = call @f(%2)\n  ret %3\n}",
+    )
+    .unwrap();
     let threaded = ThreadedModule::decode(&module);
     for n in [0, 1, 17, 60] {
         let mut machine = Machine::split(FaultPolicy::Crash).unwrap();
-        let result = Interp::with_threaded(&module, &mut machine, threaded.clone()).run("f", &[n]);
+        let result = threaded.run(&module, &mut machine, "f", &[n]);
         assert_eq!(result, Ok(Some(0)), "n={n}");
     }
 }
@@ -171,92 +23,53 @@ fn decode_once_run_many_reuses_the_stream() {
 #[test]
 fn bulk_memory_ops_match_per_byte_lane() {
     // Fused page-run reads/writes must be byte-identical to the per-byte
-    // loop, including across page boundaries.
+    // accessors, including across page boundaries.
     let pattern: Vec<u8> = (0..9000u32).map(|i| (i * 31 % 251) as u8).collect();
 
     let mut fused = Machine::split(FaultPolicy::Crash).unwrap();
-    assert!(fused.fused());
     let p = fused.alloc.alloc(pattern.len() as u64).unwrap();
     fused.mem_write_bytes(p, &pattern).unwrap();
     let mut back = vec![0u8; pattern.len()];
     fused.mem_read_bytes(p, &mut back).unwrap();
     assert_eq!(back, pattern);
     assert!(fused.fused_ops > 0, "page runs must fuse");
+    // The same bytes, one at a time: a fused write reads back per byte,
+    // and a per-byte write reads back fused.
+    for (i, &b) in pattern.iter().enumerate() {
+        assert_eq!(fused.mem_read_u8(p + i as u64).unwrap(), b, "byte {i}");
+    }
 
     let mut plain = Machine::split(FaultPolicy::Crash).unwrap();
-    plain.set_fused(false);
     let q = plain.alloc.alloc(pattern.len() as u64).unwrap();
-    plain.mem_write_bytes(q, &pattern).unwrap();
+    for (i, &b) in pattern.iter().enumerate() {
+        plain.mem_write_u8(q + i as u64, b).unwrap();
+    }
+    assert_eq!(plain.fused_ops, 0, "per-byte accessors must not count superinstructions");
     let mut back = vec![0u8; pattern.len()];
     plain.mem_read_bytes(q, &mut back).unwrap();
     assert_eq!(back, pattern);
-    assert_eq!(plain.fused_ops, 0, "unfused lane must not count superinstructions");
 }
 
 #[test]
 fn bulk_memory_ops_still_fault_under_untrusted_rights() {
     // The fused path amortizes the TLB lookup, never the rights check: a
-    // compartment without access to M_T must fault exactly like the
-    // per-byte lane.
-    for fuse in [true, false] {
-        let mut m = Machine::split(FaultPolicy::Crash).unwrap();
-        m.set_fused(fuse);
-        let p = m.alloc.alloc(64).unwrap();
-        m.mem_write_bytes(p, &[1, 2, 3, 4]).unwrap();
-        m.gates.enter_untrusted(&mut m.cpu).unwrap();
-        let mut buf = [0u8; 4];
-        let read = m.mem_read_bytes(p, &mut buf);
-        assert!(matches!(read, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{read:?}");
-        let write = m.mem_write_bytes(p, &[9; 4]);
-        assert!(matches!(write, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{write:?}");
-    }
-}
-
-#[test]
-fn operand_immediates_round_trip_through_fused_ops() {
-    // Imm/Reg operand mixes through the fused compare (regression net
-    // for the operand-copy in decode).
-    let module = parse_module(
-        "fn @f(2) {\nbb0:\n  %2 = lt %0, %1\n  brif %2, bb1, bb2\nbb1:\n  ret 1\nbb2:\n  ret 0\n}",
-    )
-    .unwrap();
-    for (a, b, want) in [(1, 2, 1), (2, 1, 0), (-5, 0, 1), (i64::MAX, i64::MIN, 0)] {
-        let (result, _) = run_both(&module, "f", &[a, b]);
-        assert_eq!(result, Ok(Some(want)), "{a} < {b}");
-    }
-}
-
-#[test]
-fn profiling_fault_accounting_matches_across_lanes() {
-    // Faulting accesses resolved by the profiler (single-step + record)
-    // must count identically: same profile, same faults_observed.
-    let src = "
-untrusted fn @clib::read2(1) {
-bb0:
-  %1 = load %0, 0
-  %2 = load %0, 8
-  %3 = add %1, %2
-  ret %3
-}
-fn @main(0) {
-bb0:
-  %0 = alloc 16
-  store %0, 0, 30
-  store %0, 8, 12
-  %1 = call @clib::read2(%0)
-  ret %1
-}
-";
-    let app = pkru_safe::Pipeline::new(parse_module(src).unwrap(), pkru_safe::Annotations::new())
-        .profiling_build()
-        .unwrap();
-    let mut legacy = Machine::split(FaultPolicy::Profile).unwrap();
-    let r_legacy = Interp::legacy(&app, &mut legacy).run("main", &[]);
-    let mut threaded = Machine::split(FaultPolicy::Profile).unwrap();
-    let r_threaded = Interp::new(&app, &mut threaded).run("main", &[]);
-    assert_eq!(r_legacy, r_threaded);
-    assert_eq!(r_threaded, Ok(Some(42)));
-    assert_eq!(legacy.instret, threaded.instret);
-    assert_eq!(legacy.profiler.profile.len(), threaded.profiler.profile.len());
-    assert_eq!(legacy.profiler.profile.faults_observed, threaded.profiler.profile.faults_observed);
+    // compartment without access to M_T must fault on the fused ops
+    // exactly as on the per-byte accessors.
+    let mut m = Machine::split(FaultPolicy::Crash).unwrap();
+    let p = m.alloc.alloc(64).unwrap();
+    m.mem_write_bytes(p, &[1, 2, 3, 4]).unwrap();
+    m.gates.enter_untrusted(&mut m.cpu).unwrap();
+    let mut buf = [0u8; 4];
+    let read = m.mem_read_bytes(p, &mut buf);
+    assert!(matches!(read, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{read:?}");
+    let write = m.mem_write_bytes(p, &[9; 4]);
+    assert!(matches!(write, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{write:?}");
+    let read = m.mem_read_u8(p);
+    assert!(matches!(read, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{read:?}");
+    let write = m.mem_write_u8(p, 9);
+    assert!(matches!(write, Err(Trap::Fault(ref f)) if f.is_pkey_violation()), "{write:?}");
+    m.gates.exit_untrusted(&mut m.cpu).unwrap();
+    let mut buf = [0u8; 4];
+    m.mem_read_bytes(p, &mut buf).unwrap();
+    assert_eq!(buf, [1, 2, 3, 4], "a refused write must leave the bytes as they were");
 }

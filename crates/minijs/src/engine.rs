@@ -265,14 +265,6 @@ impl Engine {
         &mut self.host_classes[id.0 as usize]
     }
 
-    /// Enables or disables the property inline caches (the no-IC
-    /// ablation lane). Disabling leaves every site on the slow path;
-    /// re-enabling starts from an invalidated cache.
-    pub fn set_ic_enabled(&mut self, on: bool) {
-        self.heap.ic_enabled = on;
-        self.heap.bump_ic_epoch();
-    }
-
     /// Inline-cache `(hits, misses)` so far.
     pub fn ic_stats(&self) -> (u64, u64) {
         (self.heap.ic_hits, self.heap.ic_misses)
@@ -312,11 +304,12 @@ impl Engine {
         &mut self,
         machine: &mut Machine,
         source: &str,
+        walk: crate::walker::Walk,
     ) -> Result<Value, EngineError> {
         let program = self.program(source)?;
         let global = Rc::clone(&self.global);
         let mut ctx = self.ctx(machine);
-        ctx.walker = true;
+        ctx.walker = Some(walk);
         ctx.walk_program(&program.stmts, &global)
     }
 

@@ -191,9 +191,10 @@ pub struct Ctx<'a> {
     args: [Value; LEAF_SLOTS],
     /// Where the stacks go back to when the context ends.
     home: &'a mut Stacks,
-    /// Whether closure bodies run on the reference tree walker.
+    /// Whether closure bodies run on the reference tree walker, and
+    /// whether it consults the inline caches.
     #[cfg(test)]
-    pub(crate) walker: bool,
+    pub(crate) walker: Option<crate::walker::Walk>,
 }
 
 impl Drop for Ctx<'_> {
@@ -238,7 +239,7 @@ impl<'a> Ctx<'a> {
             args: [const { Value::Undefined }; LEAF_SLOTS],
             home,
             #[cfg(test)]
-            walker: false,
+            walker: None,
         }
     }
 
@@ -617,7 +618,7 @@ impl<'a> Ctx<'a> {
                     }
                     let args = self.pop_args(*argc as usize);
                     let receiver = self.pop();
-                    called!(self.method(&receiver, name, *method, ic, args.as_slice())?, dst);
+                    called!(self.method(&receiver, name, *method, Some(ic), args.as_slice())?, dst);
                 }
             }
         }
@@ -1136,7 +1137,7 @@ impl<'a> Ctx<'a> {
         receiver: Value,
         name: &str,
         method: Method,
-        ic: &PropIc,
+        ic: Option<&PropIc>,
         args: &[Value],
     ) -> Result<Value, EngineError> {
         match self.method(&receiver, name, method, ic, args)? {
@@ -1177,13 +1178,13 @@ impl<'a> Ctx<'a> {
         receiver: &Value,
         name: &str,
         method: Method,
-        ic: &PropIc,
+        ic: Option<&PropIc>,
         args: &[Value],
     ) -> Result<Called, EngineError> {
         if let Some(result) = self.builtin_method(receiver, method, args)? {
             return Ok(Called::Done(result));
         }
-        let f = self.member_get(receiver, name, Some(ic))?;
+        let f = self.member_get(receiver, name, ic)?;
         self.invoke(&f, receiver.clone(), args)
     }
 
@@ -1268,7 +1269,7 @@ impl<'a> Ctx<'a> {
 
     fn body(&mut self, def: &FuncDef, frame: &Rc<Env>) -> Result<Value, EngineError> {
         #[cfg(test)]
-        if self.walker {
+        if self.walker.is_some() {
             return self.walk_body(def, frame);
         }
         self.run(&def.code, frame)
@@ -1507,24 +1508,22 @@ impl<'a> Ctx<'a> {
         name: &str,
         ic: Option<&PropIc>,
     ) -> Result<Value, EngineError> {
-        if self.heap.ic_enabled {
-            if let Some(ic) = ic {
-                match ic.load(self.heap.ic_epoch()) {
-                    Some(IcState::HostMethod { class: cached, method }) if cached == class => {
-                        self.heap.ic_hits += 1;
-                        return Ok(Value::Native(method));
-                    }
-                    Some(IcState::HostField { class: cached, field }) if cached == class => {
-                        self.heap.ic_hits += 1;
-                        return self.host_field_read(addr, field);
-                    }
-                    _ => self.heap.ic_misses += 1,
+        if let Some(ic) = ic {
+            match ic.load(self.heap.ic_epoch()) {
+                Some(IcState::HostMethod { class: cached, method }) if cached == class => {
+                    self.heap.ic_hits += 1;
+                    return Ok(Value::Native(method));
                 }
+                Some(IcState::HostField { class: cached, field }) if cached == class => {
+                    self.heap.ic_hits += 1;
+                    return self.host_field_read(addr, field);
+                }
+                _ => self.heap.ic_misses += 1,
             }
         }
         let spec = self.host_class(class)?;
         if let Some(&method) = spec.methods.get(name) {
-            if let (true, Some(ic)) = (self.heap.ic_enabled, ic) {
+            if let Some(ic) = ic {
                 ic.store(self.heap.ic_epoch(), IcState::HostMethod { class, method });
             }
             return Ok(Value::Native(method));
@@ -1532,7 +1531,7 @@ impl<'a> Ctx<'a> {
         let Some(field) = spec.fields.get(name).copied() else {
             return Err(EngineError::Type(format!("host class {} has no field {name}", spec.name)));
         };
-        if let (true, Some(ic)) = (self.heap.ic_enabled, ic) {
+        if let Some(ic) = ic {
             ic.store(self.heap.ic_epoch(), IcState::HostField { class, field });
         }
         self.host_field_read(addr, field)
@@ -1585,34 +1584,31 @@ impl<'a> Ctx<'a> {
     ) -> Result<(), EngineError> {
         // A hit reuses the cached field spec but reruns the writability
         // and kind checks — only the layout lookup is skipped.
-        let field = if let (true, Some(ic)) = (self.heap.ic_enabled, ic) {
+        let mut cached = None;
+        if let Some(ic) = ic {
             match ic.load(self.heap.ic_epoch()) {
-                Some(IcState::HostField { class: cached, field }) if cached == class => {
+                Some(IcState::HostField { class: hit, field }) if hit == class => {
                     self.heap.ic_hits += 1;
-                    field
+                    cached = Some(field);
                 }
-                _ => {
-                    self.heap.ic_misses += 1;
-                    let spec = self.host_class(class)?;
-                    let Some(field) = spec.fields.get(name).copied() else {
-                        return Err(EngineError::Type(format!(
-                            "host class {} has no field {name}",
-                            spec.name
-                        )));
-                    };
-                    ic.store(self.heap.ic_epoch(), IcState::HostField { class, field });
-                    field
-                }
+                _ => self.heap.ic_misses += 1,
             }
-        } else {
-            let spec = self.host_class(class)?;
-            let Some(field) = spec.fields.get(name).copied() else {
-                return Err(EngineError::Type(format!(
-                    "host class {} has no field {name}",
-                    spec.name
-                )));
-            };
-            field
+        }
+        let field = match cached {
+            Some(field) => field,
+            None => {
+                let spec = self.host_class(class)?;
+                let Some(field) = spec.fields.get(name).copied() else {
+                    return Err(EngineError::Type(format!(
+                        "host class {} has no field {name}",
+                        spec.name
+                    )));
+                };
+                if let Some(ic) = ic {
+                    ic.store(self.heap.ic_epoch(), IcState::HostField { class, field });
+                }
+                field
+            }
         };
         if !field.writable {
             return Err(EngineError::Type(format!("host field {name} is read-only")));

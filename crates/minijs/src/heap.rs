@@ -176,8 +176,6 @@ pub struct Heap {
     pub elem_reads: u64,
     /// Element writes performed.
     pub elem_writes: u64,
-    /// Whether property sites may consult their inline caches.
-    pub ic_enabled: bool,
     /// Inline-cache hits (fast-path lookups that skipped the walk).
     pub ic_hits: u64,
     /// Inline-cache misses (slow-path lookups, cache refilled).
@@ -233,7 +231,6 @@ impl Heap {
             vulnerable: true,
             elem_reads: 0,
             elem_writes: 0,
-            ic_enabled: true,
             ic_hits: 0,
             ic_misses: 0,
             string_bytes_walked: 0,
@@ -547,9 +544,6 @@ impl Heap {
         name: &str,
         ic: &PropIc,
     ) -> Result<Value, EngineError> {
-        if !self.ic_enabled {
-            return self.prop_get(machine, h, name);
-        }
         let data = self.obj(h)?;
         let (shape, slots_addr) = (data.shape, data.slots_addr);
         if let Some(IcState::Prop { shape: cached, slot }) = ic.load(self.ic_epoch) {
@@ -596,9 +590,6 @@ impl Heap {
         value: &Value,
         ic: &PropIc,
     ) -> Result<(), EngineError> {
-        if !self.ic_enabled {
-            return self.prop_set(machine, h, name, value);
-        }
         let boxed = self.box_value(value);
         let data = self.obj(h)?;
         let (shape, slots_addr, slots_cap) = (data.shape, data.slots_addr, data.slots_cap);

@@ -4,9 +4,11 @@
 //! generic form: one tick on entering each statement and expression node,
 //! operands evaluated left to right into `Value`s, and every operator,
 //! member access and call through the same helpers the op stream uses.
-//! The differential proptest below runs random programs on both and
-//! requires the same results, errors, counters and clock, also when the
-//! step budget runs out partway.
+//! The differential proptests below run random programs on both and
+//! require the same results, errors, counters and clock, also when the
+//! step budget runs out partway. Walked [`Walk::Uncached`], every
+//! property site takes the shape-table walk, which makes the walker the
+//! oracle of the inline caches too.
 
 use std::rc::Rc;
 
@@ -14,8 +16,19 @@ use crate::ast::{AssignOp, Expr, FuncDef, Layout, Stmt, Target, UnaryOp};
 use crate::error::EngineError;
 use crate::exec::{number_of, Ctx, Env};
 use crate::heap::Closure;
+use crate::ic::PropIc;
 use crate::lower::Method;
 use crate::Value;
+
+/// How the walker treats property sites.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Walk {
+    /// Every site consults its inline cache, as the op stream's do.
+    Cached,
+    /// No site consults its cache: each passes `None` for its `PropIc`
+    /// and walks the shape table.
+    Uncached,
+}
 
 /// Statement completion.
 enum Flow {
@@ -26,6 +39,12 @@ enum Flow {
 }
 
 impl Ctx<'_> {
+    /// The cache a property site passes: its own, or none when walking
+    /// uncached.
+    fn site<'s>(&self, ic: &'s PropIc) -> Option<&'s PropIc> {
+        (self.walker == Some(Walk::Cached)).then_some(ic)
+    }
+
     /// Runs a program's statements in the root frame.
     pub(crate) fn walk_program(
         &mut self,
@@ -191,7 +210,10 @@ impl Ctx<'_> {
                 let h = self.heap.new_object();
                 for (key, value_expr, ic) in props {
                     let v = self.eval(value_expr, env)?;
-                    self.heap.prop_set_ic(self.machine, h, key, &v, ic)?;
+                    match self.site(ic) {
+                        Some(ic) => self.heap.prop_set_ic(self.machine, h, key, &v, ic)?,
+                        None => self.heap.prop_set(self.machine, h, key, &v)?,
+                    }
                 }
                 Ok(Value::Obj(h))
             }
@@ -202,7 +224,7 @@ impl Ctx<'_> {
             Expr::Call { callee, args } => self.eval_call(callee, args, env),
             Expr::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
-                self.member_get(&receiver, name, Some(ic))
+                self.member_get(&receiver, name, self.site(ic))
             }
             Expr::Index(obj, idx) => {
                 let receiver = self.eval(obj, env)?;
@@ -278,7 +300,7 @@ impl Ctx<'_> {
         if let Expr::Member(obj, name, ic) = callee {
             let receiver = self.eval(obj, env)?;
             let args = self.eval_args(args, env)?;
-            return self.call_method(receiver, name, Method::of(name), ic, &args);
+            return self.call_method(receiver, name, Method::of(name), self.site(ic), &args);
         }
         match self.eval(callee, env)? {
             // A closure's frame is taken before its arguments run; they
@@ -325,7 +347,7 @@ impl Ctx<'_> {
             Target::Ident(name) => self.lookup(env, name),
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
-                self.member_get(&receiver, name, Some(ic))
+                self.member_get(&receiver, name, self.site(ic))
             }
             Target::Index(obj, idx) => {
                 let receiver = self.eval(obj, env)?;
@@ -348,7 +370,7 @@ impl Ctx<'_> {
             }
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
-                self.member_set(&receiver, name, value, Some(ic))
+                self.member_set(&receiver, name, value, self.site(ic))
             }
             Target::Index(obj, idx) => {
                 let receiver = self.eval(obj, env)?;
@@ -369,6 +391,7 @@ mod tests {
     use lir::{FaultPolicy, Machine};
     use proptest::prelude::*;
 
+    use super::Walk;
     use crate::{Engine, EngineError, HostClass, HostFieldKind, NativeFn, Value};
 
     /// Names a generated program binds at its top (and reads and writes
@@ -944,22 +967,23 @@ mod tests {
         strings: (u64, u64),
         output: Vec<String>,
         globals: Vec<String>,
+        pkey_faults: u64,
     }
 
-    /// Runs `source` on a fresh engine, on the walker or the op stream,
-    /// on a thread whose stack holds the walker's recursion 128 calls deep
-    /// in a debug build.
-    fn run(source: &str, walker: bool, fuel: u64, ic: bool) -> Outcome {
+    /// Runs `source` on a fresh engine, on the op stream (`None`) or the
+    /// walker, on a thread whose stack holds the walker's recursion 128
+    /// calls deep in a debug build.
+    fn run(source: &str, walker: Option<Walk>, fuel: u64) -> Outcome {
         let source = source.to_string();
         std::thread::Builder::new()
             .stack_size(64 << 20)
-            .spawn(move || run_here(&source, walker, fuel, ic))
+            .spawn(move || run_here(&source, walker, fuel))
             .expect("spawn")
             .join()
             .expect("the run panicked")
     }
 
-    fn run_here(source: &str, walker: bool, fuel: u64, ic: bool) -> Outcome {
+    fn run_here(source: &str, walker: Option<Walk>, fuel: u64) -> Outcome {
         let mut machine = Machine::split(FaultPolicy::Crash).expect("machine");
         let mut engine = Engine::new(&mut machine).expect("engine");
         // A host node `n`: `[length: u64]`, and a native `push` that
@@ -973,11 +997,9 @@ mod tests {
         let class = engine.define_host_class(class);
         engine.set_global("n", Engine::host_ref(addr, class));
         engine.set_fuel(fuel);
-        engine.set_ic_enabled(ic);
-        let result = if walker {
-            engine.eval_walker(&mut machine, source)
-        } else {
-            engine.eval(&mut machine, source)
+        let result = match walker {
+            Some(walk) => engine.eval_walker(&mut machine, source, walk),
+            None => engine.eval(&mut machine, source),
         };
         let result = match result {
             Ok(Value::Num(n)) if n.is_nan() => "NaN".to_string(),
@@ -1001,7 +1023,28 @@ mod tests {
             strings: engine.string_work(),
             output: engine.take_output(),
             globals,
+            pkey_faults: machine.space.stats().pkey_faults,
         }
+    }
+
+    /// Runs `source` on the op stream and on the walker, and requires
+    /// them to agree, returning the op stream's outcome. The op stream
+    /// may allocate fewer frames, never more: a leaf call takes none. An
+    /// uncached walk must leave both IC counters at zero, and is compared
+    /// on everything but them.
+    fn agree(source: &str, walk: Walk, fuel: u64) -> Result<Outcome, TestCaseError> {
+        let mut ops = run(source, None, fuel);
+        let walked = run(source, Some(walk), fuel);
+        prop_assert!(ops.exec.fresh_frames <= walked.exec.fresh_frames, "{}", source);
+        ops.exec.fresh_frames = walked.exec.fresh_frames;
+        let ic = ops.ic;
+        if walk == Walk::Uncached {
+            prop_assert_eq!(walked.ic, (0, 0), "the uncached walk cached:\n{}", source);
+            ops.ic = walked.ic;
+        }
+        prop_assert_eq!(&ops, &walked, "fuel {}: {}", fuel, source);
+        ops.ic = ic;
+        Ok(ops)
     }
 
     /// The program a tape describes.
@@ -1026,8 +1069,8 @@ mod tests {
         /// the value or error, every counter, the clock and the globals
         /// left behind; and again under a budget that runs out partway,
         /// where the op stream must stop at the same clock, exactly one
-        /// past the budget. The one exception is frames: a leaf call takes
-        /// none, so the op stream may allocate fewer, never more.
+        /// past the budget. `ic` picks the walker: cached, or uncached so
+        /// the op stream's caches are checked against the shape walk.
         #[test]
         fn op_stream_matches_the_walker(
             tape in proptest::collection::vec(any::<u32>(), 0..160),
@@ -1035,23 +1078,109 @@ mod tests {
             ic in any::<bool>(),
         ) {
             let source = gen(&tape);
+            let walk = if ic { Walk::Cached } else { Walk::Uncached };
             let budget = 20_000;
-            let mut ops = run(&source, false, budget, ic);
-            let walked = run(&source, true, budget, ic);
-            prop_assert!(ops.exec.fresh_frames <= walked.exec.fresh_frames, "{}", source);
-            ops.exec.fresh_frames = walked.exec.fresh_frames;
-            prop_assert_eq!(&ops, &walked, "{}", source);
-            let steps = ops.exec.steps;
+            let steps = agree(&source, walk, budget)?.exec.steps;
             if steps > 0 {
                 let fuel = cut % steps.min(budget);
-                let mut ops = run(&source, false, fuel, ic);
-                let walked = run(&source, true, fuel, ic);
-                prop_assert!(ops.exec.fresh_frames <= walked.exec.fresh_frames, "{}", source);
-                ops.exec.fresh_frames = walked.exec.fresh_frames;
-                prop_assert_eq!(&ops, &walked, "fuel {}: {}", fuel, source);
+                let ops = agree(&source, walk, fuel)?;
                 prop_assert_eq!(&ops.result, &format!("{:?}", EngineError::Fuel), "{}", source);
                 prop_assert_eq!(ops.exec.steps, fuel + 1, "{}", source);
             }
+        }
+    }
+
+    /// Deterministic program generator (xorshift64*), so each proptest
+    /// seed maps to exactly one program.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    const PROPS: [&str; 4] = ["a", "b", "c", "d"];
+
+    /// A random program over a handful of shape-sharing objects and one
+    /// array: cached property reads (guarded so absent properties fold to
+    /// 0 instead of NaN-poisoning the checksum), property writes that
+    /// grow shapes mid-loop, reads and writes through one site whose
+    /// receiver alternates between two objects, `length` interposition,
+    /// and one scripted mid-run property add on a receiver whose site is
+    /// already cached.
+    fn shape_program(seed: u64) -> String {
+        let mut rng = XorShift(seed | 1);
+        let nobjs = 1 + rng.below(3);
+        let mut src = String::new();
+        let mut anchor = "a";
+        for o in 0..nobjs {
+            let nprops = 1 + rng.below(3);
+            let mut lit = Vec::new();
+            for p in 0..nprops {
+                // Random subset in random order; duplicates are legal JS
+                // (last wins).
+                let name = PROPS[rng.below(4) as usize];
+                if o == 0 && p == 0 {
+                    // o0's first property anchors the guaranteed warm
+                    // read below, so the site actually hits.
+                    anchor = name;
+                }
+                lit.push(format!("{name}: {}", o * 10 + p));
+            }
+            src.push_str(&format!("var o{o} = {{{}}};\n", lit.join(", ")));
+        }
+        src.push_str("var ar = [1, 2, 3];\nvar s = 0;\nvar r = o0;\n");
+        let iters = 8 + rng.below(12);
+        let mutate_at = rng.below(iters);
+        let mutate_obj = rng.below(nobjs);
+        src.push_str(&format!("for (var i = 0; i < {iters}; i = i + 1) {{\n"));
+        src.push_str(&format!("  s = s + (o0.{anchor} ? o0.{anchor} : 0);\n"));
+        for _ in 0..(2 + rng.below(4)) {
+            let x = rng.below(nobjs);
+            let y = rng.below(nobjs);
+            let p = PROPS[rng.below(4) as usize];
+            let stmt = match rng.below(7) {
+                0 | 1 => format!("  s = s + (o{x}.{p} ? o{x}.{p} : 0);\n"),
+                2 => format!("  o{x}.{p} = s + i;\n"),
+                3 => "  s = s + ar.length;\n".to_string(),
+                4 => "  ar.push(i);\n".to_string(),
+                5 => format!("  r = i % 2 == 0 ? o{x} : o{y};\n  s = s + (r.{p} ? r.{p} : 0);\n"),
+                _ => format!("  r = i % 2 == 0 ? o{x} : o{y};\n  r.{p} = s - i;\n"),
+            };
+            src.push_str(&stmt);
+        }
+        // The shape mutation the caches must survive: a property add on
+        // a receiver whose read sites are warm by this iteration.
+        src.push_str(&format!("  if (i == {mutate_at}) {{ o{mutate_obj}.zz = 77; }}\n"));
+        src.push_str("}\n");
+        for o in 0..nobjs {
+            src.push_str(&format!("__print(JSON.stringify(o{o}));\n"));
+        }
+        src.push_str("__print('' + s);\n");
+        src
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Shape-sharing objects mutated under warm sites: the cached op
+        /// stream agrees with the uncached walker on every observable,
+        /// and its looped member site actually hits.
+        #[test]
+        fn ic_on_and_off_are_observably_identical(seed in 1u64..u64::MAX) {
+            let program = shape_program(seed);
+            let (hits, _) = agree(&program, Walk::Uncached, 20_000)?.ic;
+            prop_assert!(hits > 0, "looped member site never hit:\n{}", program);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Inline-cache behavior: hit rates, shape polymorphism, epoch
-//! invalidation, ablation parity — and the one property that must never
-//! regress: a cache hit still takes the live PKRU check.
+//! invalidation, parity with uncached lookups — and the one property
+//! that must never regress: a cache hit still takes the live PKRU check.
 
 use lir::{FaultPolicy, Machine};
 use minijs::{Engine, Value};
@@ -70,10 +70,12 @@ fn polymorphic_site_stays_correct_across_shape_changes() {
 }
 
 #[test]
-fn ic_ablation_is_bit_identical() {
-    // The same program with caches on and off: same value, same output,
-    // same element-access counters. Only hit/miss stats may differ.
-    let program = "
+fn cached_sites_match_computed_keys() {
+    // The same program through member sites (each with its inline cache)
+    // and through computed keys (`o['a']`, which no cache serves): same
+    // value, same output, same element-access counters. Only hit/miss
+    // stats may differ.
+    let cached = "
         function mk(i) { return {a: i, b: i * 2, c: 'v' + i}; }
         var objs = [];
         for (var i = 0; i < 20; i = i + 1) { objs.push(mk(i)); }
@@ -87,20 +89,33 @@ fn ic_ablation_is_bit_identical() {
         }
         __print(JSON.stringify(mk(3)));
     ";
+    let computed = "
+        function mk(i) { var o = {}; o['a'] = i; o['b'] = i * 2; o['c'] = 'v' + i; return o; }
+        var objs = [];
+        for (var i = 0; i < 20; i = i + 1) { objs.push(mk(i)); }
+        var total = 0;
+        for (var r = 0; r < 5; r = r + 1) {
+          for (var i = 0; i < objs['length']; i = i + 1) {
+            var o = objs[i];
+            o['a'] = o['a'] + 1;
+            total = total + o['a'] + o['b'];
+          }
+        }
+        __print(JSON['stringify'](mk(3)));
+    ";
     let mut results = Vec::new();
-    for ic in [true, false] {
+    for (program, caches) in [(cached, true), (computed, false)] {
         let (mut m, mut e) = setup();
-        e.set_ic_enabled(ic);
         e.eval(&mut m, program).unwrap();
-        let (hits, _) = e.ic_stats();
-        if ic {
-            assert!(hits > 0, "enabled lane must actually cache");
+        let (hits, misses) = e.ic_stats();
+        if caches {
+            assert!(hits > 0, "member sites must actually cache");
         } else {
-            assert_eq!(hits, 0, "disabled lane must never touch a cache");
+            assert_eq!((hits, misses), (0, 0), "computed keys must never touch a cache");
         }
         results.push((format!("{:?}", e.global("total")), e.take_output(), e.elem_accesses()));
     }
-    assert_eq!(results[0], results[1], "IC ablation changed behavior");
+    assert_eq!(results[0], results[1], "the caches changed behavior");
 }
 
 #[test]

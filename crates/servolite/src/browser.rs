@@ -148,26 +148,16 @@ impl BrowserStats {
     }
 }
 
-/// Dispatch ablation knobs: which interpreter fast paths are live.
+/// Options for the interpreter fast paths; there are none.
 ///
-/// Both default to on; the ablation lanes of `dispatch_ablation` turn
-/// them off one at a time to price each optimization separately.
-#[derive(Clone, Copy, Debug)]
-pub struct DispatchOptions {
-    /// Fused bulk-memory superinstructions (one TLB lookup per page run
-    /// instead of one per byte) in the machine.
-    pub threaded: bool,
-    /// Shape-keyed, epoch-invalidated inline caches in the engine.
-    pub ic: bool,
-}
+/// The inline caches and fused page runs are always on. The struct is
+/// kept, without fields, because perfbench passes it to
+/// [`Browser::with_dispatch`]; an options struct for that constructor's
+/// positional arguments will replace it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DispatchOptions {}
 
-impl Default for DispatchOptions {
-    fn default() -> DispatchOptions {
-        DispatchOptions { threaded: true, ic: true }
-    }
-}
-
-/// Counters for the dispatch fast paths (all zero when ablated off).
+/// Counters for the dispatch fast paths.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DispatchStats {
     /// Inline-cache hits across all property-access sites.
@@ -237,21 +227,16 @@ impl Browser {
     ///   quarantine breaker trips, and (for auditing policies) allocations
     ///   are logged to the metadata table so faulting addresses resolve
     ///   back to their sites.
-    /// - `tlb`: the software-TLB toggle.
-    /// - `dispatch`: `dispatch.threaded` gates the machine's fused
-    ///   bulk-memory superinstructions and `dispatch.ic` gates the
-    ///   engine's inline caches.
-    ///
-    /// The toggles take effect before any setup traffic (startup
-    /// allocations, the DOM boot, engine init), so an ablation lane's
-    /// counters stay at zero for the whole browser lifetime.
+    /// - `tlb`: the software-TLB toggle. It takes effect before any setup
+    ///   traffic (startup allocations, the DOM boot, engine init).
+    /// - `dispatch`: has no options; see [`DispatchOptions`].
     pub fn with_dispatch(
         config: BrowserConfig,
         profile: Option<&Profile>,
         host: Option<&SharedHost>,
         handler: Option<Arc<ViolationHandler>>,
         tlb: bool,
-        dispatch: DispatchOptions,
+        _dispatch: DispatchOptions,
     ) -> Result<Browser, BrowserError> {
         let machine_config = MachineConfig {
             split_allocator: config.split_allocator(),
@@ -268,7 +253,6 @@ impl Browser {
             None => Machine::new(machine_config)?,
         };
         machine.tlb.set_enabled(tlb);
-        machine.set_fused(dispatch.threaded);
         if let Some(handler) = handler.as_ref() {
             machine.set_violation_handler(Arc::clone(handler));
         }
@@ -306,7 +290,6 @@ impl Browser {
         startup_allocations(&mut dom, &mut machine)?;
 
         let mut engine = Engine::new(&mut machine)?;
-        engine.set_ic_enabled(dispatch.ic);
         let dom = Rc::new(RefCell::new(dom));
         let listeners = Rc::new(RefCell::new(HashMap::new()));
         let console = Rc::new(RefCell::new(Vec::new()));

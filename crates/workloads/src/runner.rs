@@ -169,27 +169,26 @@ pub fn run_benchmark(
     profile: Option<&Profile>,
     benchmark: &Benchmark,
 ) -> Result<RunResult, WorkloadError> {
-    run_benchmark_lane(config, profile, benchmark, true, DispatchOptions::default())
-        .map(|(row, _, _)| row)
+    run_benchmark_lane(config, profile, benchmark, true).map(|(row, _, _)| row)
 }
 
-/// [`run_benchmark`] on one ablation lane: an explicit software-TLB toggle
-/// and dispatch fast-path knobs, additionally returning the machine's TLB
-/// counters and the dispatch counters for the whole browser session.
+/// [`run_benchmark`] with an explicit software-TLB toggle, additionally
+/// returning the machine's TLB counters and the dispatch fast-path
+/// counters for the whole browser session.
 ///
-/// The lanes exist for the `tlb_ablation` and `dispatch_ablation` benches:
-/// they run the identical benchmark with a fast path on or off, and the
-/// checksum equality the benches enforce across lanes doubles as a
-/// coherence check on the real workload.
+/// The TLB lanes exist for the `tlb_ablation` bench: it runs the
+/// identical benchmark with the TLB on and off, and the checksum equality
+/// it enforces across lanes doubles as a coherence check on the real
+/// workload.
 pub fn run_benchmark_lane(
     config: BrowserConfig,
     profile: Option<&Profile>,
     benchmark: &Benchmark,
     tlb: bool,
-    dispatch: DispatchOptions,
 ) -> Result<(RunResult, TlbStats, DispatchStats), WorkloadError> {
-    let mut browser = Browser::with_dispatch(config, profile, None, None, tlb, dispatch)
-        .map_err(|e| browser_err(benchmark, e))?;
+    let mut browser =
+        Browser::with_dispatch(config, profile, None, None, tlb, DispatchOptions::default())
+            .map_err(|e| browser_err(benchmark, e))?;
     browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
     browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
     browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
