@@ -3,17 +3,21 @@
 //! enforcement with a profiled build.
 //!
 //! Each phase must serve more than 90% of its property lookups from the
-//! inline caches (the sets are monomorphic by design, so a lower rate
-//! means the epoch protocol over-invalidates) and must take fused page
-//! runs. Each benchmark's checksum is pinned to the value the uncached,
-//! unfused lanes gave at commit 57b24c1, when those lanes still existed:
+//! inline caches and more than 90% of its memory accesses from the
+//! software TLB (the working sets are monomorphic and fit the caches by
+//! design, so a lower rate means an epoch protocol over-invalidates), and
+//! must take fused page runs. Each benchmark's checksum is pinned to the
+//! value the uncached, unfused lanes gave at commit 57b24c1 (and, for the
+//! DOM trio, the TLB-off lane at b47ceec), when those lanes still existed:
 //! a fast path may skip layout work, never change a result.
 
+use pkru_vmem::TlbStats;
 use servolite::BrowserConfig;
 use workloads::{dromaeo, octane, profile_for, run_benchmark_lane, Benchmark};
 
-/// The memory-bound DOM trio (the same hot set as `tlb_ablation`), with
-/// its checksums at one iteration per block.
+/// The memory-bound DOM trio: per-byte DOM string traffic through the
+/// machine, where translation cost is most of the runtime. Checksums at
+/// one iteration per block.
 const DOM_HOT: [(&str, f64); 3] =
     [("dom-query", 1080.0), ("innerHTML", 180.0), ("dom-reflow", 9520.0)];
 
@@ -50,9 +54,10 @@ fn fast_paths_hit_and_keep_checksums_on_real_workloads() {
     let profile = profile_for(&corpus).expect("profiling corpus");
     for (phase, benchmarks) in [("dromaeo-dom-hot", &hot), ("octane-props", &props)] {
         let (mut hits, mut misses, mut fused_ops) = (0u64, 0u64, 0u64);
+        let mut tlb = TlbStats::default();
         for (benchmark, checksum) in benchmarks {
-            let (row, _, dispatch) =
-                run_benchmark_lane(BrowserConfig::Mpk, Some(&profile), benchmark, true)
+            let (row, run_tlb, dispatch) =
+                run_benchmark_lane(BrowserConfig::Mpk, Some(&profile), benchmark)
                     .expect("benchmark runs");
             assert_eq!(
                 row.checksum, *checksum,
@@ -62,9 +67,12 @@ fn fast_paths_hit_and_keep_checksums_on_real_workloads() {
             hits += dispatch.ic_hits;
             misses += dispatch.ic_misses;
             fused_ops += dispatch.fused_ops;
+            tlb.hits += run_tlb.hits;
+            tlb.misses += run_tlb.misses;
         }
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         assert!(hit_rate > 0.90, "{phase}: IC hit rate collapsed: {hits} hits, {misses} misses");
+        assert!(tlb.hit_rate() > 0.90, "{phase}: TLB hit rate collapsed: {tlb:?}");
         assert!(fused_ops > 0, "{phase}: bulk superinstructions never fired");
     }
 }

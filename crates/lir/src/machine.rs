@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pkalloc::{BaselineAlloc, CompartmentAlloc, PkAlloc, PkAllocConfig};
 use pkru_gates::Gates;
 use pkru_handler::{Verdict, ViolationHandler};
-use pkru_mpk::{AccessKind, Cpu, Pkey, PkeyPool, SharedPkeyPool};
+use pkru_mpk::{AccessKind, Cpu, Pkey, SharedPkeyPool};
 use pkru_provenance::{single_step_access, FaultResolution, ProfilingRuntime};
 use pkru_vmem::{AddressSpace, Fault, Prot, SharedSpace, Tlb, VirtAddr};
 
@@ -194,9 +194,8 @@ impl Machine {
     /// Builds a machine per `config`, with a fresh address space.
     pub fn new(config: MachineConfig) -> Result<Machine, Trap> {
         let space = SharedSpace::new();
-        let mut pool = PkeyPool::new();
         // Key allocation cannot fail on a fresh pool.
-        let trusted_pkey = pool.alloc().expect("fresh key pool");
+        let trusted_pkey = SharedPkeyPool::new().alloc().expect("fresh key pool");
         let alloc: Box<dyn CompartmentAlloc> = if config.split_allocator {
             let pk_config =
                 PkAllocConfig { unified_pools: config.unified_pools, ..PkAllocConfig::default() };
@@ -204,22 +203,7 @@ impl Machine {
         } else {
             Box::new(BaselineAlloc::new(space.clone())?)
         };
-        Ok(Machine {
-            space,
-            alloc,
-            cpu: Cpu::new(),
-            tlb: Tlb::new(),
-            gates: Gates::new(trusted_pkey),
-            profiler: ProfilingRuntime::new(),
-            fault_policy: config.fault_policy,
-            output: Vec::new(),
-            instret: 0,
-            fuel: config.fuel,
-            fused_ops: 0,
-            trusted_pkey,
-            handler: None,
-            syscall_filter: SyscallFilter::deny_all(),
-        })
+        Ok(Machine::assemble(config, space, alloc, trusted_pkey))
     }
 
     /// Builds a worker machine on a [`SharedHost`]: the address space, key
@@ -240,22 +224,33 @@ impl Machine {
             host.trusted_pkey(),
             PkAllocConfig::for_worker(worker),
         )?;
-        Ok(Machine {
-            space: host.space().clone(),
-            alloc: Box::new(alloc),
+        Ok(Machine::assemble(config, host.space().clone(), Box::new(alloc), host.trusted_pkey()))
+    }
+
+    /// The one assembly of a machine over `space`, `alloc` and the key
+    /// guarding `M_T`: every other part starts fresh, per thread.
+    fn assemble(
+        config: MachineConfig,
+        space: SharedSpace,
+        alloc: Box<dyn CompartmentAlloc>,
+        trusted_pkey: Pkey,
+    ) -> Machine {
+        Machine {
+            space,
+            alloc,
             cpu: Cpu::new(),
             tlb: Tlb::new(),
-            gates: Gates::new(host.trusted_pkey()),
+            gates: Gates::new(trusted_pkey),
             profiler: ProfilingRuntime::new(),
             fault_policy: config.fault_policy,
             output: Vec::new(),
             instret: 0,
             fuel: config.fuel,
             fused_ops: 0,
-            trusted_pkey: host.trusted_pkey(),
+            trusted_pkey,
             handler: None,
             syscall_filter: SyscallFilter::deny_all(),
-        })
+        }
     }
 
     /// A baseline machine: single-pool allocator, crash on fault.
@@ -440,21 +435,14 @@ impl Machine {
 
     /// A rights-checked multi-byte load with fault-policy handling.
     ///
-    /// With the TLB enabled (the bulk path rides the TLB's single-page
-    /// fast path), the buffer is split at page boundaries and each run is
-    /// served by **one** TLB lookup + one rights check instead of one per
-    /// byte; `pkru.allows` still runs live on every access, it is simply
+    /// The buffer is split at page boundaries and each run is served by
+    /// **one** TLB lookup + one rights check instead of one per byte;
+    /// `pkru.allows` still runs live on every access, it is simply
     /// amortized over the run the way a hardware line fill amortizes a
     /// walk. A faulting run falls back to the per-byte path so fault
     /// resolution (audit logging, single-step profiling, partial-progress
     /// semantics) stays byte-identical to [`Machine::mem_read_u8`].
     pub fn mem_read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Trap> {
-        if !self.tlb.enabled() {
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = self.mem_read_u8(addr.wrapping_add(i as u64))?;
-            }
-            return Ok(());
-        }
         let mut off = 0usize;
         while off < buf.len() {
             let a = addr.wrapping_add(off as u64);
@@ -481,12 +469,6 @@ impl Machine {
     /// fault so partial writes land exactly as [`Machine::mem_write_u8`]
     /// would leave them.
     pub fn mem_write_bytes(&mut self, addr: VirtAddr, bytes: &[u8]) -> Result<(), Trap> {
-        if !self.tlb.enabled() {
-            for (i, b) in bytes.iter().enumerate() {
-                self.mem_write_u8(addr.wrapping_add(i as u64), *b)?;
-            }
-            return Ok(());
-        }
         let mut off = 0usize;
         while off < bytes.len() {
             let a = addr.wrapping_add(off as u64);

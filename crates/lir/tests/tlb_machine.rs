@@ -1,13 +1,15 @@
 //! Machine-level TLB behaviour: the per-thread TLB must be invisible to
 //! every fault-policy outcome — profiler resolutions, violation-handler
-//! verdicts, and single-step replays are identical with the TLB on and
-//! off — while the violation path flushes the faulting page's entry.
+//! verdicts, and single-step replays are identical whether the violation
+//! is served from a warm entry or taken on a cold miss fill — while the
+//! violation path flushes the faulting page's entry.
 
 use std::sync::Arc;
 
 use lir::{FaultPolicy, Machine};
 use pkru_handler::{MpkPolicy, ViolationHandler};
 use pkru_provenance::AllocId;
+use pkru_vmem::Tlb;
 
 /// Runs the shared scenario — write to a trusted allocation, drop to the
 /// untrusted compartment, read it back through the fault path — and
@@ -17,9 +19,8 @@ struct Scenario {
     machine: Machine,
 }
 
-fn violate_under(policy: FaultPolicy, handler: Option<MpkPolicy>, tlb: bool) -> Scenario {
+fn violate_under(policy: FaultPolicy, handler: Option<MpkPolicy>, warm: bool) -> Scenario {
     let mut m = Machine::split(policy).unwrap();
-    m.tlb.set_enabled(tlb);
     if let Some(policy) = handler {
         m.set_violation_handler(Arc::new(ViolationHandler::new(policy, 0)));
     }
@@ -27,17 +28,22 @@ fn violate_under(policy: FaultPolicy, handler: Option<MpkPolicy>, tlb: bool) -> 
     m.mem_write(p, 4321).unwrap();
     m.profiler.metadata.log_alloc(p, 64, AllocId::new(1, 2, 3));
     // Warm the TLB on the trusted page so the violation below is served
-    // from a cached entry, not a cold miss.
+    // from a cached entry; a cold run then drops every entry, so the
+    // violation is raised by the miss fill instead.
     assert_eq!(m.mem_read(p).unwrap(), 4321);
+    if !warm {
+        m.fold_tlb_stats();
+        m.tlb = Tlb::new();
+    }
     m.gates.enter_untrusted(&mut m.cpu).unwrap();
     let value = m.mem_read(p).unwrap();
     Scenario { value, machine: m }
 }
 
 /// Under the profiling policy, the single-step resolution and the
-/// recorded profile are identical with the TLB on and off.
+/// recorded profile are identical from a warm entry and a cold miss.
 #[test]
-fn profile_resolution_is_identical_with_and_without_tlb() {
+fn profile_resolution_is_identical_warm_and_cold() {
     let on = violate_under(FaultPolicy::Profile, None, true);
     let off = violate_under(FaultPolicy::Profile, None, false);
     assert_eq!(on.value, 4321);
@@ -47,7 +53,7 @@ fn profile_resolution_is_identical_with_and_without_tlb() {
         assert_eq!(s.machine.profiler.profile.faults_observed, 1);
     }
     let (a, b) = (on.machine.space.stats(), off.machine.space.stats());
-    assert_eq!(a.pkey_faults, b.pkey_faults, "fault accounting must not depend on the TLB");
+    assert_eq!(a.pkey_faults, b.pkey_faults, "fault accounting must not depend on the TLB state");
     assert_eq!(a.pkey_faults, 1);
 }
 
@@ -55,7 +61,7 @@ fn profile_resolution_is_identical_with_and_without_tlb() {
 /// site resolution, same verdict) either way, and the replayed access
 /// completes with the same value.
 #[test]
-fn audit_verdict_is_identical_with_and_without_tlb() {
+fn audit_verdict_is_identical_warm_and_cold() {
     let on = violate_under(FaultPolicy::Crash, Some(MpkPolicy::Audit), true);
     let off = violate_under(FaultPolicy::Crash, Some(MpkPolicy::Audit), false);
     assert_eq!(on.value, 4321, "audit must single-step the read to completion");

@@ -17,16 +17,14 @@
 mod cpu;
 mod pkey;
 mod pkru;
-mod pool;
 mod revoke;
 mod shared;
 
 pub use cpu::Cpu;
 pub use pkey::{AccessKind, Pkey, PkeyRights, MAX_PKEYS};
 pub use pkru::Pkru;
-pub use pool::{PkeyPool, PkeyPoolError};
 pub use revoke::{LeaseStamp, RevocationBarrier, WorkerEpoch};
-pub use shared::SharedPkeyPool;
+pub use shared::{PkeyPoolError, SharedPkeyPool};
 
 #[cfg(test)]
 mod tests {

@@ -1,19 +1,37 @@
-//! Process-wide protection-key allocation shared between threads.
+//! Process-wide protection-key allocation (`pkey_alloc` / `pkey_free`).
 //!
 //! Protection keys are a per-process resource: the kernel hands them out
 //! with `pkey_alloc` regardless of which thread asks, while rights stay
-//! per-thread in each CPU's PKRU register. [`PkeyPool`](crate::PkeyPool)
-//! models the kernel bookkeeping for a single-threaded caller;
-//! [`SharedPkeyPool`] is the multi-threaded variant a serving runtime
-//! needs: a cloneable handle over one atomic allocation bitmap, so any
-//! worker can allocate or free keys without a lock and without ever
-//! handing the same live key to two callers.
+//! per-thread in each CPU's PKRU register. [`SharedPkeyPool`] models that
+//! kernel bookkeeping as a cloneable handle over one atomic allocation
+//! bitmap, so any thread can allocate or free keys without a lock and
+//! without ever handing the same live key to two callers.
 
+use core::fmt;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 use crate::pkey::{Pkey, MAX_PKEYS};
-use crate::pool::PkeyPoolError;
+
+/// Errors from the key-allocation interface.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PkeyPoolError {
+    /// All 15 allocatable keys are in use (`ENOSPC`).
+    Exhausted,
+    /// The key was not allocated, or is key 0 (`EINVAL`).
+    NotAllocated(Pkey),
+}
+
+impl fmt::Display for PkeyPoolError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PkeyPoolError::Exhausted => write!(f, "no protection keys available"),
+            PkeyPoolError::NotAllocated(k) => write!(f, "protection key {k} is not allocated"),
+        }
+    }
+}
+
+impl std::error::Error for PkeyPoolError {}
 
 /// A thread-safe `pkey_alloc`/`pkey_free` interface.
 ///
@@ -110,6 +128,15 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), 15);
         assert!(!keys.contains(&Pkey::DEFAULT));
+    }
+
+    #[test]
+    fn free_then_realloc_reuses_key() {
+        let pool = SharedPkeyPool::new();
+        let k = pool.alloc().unwrap();
+        pool.free(k).unwrap();
+        assert!(!pool.is_allocated(k));
+        assert_eq!(pool.alloc().unwrap(), k);
     }
 
     #[test]

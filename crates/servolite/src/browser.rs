@@ -227,15 +227,15 @@ impl Browser {
     ///   quarantine breaker trips, and (for auditing policies) allocations
     ///   are logged to the metadata table so faulting addresses resolve
     ///   back to their sites.
-    /// - `tlb`: the software-TLB toggle. It takes effect before any setup
-    ///   traffic (startup allocations, the DOM boot, engine init).
+    /// - `tlb`: ignored; the machine's software TLB is always on. Kept for
+    ///   perfbench until an options struct replaces these arguments.
     /// - `dispatch`: has no options; see [`DispatchOptions`].
     pub fn with_dispatch(
         config: BrowserConfig,
         profile: Option<&Profile>,
         host: Option<&SharedHost>,
         handler: Option<Arc<ViolationHandler>>,
-        tlb: bool,
+        _tlb: bool,
         _dispatch: DispatchOptions,
     ) -> Result<Browser, BrowserError> {
         let machine_config = MachineConfig {
@@ -252,7 +252,6 @@ impl Browser {
             Some(host) => Machine::on_host(machine_config, host)?,
             None => Machine::new(machine_config)?,
         };
-        machine.tlb.set_enabled(tlb);
         if let Some(handler) = handler.as_ref() {
             machine.set_violation_handler(Arc::clone(handler));
         }

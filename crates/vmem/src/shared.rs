@@ -47,7 +47,9 @@ fn single_page(addr: VirtAddr, len: u64) -> bool {
 /// walk. A TLB caches a page's key, never a PKRU verdict; every `mmap`,
 /// `munmap`, `mprotect`, `pkey_mprotect` and frame materialization bumps
 /// a global epoch, and a TLB whose snapshot disagrees flushes wholesale
-/// before serving the access.
+/// before serving the access. The untranslated `read`/`write` family is
+/// what a `tlb_*` method falls back to for a page-straddling access or a
+/// first touch, and the reference the TLB coherence tests compare with.
 #[derive(Clone)]
 pub struct SharedSpace {
     inner: Arc<RwLock<AddressSpace>>,
@@ -215,8 +217,9 @@ impl SharedSpace {
     // --- Software-TLB fast path -------------------------------------
     //
     // Observable behavior (results, `Fault{addr,access,kind}`, and the
-    // non-TLB counters) is identical to the plain methods above; the
-    // coherence proptest in `tests/tlb_coherence.rs` pins this. The fault
+    // non-TLB counters) is identical to the untranslated methods above,
+    // which are the TLB's reference: the coherence proptest in
+    // `tests/tlb_coherence.rs` drives both with one op stream. The fault
     // check order matches `AddressSpace::check` exactly: unmapped, then
     // protection bits, then pkey.
 
@@ -322,8 +325,7 @@ impl SharedSpace {
     }
 
     /// [`SharedSpace::read`] through a per-thread TLB. Accesses that
-    /// straddle a page (or a disabled TLB) fall back to the slow path
-    /// wholesale.
+    /// straddle a page fall back to the slow path wholesale.
     pub fn tlb_read(
         &self,
         tlb: &mut Tlb,
@@ -331,7 +333,7 @@ impl SharedSpace {
         addr: VirtAddr,
         buf: &mut [u8],
     ) -> Result<(), Fault> {
-        if !tlb.enabled() || !single_page(addr, buf.len() as u64) {
+        if !single_page(addr, buf.len() as u64) {
             return self.read(pkru, addr, buf);
         }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Read)?;
@@ -352,7 +354,7 @@ impl SharedSpace {
         addr: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), Fault> {
-        if !tlb.enabled() || !single_page(addr, bytes.len() as u64) {
+        if !single_page(addr, bytes.len() as u64) {
             return self.write(pkru, addr, bytes);
         }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Write)?;
@@ -375,7 +377,7 @@ impl SharedSpace {
     /// mask-and-compare and the value loads without a stack buffer.
     #[inline]
     pub fn tlb_read_u64(&self, tlb: &mut Tlb, pkru: Pkru, addr: VirtAddr) -> Result<u64, Fault> {
-        if !tlb.enabled() || (addr & (crate::PAGE_SIZE - 1)) > crate::PAGE_SIZE - 8 {
+        if (addr & (crate::PAGE_SIZE - 1)) > crate::PAGE_SIZE - 8 {
             return self.read_u64(pkru, addr);
         }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Read)?;
@@ -395,7 +397,7 @@ impl SharedSpace {
         addr: VirtAddr,
         value: u64,
     ) -> Result<(), Fault> {
-        if !tlb.enabled() || (addr & (crate::PAGE_SIZE - 1)) > crate::PAGE_SIZE - 8 {
+        if (addr & (crate::PAGE_SIZE - 1)) > crate::PAGE_SIZE - 8 {
             return self.write_u64(pkru, addr, value);
         }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Write)?;
@@ -414,9 +416,6 @@ impl SharedSpace {
     /// the browser workloads.
     #[inline]
     pub fn tlb_read_u8(&self, tlb: &mut Tlb, pkru: Pkru, addr: VirtAddr) -> Result<u8, Fault> {
-        if !tlb.enabled() {
-            return self.read_u8(pkru, addr);
-        }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Read)?;
         let value = match &entry.frame {
             Some(frame) => frame.read_u8((addr - entry.page) as usize),
@@ -434,9 +433,6 @@ impl SharedSpace {
         addr: VirtAddr,
         value: u8,
     ) -> Result<(), Fault> {
-        if !tlb.enabled() {
-            return self.write(pkru, addr, &[value]);
-        }
         let entry = self.tlb_lookup(tlb, pkru, addr, AccessKind::Write)?;
         match &entry.frame {
             Some(frame) => frame.write_u8((addr - entry.page) as usize, value),

@@ -119,43 +119,19 @@ pub struct Tlb {
     pub(crate) entries: Box<[Option<TlbEntry>; TLB_ENTRIES]>,
     /// Snapshot of the space's generation counter at the last sync.
     pub(crate) epoch: u64,
-    enabled: bool,
     /// Buffered per-thread counters, folded into the space's shared
     /// statistics at the slow points (see [`PendingStats`]).
     pub(crate) pending: PendingStats,
 }
 
 impl Tlb {
-    /// An empty, enabled TLB.
+    /// An empty TLB.
     pub fn new() -> Tlb {
         Tlb {
             entries: Box::new(std::array::from_fn(|_| None)),
             epoch: 0,
-            enabled: true,
             pending: PendingStats::default(),
         }
-    }
-
-    /// An empty TLB that never caches (every access takes the slow path) —
-    /// the ablation configuration.
-    pub fn disabled() -> Tlb {
-        let mut tlb = Tlb::new();
-        tlb.enabled = false;
-        tlb
-    }
-
-    /// Whether the TLB serves accesses from its cache.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables the cache. Disabling drops every entry, so
-    /// re-enabling later can never serve pre-disable state.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.clear();
-        }
-        self.enabled = enabled;
     }
 
     /// The direct-mapped slot for a page base.
@@ -189,7 +165,6 @@ impl std::fmt::Debug for Tlb {
         f.debug_struct("Tlb")
             .field("occupancy", &self.occupancy())
             .field("epoch", &self.epoch)
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
@@ -203,21 +178,6 @@ mod tests {
         assert_eq!(Tlb::slot(0), 0);
         assert_eq!(Tlb::slot(crate::PAGE_SIZE), 1);
         assert_eq!(Tlb::slot(crate::PAGE_SIZE * TLB_ENTRIES as u64), 0);
-    }
-
-    #[test]
-    fn disable_drops_entries() {
-        let mut tlb = Tlb::new();
-        tlb.entries[3] = Some(TlbEntry {
-            page: 3 * crate::PAGE_SIZE,
-            prot: Prot::READ_WRITE,
-            pkey: Pkey::DEFAULT,
-            frame: None,
-        });
-        assert_eq!(tlb.occupancy(), 1);
-        tlb.set_enabled(false);
-        assert_eq!(tlb.occupancy(), 0);
-        assert!(!tlb.enabled());
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! TLB coherence: a TLB-enabled space and a TLB-disabled space driven
-//! with the same interleaving of accesses and protection changes must be
-//! observably identical — byte-identical results, identical fault
-//! sequences (`Fault{addr,access,kind}`), and identical non-TLB counters.
+//! TLB coherence: a space accessed through a per-thread TLB and a space
+//! accessed through the untranslated `read`/`write` methods (every access
+//! takes the lock and walks the regions) driven with the same
+//! interleaving of accesses and protection changes must be observably
+//! identical — byte-identical results, identical fault sequences
+//! (`Fault{addr,access,kind}`), and identical non-TLB counters.
 //!
 //! The targeted regressions below pin the cases the epoch protocol
 //! exists for: a `pkey_mprotect` re-key must never be served from a
@@ -16,18 +18,57 @@ use pkru_vmem::{Fault, FaultKind, Prot, SharedSpace, Tlb, PAGE_SIZE};
 
 const PAGES: u64 = 8;
 
-/// One independently-driven space + per-thread TLB pair.
+/// One independently-driven space + per-thread TLB pair. An untranslated
+/// lane never touches its TLB: it is the reference the TLB must match.
 struct Lane {
     space: SharedSpace,
     tlb: Tlb,
     base: u64,
+    translated: bool,
 }
 
-fn lane(enabled: bool) -> Lane {
+fn lane(translated: bool) -> Lane {
     let space = SharedSpace::new();
     let base = space.mmap(PAGES * PAGE_SIZE, Prot::READ_WRITE).unwrap();
-    let tlb = if enabled { Tlb::new() } else { Tlb::disabled() };
-    Lane { space, tlb, base }
+    Lane { space, tlb: Tlb::new(), base, translated }
+}
+
+/// The width of a run's loads and stores: the `u64` accessors, or the
+/// byte accessors that carry the DOM's string traffic.
+#[derive(Clone, Copy)]
+enum Width {
+    Word,
+    Byte,
+}
+
+impl Lane {
+    fn load(&mut self, width: Width, pkru: Pkru, addr: u64) -> Result<u64, Fault> {
+        let (space, tlb) = (&self.space, &mut self.tlb);
+        match (width, self.translated) {
+            (Width::Word, true) => space.tlb_read_u64(tlb, pkru, addr),
+            (Width::Word, false) => space.read_u64(pkru, addr),
+            (Width::Byte, true) => space.tlb_read_u8(tlb, pkru, addr).map(u64::from),
+            (Width::Byte, false) => space.read_u8(pkru, addr).map(u64::from),
+        }
+    }
+
+    fn store(&mut self, width: Width, pkru: Pkru, addr: u64, value: u64) -> Result<(), Fault> {
+        let (space, tlb) = (&self.space, &mut self.tlb);
+        match (width, self.translated) {
+            (Width::Word, true) => space.tlb_write_u64(tlb, pkru, addr, value),
+            (Width::Word, false) => space.write_u64(pkru, addr, value),
+            (Width::Byte, true) => space.tlb_write_u8(tlb, pkru, addr, value as u8),
+            (Width::Byte, false) => space.write_u8(pkru, addr, value as u8),
+        }
+    }
+
+    fn read(&mut self, pkru: Pkru, addr: u64, buf: &mut [u8]) -> Result<(), Fault> {
+        if self.translated {
+            self.space.tlb_read(&mut self.tlb, pkru, addr, buf)
+        } else {
+            self.space.read(pkru, addr, buf)
+        }
+    }
 }
 
 /// The observable outcome of one operation, compared across lanes.
@@ -61,21 +102,20 @@ impl XorShift {
 /// Applies the `n`-th operation of the `seed` stream to one lane. Both
 /// lanes see the same stream, so any observable divergence is a TLB
 /// coherence bug.
-fn apply(lane: &mut Lane, seed: u64, n: u64) -> Outcome {
+fn apply(lane: &mut Lane, width: Width, seed: u64, n: u64) -> Outcome {
     let mut rng = XorShift(seed ^ (n.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1);
     let key = Pkey::new(1).unwrap();
     let pkru = if rng.below(2) == 0 { Pkru::ALL_ACCESS } else { Pkru::deny_only(key) };
     let page = rng.below(PAGES);
     let offset = rng.below(PAGE_SIZE - 8);
     let addr = lane.base + page * PAGE_SIZE + offset;
-    let (space, tlb) = (&lane.space, &mut lane.tlb);
     match rng.below(10) {
         // Accesses dominate, as on the real hot path.
-        0..=2 => match space.tlb_read_u64(tlb, pkru, addr) {
+        0..=2 => match lane.load(width, pkru, addr) {
             Ok(v) => Outcome::Value(v),
             Err(f) => Outcome::Fault(f),
         },
-        3..=5 => match space.tlb_write_u64(tlb, pkru, addr, rng.next()) {
+        3..=5 => match lane.store(width, pkru, addr, rng.next()) {
             Ok(()) => Outcome::MapOk,
             Err(f) => Outcome::Fault(f),
         },
@@ -83,21 +123,21 @@ fn apply(lane: &mut Lane, seed: u64, n: u64) -> Outcome {
         6 => {
             let mut buf = vec![0u8; 24];
             let addr = lane.base + page * PAGE_SIZE + (PAGE_SIZE - 12);
-            match space.tlb_read(tlb, pkru, addr, &mut buf) {
+            match lane.read(pkru, addr, &mut buf) {
                 Ok(()) => Outcome::Bytes(buf),
                 Err(f) => Outcome::Fault(f),
             }
         }
         7 => {
             let prot = if rng.below(2) == 0 { Prot::READ } else { Prot::READ_WRITE };
-            match space.mprotect(lane.base + page * PAGE_SIZE, PAGE_SIZE, prot) {
+            match lane.space.mprotect(lane.base + page * PAGE_SIZE, PAGE_SIZE, prot) {
                 Ok(()) => Outcome::MapOk,
                 Err(_) => Outcome::MapErr,
             }
         }
         8 => {
             let new_key = if rng.below(2) == 0 { key } else { Pkey::DEFAULT };
-            match space.pkey_mprotect(
+            match lane.space.pkey_mprotect(
                 lane.base + page * PAGE_SIZE,
                 PAGE_SIZE,
                 Prot::READ_WRITE,
@@ -112,10 +152,10 @@ fn apply(lane: &mut Lane, seed: u64, n: u64) -> Outcome {
             // unmapped faults appear without permanently shrinking the
             // arena.
             let page_addr = lane.base + page * PAGE_SIZE;
-            let result = if space.is_mapped(page_addr) {
-                space.munmap(page_addr, PAGE_SIZE)
+            let result = if lane.space.is_mapped(page_addr) {
+                lane.space.munmap(page_addr, PAGE_SIZE)
             } else {
-                space.mmap_at(page_addr, PAGE_SIZE, Prot::READ_WRITE)
+                lane.space.mmap_at(page_addr, PAGE_SIZE, Prot::READ_WRITE)
             };
             match result {
                 Ok(()) => Outcome::MapOk,
@@ -125,36 +165,49 @@ fn apply(lane: &mut Lane, seed: u64, n: u64) -> Outcome {
     }
 }
 
+/// Runs `ops` operations of the `seed` stream on a translated and an
+/// untranslated lane, requiring identical outcomes and non-TLB counters.
+fn check_lanes(seed: u64, ops: u64, width: Width) -> Result<(), TestCaseError> {
+    let mut on = lane(true);
+    let mut off = lane(false);
+    for n in 0..ops {
+        let a = apply(&mut on, width, seed, n);
+        let b = apply(&mut off, width, seed, n);
+        prop_assert_eq!(a, b, "divergence at op {} of seed {:#x}", n, seed);
+    }
+    // Hit-path counters are buffered per thread; publish them before
+    // comparing the shared totals.
+    on.space.tlb_fold_stats(&mut on.tlb);
+    let (sa, sb) = (on.space.stats(), off.space.stats());
+    prop_assert_eq!((sa.reads, sa.writes, sa.demand_pages), (sb.reads, sb.writes, sb.demand_pages));
+    prop_assert_eq!(
+        (sa.pkey_faults, sa.prot_faults, sa.unmapped_faults),
+        (sb.pkey_faults, sb.prot_faults, sb.unmapped_faults)
+    );
+    // The translated lane must actually have exercised the cache.
+    prop_assert!(sa.tlb.hits + sa.tlb.misses > 0);
+    prop_assert_eq!(sb.tlb.hits, 0, "the untranslated accessors never serve hits");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline coherence property: TLB-on and TLB-off runs of the
-    /// same interleaved op stream are observably identical.
+    /// The headline coherence property: a run of an interleaved op stream
+    /// through the TLB and a run of the same stream through the
+    /// untranslated accessors are observably identical.
     #[test]
     fn tlb_on_and_off_are_observably_identical(seed in 0u64..u64::MAX, ops in 50u64..300) {
-        let mut on = lane(true);
-        let mut off = lane(false);
-        for n in 0..ops {
-            let a = apply(&mut on, seed, n);
-            let b = apply(&mut off, seed, n);
-            prop_assert_eq!(a, b, "divergence at op {} of seed {:#x}", n, seed);
-        }
-        // Hit-path counters are buffered per thread; publish both lanes'
-        // before comparing the shared totals.
-        on.space.tlb_fold_stats(&mut on.tlb);
-        off.space.tlb_fold_stats(&mut off.tlb);
-        let (sa, sb) = (on.space.stats(), off.space.stats());
-        prop_assert_eq!(
-            (sa.reads, sa.writes, sa.demand_pages),
-            (sb.reads, sb.writes, sb.demand_pages)
-        );
-        prop_assert_eq!(
-            (sa.pkey_faults, sa.prot_faults, sa.unmapped_faults),
-            (sb.pkey_faults, sb.prot_faults, sb.unmapped_faults)
-        );
-        // The enabled lane must actually have exercised the cache.
-        prop_assert!(sa.tlb.hits + sa.tlb.misses > 0);
-        prop_assert_eq!(sb.tlb.hits, 0, "a disabled TLB never serves hits");
+        check_lanes(seed, ops, Width::Word)?;
+    }
+
+    /// The same property for the single-byte accessors.
+    #[test]
+    fn byte_accesses_match_the_untranslated_accessors(
+        seed in 0u64..u64::MAX,
+        ops in 50u64..300,
+    ) {
+        check_lanes(seed, ops, Width::Byte)?;
     }
 }
 

@@ -7,7 +7,7 @@ use minijs::Value;
 use pkru_provenance::json::JsonValue;
 use pkru_provenance::Profile;
 use pkru_vmem::TlbStats;
-use servolite::{Browser, BrowserConfig, BrowserError, DispatchOptions, DispatchStats};
+use servolite::{Browser, BrowserConfig, BrowserError, DispatchStats};
 
 use crate::suites::micro_page;
 use crate::Benchmark;
@@ -169,26 +169,18 @@ pub fn run_benchmark(
     profile: Option<&Profile>,
     benchmark: &Benchmark,
 ) -> Result<RunResult, WorkloadError> {
-    run_benchmark_lane(config, profile, benchmark, true).map(|(row, _, _)| row)
+    run_benchmark_lane(config, profile, benchmark).map(|(row, _, _)| row)
 }
 
-/// [`run_benchmark`] with an explicit software-TLB toggle, additionally
-/// returning the machine's TLB counters and the dispatch fast-path
-/// counters for the whole browser session.
-///
-/// The TLB lanes exist for the `tlb_ablation` bench: it runs the
-/// identical benchmark with the TLB on and off, and the checksum equality
-/// it enforces across lanes doubles as a coherence check on the real
-/// workload.
+/// [`run_benchmark`], additionally returning the machine's TLB counters
+/// and the dispatch fast-path counters for the whole browser session.
 pub fn run_benchmark_lane(
     config: BrowserConfig,
     profile: Option<&Profile>,
     benchmark: &Benchmark,
-    tlb: bool,
 ) -> Result<(RunResult, TlbStats, DispatchStats), WorkloadError> {
     let mut browser =
-        Browser::with_dispatch(config, profile, None, None, tlb, DispatchOptions::default())
-            .map_err(|e| browser_err(benchmark, e))?;
+        Browser::with_profile(config, profile).map_err(|e| browser_err(benchmark, e))?;
     browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
     browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
     browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;

@@ -200,16 +200,19 @@ fn parse_traffic(spec: &str) -> Result<TrafficShape, String> {
     }
 }
 
+/// Parses the number following `flag` (`raw`, absent when `flag` ended
+/// the command line).
+fn parse_num(flag: &str, raw: Option<String>) -> Result<u64, String> {
+    let raw = raw.ok_or(format!("{flag} needs a number"))?;
+    raw.parse().map_err(|_| format!("bad {flag} {raw:?}"))
+}
+
 /// Parses the `serve` flags and runs the worker-pool runtime. Unlike the
 /// pipeline commands, `serve` takes no input file: the served catalog is
 /// built in.
 fn serve_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
     let mut config = ServeConfig::default();
     let mut json = false;
-    let parse_num = |flag: &str, raw: Option<String>| -> Result<u64, String> {
-        let raw = raw.ok_or(format!("{flag} needs a number"))?;
-        raw.parse().map_err(|_| format!("bad {flag} {raw:?}"))
-    };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--workers" => config.workers = parse_num("--workers", argv.next())? as usize,
@@ -576,10 +579,6 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
     let mut seed: u64 = 0x5eed;
     let mut json = false;
     while let Some(flag) = argv.next() {
-        let parse_num = |flag: &str, raw: Option<String>| -> Result<u64, String> {
-            let raw = raw.ok_or(format!("{flag} needs a number"))?;
-            raw.parse().map_err(|_| format!("bad {flag} {raw:?}"))
-        };
         match flag.as_str() {
             "--samples" => samples = parse_num("--samples", argv.next())?,
             "--seed" => seed = parse_num("--seed", argv.next())?,
