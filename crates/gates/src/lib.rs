@@ -36,6 +36,36 @@ use pkru_mpk::{Cpu, LeaseStamp, Pkey, Pkru, WorkerEpoch};
 /// raw software model.
 pub const DEFAULT_CROSSING_COST: Duration = Duration::from_nanos(200);
 
+/// Spins on `now` until `cost` is spent; returns the last reading's
+/// elapsed time.
+///
+/// A clock read is itself tens of nanoseconds, and the part of it that
+/// runs after its timestamp is taken is still spent once the loop decides
+/// to stop. So the loop stops as soon as the elapsed time plus that tail
+/// reaches `cost`, rather than one read past `cost`. The tail is the
+/// *smallest* gap between two readings seen so far, trusted only once two
+/// gaps have been seen: a preempted read makes one gap long, which can
+/// lengthen a burn but never shorten it. The loop has no `spin_loop`
+/// hint, because a pause inside every gap would make the estimate longer
+/// than the real tail. The arithmetic is on integer nanoseconds to keep
+/// the gap, and so the overshoot, small.
+fn spin_for(cost: Duration, mut now: impl FnMut() -> Instant) -> Duration {
+    let cost = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
+    let start = now();
+    let mut last = 0u64;
+    let mut shortest = u64::MAX;
+    loop {
+        let elapsed = now().saturating_duration_since(start).as_nanos() as u64;
+        let gap = elapsed.saturating_sub(last);
+        let tail = if shortest == u64::MAX { 0 } else { shortest.min(gap) };
+        if elapsed.saturating_add(tail) >= cost {
+            return Duration::from_nanos(elapsed);
+        }
+        shortest = shortest.min(gap);
+        last = elapsed;
+    }
+}
+
 /// Default bound on compartment-stack nesting.
 ///
 /// The `dom` suite's nested callbacks reach depth ~10; anything near this
@@ -249,12 +279,8 @@ impl Gates {
 
     /// Burns the calibrated crossing cost (the WRPKRU timing model).
     fn burn(&self) {
-        if self.crossing_cost.is_zero() {
-            return;
-        }
-        let start = Instant::now();
-        while start.elapsed() < self.crossing_cost {
-            std::hint::spin_loop();
+        if !self.crossing_cost.is_zero() {
+            spin_for(self.crossing_cost, Instant::now);
         }
     }
 
@@ -592,6 +618,57 @@ mod tests {
         gates.exit_untrusted(&mut cpu).unwrap();
         assert!(epoch.parked(), "depth 1 → 0 parks at the single restore point");
         assert!(barrier.all_passed(steal), "parking releases the quarantined epoch");
+    }
+
+    /// A clock whose successive readings are `gaps` ns apart (the last
+    /// gap repeats).
+    fn stepped_clock(gaps: &[u64]) -> impl FnMut() -> Instant + '_ {
+        let base = Instant::now();
+        let (mut at, mut next) = (0u64, 0usize);
+        move || {
+            let reading = base + Duration::from_nanos(at);
+            at += gaps[next.min(gaps.len() - 1)];
+            next += 1;
+            reading
+        }
+    }
+
+    #[test]
+    fn a_burn_stops_one_read_short_of_the_cost() {
+        // Reads 30 ns apart: the reading at 180 ns plus a 30 ns tail
+        // reaches 200, so the loop stops there instead of reading at 210.
+        let cost = Duration::from_nanos(200);
+        assert_eq!(spin_for(cost, stepped_clock(&[30])), Duration::from_nanos(180));
+    }
+
+    #[test]
+    fn a_preempted_read_never_ends_a_burn_early() {
+        let cost = Duration::from_nanos(200);
+        // The first gap is preempted (150 ns, reads cost 10). Trusted as
+        // the tail, it would stop the burn at 150; the shortest gap seen
+        // by the second reading is 10, so the burn runs on to 190.
+        assert_eq!(spin_for(cost, stepped_clock(&[150, 10])), Duration::from_nanos(190));
+        // A preempted gap mid-burn only lengthens it.
+        assert_eq!(spin_for(cost, stepped_clock(&[10, 10, 500])), Duration::from_nanos(520));
+        // Every gap is long: the burn still covers the cost less one gap.
+        let stop = spin_for(cost, stepped_clock(&[90]));
+        assert_eq!(stop, Duration::from_nanos(180));
+    }
+
+    #[test]
+    fn a_crossing_never_costs_less_than_the_model() {
+        // A lower bound only, so host noise can lengthen the run but
+        // cannot flake the test: 4,000 crossings at 200 ns each.
+        let (mut gates, mut cpu, _) = setup();
+        assert_eq!(DEFAULT_CROSSING_COST, Duration::from_nanos(200));
+        let start = Instant::now();
+        for _ in 0..2_000 {
+            gates.enter_untrusted(&mut cpu).unwrap();
+            gates.exit_untrusted(&mut cpu).unwrap();
+        }
+        let wall = start.elapsed();
+        assert_eq!(gates.transitions(), 4_000);
+        assert!(wall >= Duration::from_micros(800), "4,000 crossings took {wall:?}");
     }
 
     #[test]

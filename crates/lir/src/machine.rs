@@ -149,6 +149,14 @@ impl Default for SharedHost {
     }
 }
 
+/// The length of the run starting at `addr` that stays within its page,
+/// capped at `remaining` bytes.
+#[inline]
+fn page_run(addr: VirtAddr, remaining: usize) -> usize {
+    let to_page_end = (addr | (pkru_vmem::PAGE_SIZE - 1)).wrapping_add(1).wrapping_sub(addr);
+    remaining.min(to_page_end.max(1) as usize)
+}
+
 /// The per-program execution environment: address space, allocator, CPU,
 /// call gates, and the profiling runtime.
 pub struct Machine {
@@ -375,7 +383,14 @@ impl Machine {
         }
     }
 
+    // The accessors below inline into the interpreters and the embedders
+    // (servolite, minijs): a TLB hit is the checked translation and one
+    // frame access. A fault leaves through `resolve_fault`, which is cold
+    // and never inlined, so the fault policy adds nothing to the hit
+    // path's frame.
+
     /// A rights-checked 8-byte load with fault-policy handling.
+    #[inline]
     pub fn mem_read(&mut self, addr: VirtAddr) -> Result<u64, Trap> {
         let pkru = self.cpu.pkru();
         let result = self.space.tlb_read_u64(&mut self.tlb, pkru, addr);
@@ -389,6 +404,7 @@ impl Machine {
     }
 
     /// A rights-checked 8-byte store with fault-policy handling.
+    #[inline]
     pub fn mem_write(&mut self, addr: VirtAddr, value: u64) -> Result<(), Trap> {
         let pkru = self.cpu.pkru();
         let result = self.space.tlb_write_u64(&mut self.tlb, pkru, addr, value);
@@ -404,6 +420,7 @@ impl Machine {
     }
 
     /// A rights-checked single-byte load with fault-policy handling.
+    #[inline]
     pub fn mem_read_u8(&mut self, addr: VirtAddr) -> Result<u8, Trap> {
         let pkru = self.cpu.pkru();
         let result = self.space.tlb_read_u8(&mut self.tlb, pkru, addr);
@@ -419,6 +436,7 @@ impl Machine {
     }
 
     /// A rights-checked single-byte store with fault-policy handling.
+    #[inline]
     pub fn mem_write_u8(&mut self, addr: VirtAddr, value: u8) -> Result<(), Trap> {
         let pkru = self.cpu.pkru();
         let result = self.space.tlb_write_u8(&mut self.tlb, pkru, addr, value);
@@ -442,22 +460,27 @@ impl Machine {
     /// walk. A faulting run falls back to the per-byte path so fault
     /// resolution (audit logging, single-step profiling, partial-progress
     /// semantics) stays byte-identical to [`Machine::mem_read_u8`].
+    #[inline]
     pub fn mem_read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Trap> {
         let mut off = 0usize;
         while off < buf.len() {
             let a = addr.wrapping_add(off as u64);
-            let to_page_end = (a | (pkru_vmem::PAGE_SIZE - 1)).wrapping_add(1).wrapping_sub(a);
-            let run = (buf.len() - off).min(to_page_end.max(1) as usize);
+            let run = page_run(a, buf.len() - off);
             let pkru = self.cpu.pkru();
             match self.space.tlb_read(&mut self.tlb, pkru, a, &mut buf[off..off + run]) {
                 Ok(()) => self.fused_ops += 1,
-                Err(_) => {
-                    for i in 0..run {
-                        buf[off + i] = self.mem_read_u8(a.wrapping_add(i as u64))?;
-                    }
-                }
+                Err(_) => self.mem_read_run_bytewise(a, &mut buf[off..off + run])?,
             }
             off += run;
+        }
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn mem_read_run_bytewise(&mut self, addr: VirtAddr, run: &mut [u8]) -> Result<(), Trap> {
+        for (i, b) in run.iter_mut().enumerate() {
+            *b = self.mem_read_u8(addr.wrapping_add(i as u64))?;
         }
         Ok(())
     }
@@ -468,28 +491,35 @@ impl Machine {
     /// lookup + live rights check per page run, per-byte fallback on any
     /// fault so partial writes land exactly as [`Machine::mem_write_u8`]
     /// would leave them.
+    #[inline]
     pub fn mem_write_bytes(&mut self, addr: VirtAddr, bytes: &[u8]) -> Result<(), Trap> {
         let mut off = 0usize;
         while off < bytes.len() {
             let a = addr.wrapping_add(off as u64);
-            let to_page_end = (a | (pkru_vmem::PAGE_SIZE - 1)).wrapping_add(1).wrapping_sub(a);
-            let run = (bytes.len() - off).min(to_page_end.max(1) as usize);
+            let run = page_run(a, bytes.len() - off);
             let pkru = self.cpu.pkru();
             match self.space.tlb_write(&mut self.tlb, pkru, a, &bytes[off..off + run]) {
                 Ok(()) => self.fused_ops += 1,
-                Err(_) => {
-                    for i in 0..run {
-                        self.mem_write_u8(a.wrapping_add(i as u64), bytes[off + i])?;
-                    }
-                }
+                Err(_) => self.mem_write_run_bytewise(a, &bytes[off..off + run])?,
             }
             off += run;
         }
         Ok(())
     }
 
+    #[cold]
+    #[inline(never)]
+    fn mem_write_run_bytewise(&mut self, addr: VirtAddr, run: &[u8]) -> Result<(), Trap> {
+        for (i, &b) in run.iter().enumerate() {
+            self.mem_write_u8(addr.wrapping_add(i as u64), b)?;
+        }
+        Ok(())
+    }
+
     /// Applies the fault policy: under [`FaultPolicy::Profile`], consult the
     /// profiling runtime and single-step the retry; otherwise crash.
+    #[cold]
+    #[inline(never)]
     fn resolve_fault(
         &mut self,
         fault: Fault,

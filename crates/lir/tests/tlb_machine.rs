@@ -6,10 +6,11 @@
 
 use std::sync::Arc;
 
-use lir::{FaultPolicy, Machine};
+use lir::{FaultPolicy, Machine, Trap};
 use pkru_handler::{MpkPolicy, ViolationHandler};
+use pkru_mpk::Pkru;
 use pkru_provenance::AllocId;
-use pkru_vmem::Tlb;
+use pkru_vmem::{page_base, FaultKind, Prot, SpaceStats, Tlb, PAGE_SIZE};
 
 /// Runs the shared scenario — write to a trusted allocation, drop to the
 /// untrusted compartment, read it back through the fault path — and
@@ -104,4 +105,98 @@ fn machine_accessors_hit_the_tlb() {
     let tlb = m.space.stats().tlb;
     assert!(tlb.hits > 300, "expected a hot loop to hit the TLB: {tlb:?}");
     assert!(tlb.hit_rate() > 0.9, "hit rate too low: {tlb:?}");
+}
+
+/// Publishes the machine's buffered TLB counters and returns the space's
+/// statistics.
+fn stats(m: &mut Machine) -> SpaceStats {
+    m.fold_tlb_stats();
+    m.space.stats()
+}
+
+/// Every access served by a resident entry counts exactly one hit and
+/// one read or write, and a page run inside one page is exactly one
+/// fused op.
+#[test]
+fn hit_path_counts_every_access_exactly() {
+    let mut m = Machine::split(FaultPolicy::Crash).unwrap();
+    let p = m.alloc.alloc(256).unwrap();
+    assert_eq!(page_base(p), page_base(p + 255), "the allocation lies in one page");
+    // Materialize the page and fill its entry before counting.
+    m.mem_write(p, 0).unwrap();
+    m.mem_read(p).unwrap();
+    let before = stats(&mut m);
+    for i in 0..200u64 {
+        m.mem_write(p + (i % 32) * 8, i % 32).unwrap();
+    }
+    for i in 0..200u64 {
+        assert_eq!(m.mem_read(p + (i % 32) * 8).unwrap(), i % 32);
+    }
+    let after = stats(&mut m);
+    assert_eq!(after.tlb.hits - before.tlb.hits, 400, "{:?}", after.tlb);
+    assert_eq!(after.reads - before.reads, 200);
+    assert_eq!(after.writes - before.writes, 200);
+    assert_eq!(after.tlb.misses, before.tlb.misses);
+    assert_eq!(after.tlb.flushes, before.tlb.flushes);
+    assert_eq!(after.tlb.evictions, before.tlb.evictions);
+
+    let fused = m.fused_ops;
+    let mut buf = [0u8; 64];
+    m.mem_read_bytes(p + 8, &mut buf).unwrap();
+    assert_eq!(u64::from_le_bytes(buf[..8].try_into().unwrap()), 1);
+    assert_eq!(m.fused_ops, fused + 1, "one page run is one fused op");
+    let run = stats(&mut m);
+    assert_eq!(run.tlb.hits - after.tlb.hits, 1);
+    assert_eq!(run.reads - after.reads, 1);
+    assert_eq!(run.tlb.misses, after.tlb.misses);
+}
+
+/// The hit path decides against the live PKRU and the entry's protection
+/// bits: a resident entry never carries a rights verdict. The `Machine`
+/// twin of vmem's `pkru_flips_change_the_verdict_on_a_cached_entry`.
+#[test]
+fn machine_hit_path_checks_live_pkru_and_prot() {
+    let mut m = Machine::split(FaultPolicy::Crash).unwrap();
+    let key = m.trusted_pkey();
+    let p = m.alloc.alloc(64).unwrap();
+    m.mem_write(p, 77).unwrap();
+    assert_eq!(m.mem_read(p).unwrap(), 77);
+    let warm = stats(&mut m);
+
+    // Deny the page's key with the entry resident: the very next read
+    // traps, decided on the cached entry (a hit, no miss and no flush).
+    let rights = m.cpu.pkru();
+    m.cpu.set_pkru(Pkru::deny_only(key));
+    match m.mem_read(p) {
+        Err(Trap::Fault(f)) => {
+            assert_eq!(f.addr, p);
+            assert!(
+                matches!(f.kind, FaultKind::PkeyViolation { pkey, .. } if pkey == key),
+                "{f:?}"
+            );
+        }
+        other => panic!("expected a pkey violation, got {other:?}"),
+    }
+    let denied = stats(&mut m);
+    assert_eq!(denied.tlb.hits - warm.tlb.hits, 1);
+    assert_eq!(denied.tlb.misses, warm.tlb.misses);
+    assert_eq!(denied.pkey_faults - warm.pkey_faults, 1);
+
+    // Restoring the rights reads the value again.
+    m.cpu.set_pkru(rights);
+    assert_eq!(m.mem_read(p).unwrap(), 77);
+
+    // A store to a resident read-only page traps on its protection bits.
+    m.space.mprotect(page_base(p), PAGE_SIZE, Prot::READ).unwrap();
+    assert_eq!(m.mem_read(p).unwrap(), 77);
+    let read_only = stats(&mut m);
+    match m.mem_write(p, 5) {
+        Err(Trap::Fault(f)) => assert_eq!(f.kind, FaultKind::ProtViolation, "{f:?}"),
+        other => panic!("expected a protection violation, got {other:?}"),
+    }
+    let refused = stats(&mut m);
+    assert_eq!(refused.tlb.hits - read_only.tlb.hits, 1);
+    assert_eq!(refused.tlb.misses, read_only.tlb.misses);
+    assert_eq!(refused.prot_faults - read_only.prot_faults, 1);
+    assert_eq!(m.mem_read(p).unwrap(), 77, "the refused store wrote nothing");
 }

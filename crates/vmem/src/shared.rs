@@ -25,6 +25,15 @@ use crate::space::{AddressSpace, AtomicStats, MapError, SpaceStats};
 use crate::tlb::{Tlb, TlbEntry};
 use crate::{page_base, VirtAddr};
 
+/// The protection bit an access needs.
+#[inline(always)]
+fn needed(access: AccessKind) -> Prot {
+    match access {
+        AccessKind::Read => Prot::READ,
+        AccessKind::Write => Prot::WRITE,
+    }
+}
+
 /// Whether `[addr, addr + len)` lies within a single page (the TLB fast
 /// path handles exactly these; anything else takes the slow path whole).
 fn single_page(addr: VirtAddr, len: u64) -> bool {
@@ -255,9 +264,58 @@ impl SharedSpace {
         }
     }
 
-    /// Resolves `addr`'s page to a valid TLB slot, filling from the slow
-    /// path on miss, and performs the per-access rights check against the
-    /// caller's live `pkru` (never against a cached verdict).
+    /// The TLB hit test, inlined into every translated accessor: the
+    /// snapshot epoch is current, the slot holds `page`, its frame is
+    /// materialized, its protection bits allow `access`, and the caller's
+    /// live `pkru` allows its key. Any `false` goes to
+    /// [`SharedSpace::tlb_refill`], which decides the access exactly as
+    /// if no test had run (nothing is counted here).
+    #[inline(always)]
+    fn tlb_hit(
+        &self,
+        tlb: &Tlb,
+        slot: usize,
+        page: VirtAddr,
+        pkru: Pkru,
+        access: AccessKind,
+    ) -> bool {
+        tlb.epoch == self.epoch.load(Ordering::Acquire)
+            && matches!(&tlb.entries[slot], Some(entry)
+                if entry.page == page
+                    && entry.frame.is_some()
+                    && entry.prot.contains(needed(access))
+                    && pkru.allows(entry.pkey, access))
+    }
+
+    /// Resolves `addr`'s page to a valid TLB entry after the per-access
+    /// rights check against the caller's live `pkru` (never against a
+    /// cached verdict). The hit test runs inline; everything else — epoch
+    /// flush, refill, the verdict on a resident entry that denies, the
+    /// first touch of a page — is [`SharedSpace::tlb_refill`]'s. Returns
+    /// the checked entry itself; the borrow lives as long as the caller's
+    /// `&mut Tlb`, so callers count `pending.reads`/`writes` *after* the
+    /// frame access, once the entry borrow has ended.
+    #[inline(always)]
+    fn tlb_lookup<'t>(
+        &self,
+        tlb: &'t mut Tlb,
+        pkru: Pkru,
+        addr: VirtAddr,
+        access: AccessKind,
+    ) -> Result<&'t TlbEntry, Fault> {
+        let page = page_base(addr);
+        let slot = Tlb::slot(page);
+        if !self.tlb_hit(tlb, slot, page, pkru, access) {
+            return self.tlb_refill(tlb, pkru, addr, access);
+        }
+        tlb.pending.hits += 1;
+        Ok(tlb.entries[slot].as_ref().expect("the hit test saw the entry"))
+    }
+
+    /// The cold half of [`SharedSpace::tlb_lookup`]: syncs the epoch
+    /// (flushing wholesale on mismatch), counts the hit or fills the slot
+    /// on a miss, and runs the rights check, faulting unmapped pages,
+    /// then protection bits, then the pkey.
     ///
     /// The miss fill reads the page attributes and the frame handle under
     /// ONE read guard — the same single-guard rule the resident paths
@@ -266,11 +324,9 @@ impl SharedSpace {
     /// epoch snapshot taken in [`SharedSpace::tlb_sync`], an entry is
     /// never *older* than `tlb.epoch`; a concurrent bump between the two
     /// at worst causes one spurious whole-TLB flush on the next access.
-    /// Returns the checked entry itself; the borrow lives as long as the
-    /// caller's `&mut Tlb`, so callers count `pending.reads`/`writes`
-    /// *after* the frame access, once the entry borrow has ended.
-    #[inline]
-    fn tlb_lookup<'t>(
+    #[cold]
+    #[inline(never)]
+    fn tlb_refill<'t>(
         &self,
         tlb: &'t mut Tlb,
         pkru: Pkru,
@@ -306,11 +362,7 @@ impl SharedSpace {
             tlb.entries[slot] = Some(TlbEntry { page, prot, pkey, frame });
         }
         let entry = tlb.entries[slot].as_ref().expect("slot filled above");
-        let needed = match access {
-            AccessKind::Read => Prot::READ,
-            AccessKind::Write => Prot::WRITE,
-        };
-        let fault = if !entry.prot.contains(needed) {
+        let fault = if !entry.prot.contains(needed(access)) {
             Some(Fault { addr, access, kind: FaultKind::ProtViolation })
         } else if !pkru.allows(entry.pkey, access) {
             Some(Fault { addr, access, kind: FaultKind::PkeyViolation { pkey: entry.pkey, pkru } })
@@ -326,6 +378,7 @@ impl SharedSpace {
 
     /// [`SharedSpace::read`] through a per-thread TLB. Accesses that
     /// straddle a page fall back to the slow path wholesale.
+    #[inline]
     pub fn tlb_read(
         &self,
         tlb: &mut Tlb,
@@ -347,6 +400,7 @@ impl SharedSpace {
     }
 
     /// [`SharedSpace::write`] through a per-thread TLB.
+    #[inline]
     pub fn tlb_write(
         &self,
         tlb: &mut Tlb,
@@ -390,6 +444,7 @@ impl SharedSpace {
     }
 
     /// [`SharedSpace::write_u64`] through a per-thread TLB.
+    #[inline]
     pub fn tlb_write_u64(
         &self,
         tlb: &mut Tlb,
@@ -426,6 +481,7 @@ impl SharedSpace {
     }
 
     /// [`SharedSpace::write_u8`] through a per-thread TLB.
+    #[inline]
     pub fn tlb_write_u8(
         &self,
         tlb: &mut Tlb,
