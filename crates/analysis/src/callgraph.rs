@@ -25,42 +25,21 @@ impl CallGraph {
     /// Calls to names not present in the module (a verifier error) are
     /// ignored rather than panicking.
     pub fn build(module: &Module) -> CallGraph {
-        let taken = address_taken(module);
-        let mut callees = vec![BTreeSet::new(); module.functions.len()];
-        for (fi, func) in module.functions.iter().enumerate() {
-            for block in &func.blocks {
-                for instr in &block.instrs {
-                    match instr {
-                        Instr::Call { callee, .. } => {
-                            if let Some(id) = module.find(callee) {
-                                callees[fi].insert(id);
-                            }
-                        }
-                        Instr::CallIndirect { args, .. } => {
-                            let arity = args.len() as u32;
-                            callees[fi].extend(
-                                taken
-                                    .iter()
-                                    .copied()
-                                    .filter(|t| module.function(*t).params == arity),
-                            );
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        CallGraph { callees, address_taken: taken }
+        let mut graph = CallGraph { callees: Vec::new(), address_taken: address_taken(module) };
+        graph.callees = module
+            .functions
+            .iter()
+            .map(|func| {
+                let instrs = func.blocks.iter().flat_map(|b| &b.instrs);
+                instrs.flat_map(|instr| graph.call_targets(module, instr)).collect()
+            })
+            .collect();
+        graph
     }
 
     /// Everything `func` may call.
     pub fn callees(&self, func: FuncId) -> impl Iterator<Item = FuncId> + '_ {
         self.callees.get(func as usize).into_iter().flatten().copied()
-    }
-
-    /// Functions whose address is taken anywhere in the module.
-    pub fn address_taken(&self) -> &BTreeSet<FuncId> {
-        &self.address_taken
     }
 
     /// The set of possible targets of an indirect call with `arity`
@@ -73,17 +52,17 @@ impl CallGraph {
         self.address_taken.iter().copied().filter(move |t| module.function(*t).params == arity)
     }
 
-    /// Transitive closure of `callees` starting from `roots`.
-    pub fn reachable_from(&self, roots: impl IntoIterator<Item = FuncId>) -> BTreeSet<FuncId> {
-        let mut seen: BTreeSet<FuncId> = BTreeSet::new();
-        let mut stack: Vec<FuncId> = roots.into_iter().collect();
-        while let Some(f) = stack.pop() {
-            if !seen.insert(f) {
-                continue;
+    /// What `instr` may call: the callee of a direct call (if the module
+    /// defines it), the [`CallGraph::indirect_targets`] of an indirect
+    /// one, nothing for any other instruction.
+    pub(crate) fn call_targets(&self, module: &Module, instr: &Instr) -> Vec<FuncId> {
+        match instr {
+            Instr::Call { callee, .. } => module.find(callee).into_iter().collect(),
+            Instr::CallIndirect { args, .. } => {
+                self.indirect_targets(module, args.len() as u32).collect()
             }
-            stack.extend(self.callees(f).filter(|c| !seen.contains(c)));
+            _ => Vec::new(),
         }
-        seen
     }
 }
 
@@ -125,7 +104,7 @@ bb0:
         // address-taken function only (not @other, arity 2, never taken).
         assert_eq!(cg.callees(main).collect::<Vec<_>>(), vec![mid]);
         assert_eq!(cg.callees(mid).collect::<Vec<_>>(), vec![leaf]);
-        assert_eq!(cg.address_taken(), &BTreeSet::from([leaf]));
-        assert_eq!(cg.reachable_from([main]), BTreeSet::from([main, mid, leaf]));
+        assert_eq!(cg.indirect_targets(&m, 1).collect::<Vec<_>>(), vec![leaf]);
+        assert_eq!(cg.indirect_targets(&m, 2).count(), 0);
     }
 }

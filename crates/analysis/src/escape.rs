@@ -16,10 +16,10 @@
 //!    and indirect calls resolved against arity-matched address-taken
 //!    functions.
 //! 2. **Rights** — which instructions may execute while the untrusted
-//!    compartment's PKRU is in force: everything in untrusted functions,
-//!    everything between a `gate.enter.untrusted` and its exit, and
-//!    everything in functions transitively callable from such code without
-//!    crossing a `gate.enter.trusted` entry wrapper.
+//!    compartment's PKRU is in force: the may-rights fixpoint the scan
+//!    shares (the crate's `rights` module), which covers untrusted
+//!    functions, gate regions, and functions transitively callable from
+//!    them without crossing a `gate.enter.trusted` entry wrapper.
 //!
 //! Both are monotone over finite lattices, so the fixpoints exist and the
 //! result is a sound over-approximation of the dynamic profile — the
@@ -28,10 +28,11 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use lir::{FuncId, Function, Instr, Module, Operand, Reg};
+use lir::{FuncId, Instr, Module, Operand, Reg};
 use pkru_provenance::{AllocId, Profile, ProfileError};
 
 use crate::callgraph::CallGraph;
+use crate::rights::{step, Rights, U};
 
 /// The result of [`analyze`].
 #[derive(Clone, Debug)]
@@ -122,25 +123,31 @@ pub fn check_profile_soundness(
 pub fn analyze(module: &Module) -> EscapeAnalysis {
     let graph = CallGraph::build(module);
     let points_to = points_to_fixpoint(module, &graph);
-    let rights = rights_fixpoint(module, &graph);
+    let rights = Rights::compute(module, &graph);
 
     // A site escapes when a load/store that may run untrusted may
-    // dereference it.
+    // dereference it; a function may run untrusted when any of its
+    // instructions may.
     let mut may_escape = BTreeSet::new();
+    let mut may_run_untrusted = BTreeSet::new();
     for (fi, func) in module.functions.iter().enumerate() {
-        for (bi, block) in func.blocks.iter().enumerate() {
-            let mut state = rights.block_entry[fi][bi];
+        let mut seen = 0;
+        for (block, &at_entry) in func.blocks.iter().zip(&rights.block_entry[fi]) {
+            let mut mask = at_entry;
+            seen |= mask;
             for instr in &block.instrs {
-                if state & U != 0 {
-                    match instr {
-                        Instr::Load { addr, .. } | Instr::Store { addr, .. } => {
-                            may_escape.extend(points_to.of_operand(fi, *addr).iter().copied());
-                        }
-                        _ => {}
+                match instr {
+                    Instr::Load { addr, .. } | Instr::Store { addr, .. } if mask & U != 0 => {
+                        may_escape.extend(points_to.of_operand(fi, *addr).iter().copied());
                     }
+                    _ => {}
                 }
-                state = step_rights(state, instr);
+                mask = step(mask, instr);
+                seen |= mask;
             }
+        }
+        if seen & U != 0 {
+            may_run_untrusted.insert(fi as FuncId);
         }
     }
 
@@ -152,7 +159,7 @@ pub fn analyze(module: &Module) -> EscapeAnalysis {
         .filter(|i| matches!(i, Instr::Alloc { id: Some(_), .. }))
         .count();
 
-    EscapeAnalysis { may_escape, may_run_untrusted: rights.may_run_untrusted, total_sites }
+    EscapeAnalysis { may_escape, may_run_untrusted, total_sites }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,14 +270,8 @@ fn transfer(
                 changed |= cell.len() != before;
             }
         }
-        Instr::Call { dst, callee, args } => {
-            if let Some(target) = module.find(callee) {
-                changed |= bind_call(pt, fi, target, dst, args);
-            }
-        }
-        Instr::CallIndirect { dst, target: _, args } => {
-            let targets: Vec<FuncId> = graph.indirect_targets(module, args.len() as u32).collect();
-            for target in targets {
+        Instr::Call { dst, args, .. } | Instr::CallIndirect { dst, args, .. } => {
+            for target in graph.call_targets(module, instr) {
                 changed |= bind_call(pt, fi, target, dst, args);
             }
         }
@@ -307,137 +308,6 @@ fn bind_call(
         changed |= pt.add(caller, *d, &rets);
     }
     changed
-}
-
-// ---------------------------------------------------------------------------
-// Rights fixpoint
-// ---------------------------------------------------------------------------
-
-/// Rights-state bitmask: the instruction may execute with trusted rights.
-const T: u8 = 1;
-/// Rights-state bitmask: the instruction may execute with untrusted rights.
-const U: u8 = 2;
-
-struct Rights {
-    /// `block_entry[f][b]` — possible rights states on entry to block `b`.
-    block_entry: Vec<Vec<u8>>,
-    /// Functions any part of which may execute untrusted.
-    may_run_untrusted: BTreeSet<FuncId>,
-}
-
-/// Rights after executing `instr` in state `state`.
-///
-/// Gate semantics follow the runtime: enter-untrusted drops to `U`,
-/// exit-untrusted restores the trusted caller's rights, and the
-/// trusted-entry pair is the mirror image. Unbalanced nesting is the
-/// lint's concern, not this approximation's.
-fn step_rights(state: u8, instr: &Instr) -> u8 {
-    match instr {
-        Instr::GateEnterUntrusted => U,
-        Instr::GateExitUntrusted => T,
-        Instr::GateEnterTrusted => T,
-        Instr::GateExitTrusted => U,
-        _ => state,
-    }
-}
-
-/// Whether calls into `func` immediately re-establish trusted rights (the
-/// trusted-entry wrappers synthesized by `instrument_trusted_entries`).
-fn gates_on_entry(func: &Function) -> bool {
-    matches!(func.blocks.first().and_then(|b| b.instrs.first()), Some(Instr::GateEnterTrusted))
-}
-
-fn rights_fixpoint(module: &Module, graph: &CallGraph) -> Rights {
-    // Functions that may be *entered* while untrusted rights are in force.
-    let mut entered_untrusted: BTreeSet<FuncId> = module
-        .functions
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.attrs.untrusted)
-        .map(|(i, _)| i as FuncId)
-        .collect();
-
-    let mut block_entry: Vec<Vec<u8>> =
-        module.functions.iter().map(|f| vec![0u8; f.blocks.len()]).collect();
-
-    loop {
-        let mut changed = false;
-        for (fi, func) in module.functions.iter().enumerate() {
-            if func.blocks.is_empty() {
-                continue;
-            }
-            let mut entry_state = if func.attrs.untrusted { U } else { T };
-            if entered_untrusted.contains(&(fi as FuncId)) {
-                entry_state |= U;
-            }
-            if block_entry[fi][0] | entry_state != block_entry[fi][0] {
-                block_entry[fi][0] |= entry_state;
-                changed = true;
-            }
-            // Propagate states through the CFG (join = bit union).
-            let mut work: Vec<u32> = vec![0];
-            while let Some(bi) = work.pop() {
-                let mut state = block_entry[fi][bi as usize];
-                let block = &func.blocks[bi as usize];
-                for instr in &block.instrs {
-                    // Calls executing with untrusted rights enter their
-                    // callees untrusted — unless the callee gates on entry.
-                    if state & U != 0 {
-                        let callees: Vec<FuncId> = match instr {
-                            Instr::Call { callee, .. } => module.find(callee).into_iter().collect(),
-                            Instr::CallIndirect { args, .. } => {
-                                graph.indirect_targets(module, args.len() as u32).collect()
-                            }
-                            _ => Vec::new(),
-                        };
-                        for c in callees {
-                            if !gates_on_entry(module.function(c)) && entered_untrusted.insert(c) {
-                                changed = true;
-                            }
-                        }
-                    }
-                    state = step_rights(state, instr);
-                }
-                for succ in func.successors(bi) {
-                    let si = succ as usize;
-                    if si < func.blocks.len() && block_entry[fi][si] | state != block_entry[fi][si]
-                    {
-                        block_entry[fi][si] |= state;
-                        work.push(succ);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // A function "may run untrusted" if any of its blocks can be reached
-    // in a U state (covers both untrusted functions and trusted code
-    // inside an inline gate region).
-    let mut may_run_untrusted = BTreeSet::new();
-    for (fi, func) in module.functions.iter().enumerate() {
-        let any_u = func.blocks.iter().enumerate().any(|(bi, block)| {
-            let mut state = block_entry[fi][bi];
-            if state & U != 0 {
-                return true;
-            }
-            for instr in &block.instrs {
-                state = step_rights(state, instr);
-                if state & U != 0 {
-                    return true;
-                }
-            }
-            false
-        });
-        if any_u {
-            may_run_untrusted.insert(fi as FuncId);
-        }
-    }
-
-    Rights { block_entry, may_run_untrusted }
 }
 
 #[cfg(test)]
@@ -649,6 +519,36 @@ bb0:
         let (m, a) = analyzed(text);
         assert!(a.may_escape.is_empty(), "{:?}", a.may_escape);
         assert!(!a.may_run_untrusted.contains(&m.find("__pkru_impl_cb").unwrap()));
+    }
+
+    #[test]
+    fn call_after_gate_in_unreachable_block_runs_callee_untrusted() {
+        // bb1 of @main has no predecessor, but the call after its gate
+        // still runs with untrusted rights, so @helper's load may
+        // dereference main's site under U. Before the escape analysis and
+        // the scan shared one rights fixpoint, this analysis skipped
+        // unreachable blocks when marking callees, and neither @helper nor
+        // the site was reported.
+        let text = "
+fn @helper(1) {
+bb0:
+  %1 = load %0, 0
+  ret %1
+}
+fn @main(0) {
+bb0:
+  %0 = alloc 8
+  ret
+bb1:
+  gate.enter.untrusted
+  %1 = call @helper(%0)
+  gate.exit.untrusted
+  ret
+}
+";
+        let (m, a) = analyzed(text);
+        assert!(a.may_run_untrusted.contains(&m.find("helper").unwrap()));
+        assert!(a.may_escape.contains(&AllocId::new(m.find("main").unwrap(), 0, 0)));
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //! - no trusted-pool allocation may execute while the untrusted
 //!   compartment is active.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use lir::{address_taken, BlockId, FuncId, Function, Instr, Module, SiteDomain};
+use lir::{BlockId, Function, Instr, Module, SiteDomain};
 
+use crate::callgraph::CallGraph;
 use crate::diag::{LintError, LintErrorKind};
+use crate::rights::enters_trusted;
 
 /// Rights in force at a program point, tracked alongside the depths so
 /// nested `enter.trusted` inside a T→U region is modeled correctly.
@@ -52,12 +54,12 @@ impl GateState {
 /// Lints `module`, returning every gate-integrity defect found.
 pub fn lint_module(module: &Module) -> Result<(), Vec<LintError>> {
     let mut errors = Vec::new();
-    let taken = address_taken(module);
+    let graph = CallGraph::build(module);
     for func in &module.functions {
         if func.attrs.untrusted {
             lint_untrusted_function(func, &mut errors);
         } else {
-            lint_trusted_function(module, func, &taken, &mut errors);
+            lint_trusted_function(module, func, &graph, &mut errors);
         }
     }
     if errors.is_empty() {
@@ -94,21 +96,10 @@ fn lint_untrusted_function(func: &Function, errors: &mut Vec<LintError>) {
     }
 }
 
-/// Whether a function's first instruction is a U→T trusted-entry gate, the
-/// shape `instrument_trusted_entries` gives every callable trusted entry
-/// point. A trusted function *without* that prologue must never be reached
-/// while untrusted rights are in force.
-fn begins_with_trusted_entry(func: &Function) -> bool {
-    func.blocks
-        .first()
-        .and_then(|b| b.instrs.first())
-        .is_some_and(|i| matches!(i, Instr::GateEnterTrusted))
-}
-
 fn lint_trusted_function(
     module: &Module,
     func: &Function,
-    taken: &BTreeSet<FuncId>,
+    graph: &CallGraph,
     errors: &mut Vec<LintError>,
 ) {
     if func.blocks.is_empty() {
@@ -192,15 +183,12 @@ fn lint_trusted_function(
                     }
                 }
                 Instr::CallIndirect { args, .. } => {
-                    // The conservative target set: arity-matched
-                    // address-taken functions (the callgraph's indirect
-                    // resolution). Report each hazardous may-target.
-                    let arity = args.len() as u32;
-                    for target in taken.iter().copied() {
+                    // Report each hazardous may-target of the callgraph's
+                    // conservative resolution. A trusted function without
+                    // the trusted-entry prologue must never be reached
+                    // while untrusted rights are in force.
+                    for target in graph.indirect_targets(module, args.len() as u32) {
                         let tf = module.function(target);
-                        if tf.params != arity {
-                            continue;
-                        }
                         if tf.attrs.untrusted && state.rights == CurRights::Trusted {
                             error(
                                 errors,
@@ -212,7 +200,7 @@ fn lint_trusted_function(
                             );
                         } else if !tf.attrs.untrusted
                             && state.rights == CurRights::Untrusted
-                            && !begins_with_trusted_entry(tf)
+                            && !enters_trusted(tf)
                         {
                             error(
                                 errors,

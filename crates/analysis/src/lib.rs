@@ -29,12 +29,24 @@
 //! - [`redteam`] — a seeded generator of Garmr-shaped attack modules plus
 //!   a harness asserting every attack is rejected statically by the scan
 //!   or caught dynamically under the quarantine policy.
+//!
+//! The escape analysis and the scan ask the same question — which rights
+//! may be in force at each instruction — and share one answer: the
+//! crate-private `rights` module computes a per-block may-rights mask for
+//! every function in one interprocedural fixpoint (gates collapse the mask,
+//! calls under untrusted rights enter their callees untrusted unless the
+//! callee begins with `gate.enter.trusted`, indirect calls reach every
+//! arity-matched address-taken function, and a call after a gate in a
+//! block no path reaches still counts). The lint reuses its trusted-entry
+//! test and the [`CallGraph`]'s indirect-call resolution but keeps its own
+//! path-sensitive gate-depth state: it is a must-analysis, not a may one.
 
 mod callgraph;
 mod diag;
 mod escape;
 mod gatelint;
 pub mod redteam;
+mod rights;
 mod scan;
 
 pub use callgraph::CallGraph;

@@ -38,6 +38,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use lir::{BlockId, FuncId, Function, Instr, Module, Operand, Reg, SiteDomain, SysKind};
 
 use crate::callgraph::CallGraph;
+use crate::rights::{step, Rights, U};
 
 /// What a [`ScanFinding`] is about. Each variant carries a stable
 /// diagnostic code ([`ScanFindingKind::code`]) used by the corpus tests and
@@ -134,11 +135,6 @@ impl fmt::Display for ScanFinding {
 
 impl std::error::Error for ScanFinding {}
 
-/// Rights that may be in force at a program point, as a two-bit mask — the
-/// scan is a may-analysis, so both bits can be set at a join.
-const TRUSTED: u8 = 1;
-const UNTRUSTED: u8 = 2;
-
 /// Whether `func` is one of the two exact wrapper shapes the compiler
 /// passes synthesize — recognized structurally, never via the (forgeable)
 /// `synthetic_gate` attribute:
@@ -165,94 +161,6 @@ fn is_sanctioned_wrapper(module: &Module, func: &Function) -> bool {
             !callee_untrusted(callee)
         }
         _ => false,
-    }
-}
-
-/// Whether a function's first instruction immediately re-enters the
-/// trusted compartment, sanctioning calls that arrive with untrusted
-/// rights.
-fn begins_with_trusted_entry(func: &Function) -> bool {
-    func.blocks
-        .first()
-        .and_then(|b| b.instrs.first())
-        .is_some_and(|i| matches!(i, Instr::GateEnterTrusted))
-}
-
-/// The per-block entry rights masks for `func`, given the rights its
-/// callers may enter it with, iterated to fixpoint over the CFG.
-fn block_entry_masks(func: &Function, entry_mask: u8) -> Vec<u8> {
-    let mut at_entry = vec![0u8; func.blocks.len()];
-    at_entry[0] = entry_mask;
-    let mut work: VecDeque<BlockId> = VecDeque::from([0]);
-    while let Some(bi) = work.pop_front() {
-        let mut mask = at_entry[bi as usize];
-        for instr in &func.blocks[bi as usize].instrs {
-            mask = step_mask(mask, instr);
-        }
-        for succ in func.successors(bi) {
-            let Some(slot) = at_entry.get_mut(succ as usize) else { continue };
-            if *slot | mask != *slot {
-                *slot |= mask;
-                work.push_back(succ);
-            }
-        }
-    }
-    at_entry
-}
-
-/// Applies one instruction to a rights mask. Gate transitions collapse the
-/// mask (the rights after a gate do not depend on the rights before it);
-/// everything else preserves it.
-fn step_mask(mask: u8, instr: &Instr) -> u8 {
-    match instr {
-        Instr::GateEnterUntrusted | Instr::GateExitTrusted => UNTRUSTED,
-        Instr::GateExitUntrusted | Instr::GateEnterTrusted => TRUSTED,
-        _ => mask,
-    }
-}
-
-/// The rights mask a function may be *entered* with: untrusted functions
-/// always run untrusted; trusted functions run trusted, plus untrusted if
-/// some call site with untrusted rights may reach them without crossing a
-/// `gate.enter.trusted` prologue. Interprocedural fixpoint, monotone over
-/// the finite mask lattice.
-fn entry_masks(module: &Module, cg: &CallGraph) -> Vec<u8> {
-    let mut entry: Vec<u8> = module
-        .functions
-        .iter()
-        .map(|f| if f.attrs.untrusted { UNTRUSTED } else { TRUSTED })
-        .collect();
-    loop {
-        let mut changed = false;
-        for (fi, func) in module.functions.iter().enumerate() {
-            let at_entry = block_entry_masks(func, entry[fi]);
-            for (bi, block) in func.blocks.iter().enumerate() {
-                let mut mask = at_entry[bi];
-                for instr in &block.instrs {
-                    if mask & UNTRUSTED != 0 {
-                        let targets: Vec<FuncId> = match instr {
-                            Instr::Call { callee, .. } => module.find(callee).into_iter().collect(),
-                            Instr::CallIndirect { args, .. } => {
-                                cg.indirect_targets(module, args.len() as u32).collect()
-                            }
-                            _ => Vec::new(),
-                        };
-                        for t in targets {
-                            let tf = module.function(t);
-                            if !begins_with_trusted_entry(tf) && entry[t as usize] & UNTRUSTED == 0
-                            {
-                                entry[t as usize] |= UNTRUSTED;
-                                changed = true;
-                            }
-                        }
-                    }
-                    mask = step_mask(mask, instr);
-                }
-            }
-        }
-        if !changed {
-            return entry;
-        }
     }
 }
 
@@ -332,12 +240,11 @@ fn witness_paths(module: &Module, cg: &CallGraph) -> BTreeMap<FuncId, Vec<String
 pub fn scan_module(module: &Module) -> Vec<ScanFinding> {
     let cg = CallGraph::build(module);
     let witnesses = witness_paths(module, &cg);
-    let entry = entry_masks(module, &cg);
+    let rights = Rights::compute(module, &cg);
     let mut findings = Vec::new();
 
     for (fi, func) in module.functions.iter().enumerate() {
         let sanctioned = is_sanctioned_wrapper(module, func);
-        let at_entry = block_entry_masks(func, entry[fi]);
         let tainted = trusted_ptr_regs(func);
         let witness = witnesses.get(&(fi as FuncId)).cloned().unwrap_or_default();
         let mut push = |block: usize, index: usize, kind: ScanFindingKind| {
@@ -351,7 +258,7 @@ pub fn scan_module(module: &Module) -> Vec<ScanFinding> {
         };
 
         for (bi, block) in func.blocks.iter().enumerate() {
-            let mut mask = at_entry[bi];
+            let mut mask = rights.block_entry[fi][bi];
             for (ii, instr) in block.instrs.iter().enumerate() {
                 match instr {
                     Instr::GateEnterUntrusted
@@ -369,7 +276,7 @@ pub fn scan_module(module: &Module) -> Vec<ScanFinding> {
                         push(bi, ii, ScanFindingKind::UnsanctionedGate { gate });
                     }
                     Instr::Sys { kind, .. } => {
-                        if mask & UNTRUSTED != 0 {
+                        if mask & U != 0 {
                             push(
                                 bi,
                                 ii,
@@ -390,13 +297,13 @@ pub fn scan_module(module: &Module) -> Vec<ScanFinding> {
                         }
                     }
                     Instr::Store { value: Operand::Reg(r), .. }
-                        if mask & UNTRUSTED != 0 && tainted.contains(r) =>
+                        if mask & U != 0 && tainted.contains(r) =>
                     {
                         push(bi, ii, ScanFindingKind::GateReentryHazard { reg: *r });
                     }
                     _ => {}
                 }
-                mask = step_mask(mask, instr);
+                mask = step(mask, instr);
             }
         }
     }

@@ -180,19 +180,12 @@ pub struct Pipeline {
     annotations: Annotations,
     inputs: Vec<ProfileInput>,
     static_checks: bool,
-    adversarial_scan: bool,
 }
 
 impl Pipeline {
     /// Creates a pipeline over `source` with the developer's annotations.
     pub fn new(source: Module, annotations: Annotations) -> Pipeline {
-        Pipeline {
-            source,
-            annotations,
-            inputs: Vec::new(),
-            static_checks: false,
-            adversarial_scan: false,
-        }
+        Pipeline { source, annotations, inputs: Vec::new(), static_checks: false }
     }
 
     /// Adds a profiling input (stage 3 corpus).
@@ -201,45 +194,30 @@ impl Pipeline {
         self
     }
 
-    /// Enables the optional static-analysis stage: [`Pipeline::build`]
-    /// additionally lints the annotated build's gate integrity and
-    /// cross-checks the dynamic profile against the static may-escape set
-    /// (every observed site must have been statically predicted).
+    /// Enables the static checks: before profiling, [`Pipeline::build`]
+    /// runs the adversarial scan ([`pkru_analysis::scan_module`]) and then
+    /// the gate-integrity lint over the annotated build, refusing to
+    /// proceed on any finding, and afterwards cross-checks the dynamic
+    /// profile against the static may-escape set (every observed site
+    /// must have been statically predicted).
     pub fn with_static_checks(mut self) -> Pipeline {
         self.static_checks = true;
         self
     }
 
-    /// Enables the adversarial scan stage: [`Pipeline::build`]
-    /// additionally runs [`pkru_analysis::scan_module`] over the annotated
-    /// build and refuses to proceed on any finding — the whole-module
-    /// complement to the path-sensitive lint.
-    pub fn with_adversarial_scan(mut self) -> Pipeline {
-        self.adversarial_scan = true;
-        self
-    }
-
     /// Runs the gate-integrity lint over the annotated build.
     pub fn lint(&self) -> Result<(), PipelineError> {
-        let module = self.annotated_build()?;
-        pkru_analysis::lint_module(&module).map_err(PipelineError::Lint)
+        lint(&self.annotated_build()?)
     }
 
     /// Runs the adversarial scan over the annotated build.
     pub fn scan(&self) -> Result<(), PipelineError> {
-        let module = self.annotated_build()?;
-        let findings = pkru_analysis::scan_module(&module);
-        if findings.is_empty() {
-            Ok(())
-        } else {
-            Err(PipelineError::Scan(findings))
-        }
+        scan(&self.annotated_build()?)
     }
 
     /// Runs the static escape analysis over the annotated build.
     pub fn static_analysis(&self) -> Result<EscapeAnalysis, PipelineError> {
-        let module = self.annotated_build()?;
-        Ok(pkru_analysis::analyze(&module))
+        Ok(pkru_analysis::analyze(&self.annotated_build()?))
     }
 
     /// Stage 1: annotation expansion, gate insertion, site labeling.
@@ -258,39 +236,52 @@ impl Pipeline {
 
     /// Stage 2: the profiling build (annotated + provenance callbacks).
     pub fn profiling_build(&self) -> Result<Module, PipelineError> {
-        let mut module = self.annotated_build()?;
-        passes::insert_provenance_instrumentation(&mut module);
-        verify_module(&module).map_err(PipelineError::Verify)?;
-        Ok(module)
+        profiling_build(self.annotated_build()?)
     }
 
     /// Stages 1–4: produce the enforcement-ready application.
     ///
-    /// With [`Pipeline::with_static_checks`], the annotated build is also
-    /// gate-linted and the recorded profile is checked for static
-    /// coverage before the enforcement rewrite.
+    /// Stage 1 runs once; the static checks (with
+    /// [`Pipeline::with_static_checks`]), the profiling build and the
+    /// enforcement rewrite all start from its output.
     pub fn build(self) -> Result<PkruApp, PipelineError> {
-        if self.adversarial_scan {
-            self.scan()?;
-        }
+        let mut module = self.annotated_build()?;
         let static_profile = if self.static_checks {
-            self.lint()?;
-            Some(self.static_analysis()?.static_profile())
+            scan(&module)?;
+            lint(&module)?;
+            Some(pkru_analysis::analyze(&module).static_profile())
         } else {
             None
         };
-        let profiling = self.profiling_build()?;
-        let profile = run_profiling(&profiling, &self.inputs)?;
+        let profile = run_profiling(&profiling_build(module.clone())?, &self.inputs)?;
         if let Some(static_profile) = &static_profile {
             pkru_analysis::check_profile_soundness(static_profile, &profile)
                 .map_err(|missing| PipelineError::UnsoundProfile { missing })?;
         }
-        let mut module = self.annotated_build()?;
         let total_sites = count_sites(&module);
         let shared_sites = passes::apply_profile(&mut module, &profile);
         verify_module(&module).map_err(PipelineError::Verify)?;
         Ok(PkruApp { module, profile, census: SiteCensus { total_sites, shared_sites } })
     }
+}
+
+fn lint(annotated: &Module) -> Result<(), PipelineError> {
+    pkru_analysis::lint_module(annotated).map_err(PipelineError::Lint)
+}
+
+fn scan(annotated: &Module) -> Result<(), PipelineError> {
+    let findings = pkru_analysis::scan_module(annotated);
+    if findings.is_empty() {
+        Ok(())
+    } else {
+        Err(PipelineError::Scan(findings))
+    }
+}
+
+fn profiling_build(mut annotated: Module) -> Result<Module, PipelineError> {
+    passes::insert_provenance_instrumentation(&mut annotated);
+    verify_module(&annotated).map_err(PipelineError::Verify)?;
+    Ok(annotated)
 }
 
 fn count_sites(module: &Module) -> usize {
@@ -418,11 +409,11 @@ bb0:
     #[test]
     fn adversarial_scan_accepts_e1_and_rejects_smuggled_gadget() {
         // The pass-emitted wrappers are sanctioned shapes, so E1 builds
-        // clean with the scan enabled...
+        // clean with the static checks (scan first) enabled...
         let source = parse_module(E1).unwrap();
         Pipeline::new(source, Annotations::new())
             .with_input(ProfileInput::new("main", &[]))
-            .with_adversarial_scan()
+            .with_static_checks()
             .build()
             .unwrap();
         // ...but an untrusted function carrying its own gate gadget is
@@ -445,7 +436,7 @@ bb0:
         )
         .unwrap();
         let err =
-            Pipeline::new(source, Annotations::new()).with_adversarial_scan().build().unwrap_err();
+            Pipeline::new(source, Annotations::new()).with_static_checks().build().unwrap_err();
         match err {
             PipelineError::Scan(findings) => {
                 assert!(findings.iter().any(|f| f.kind.code() == "SCAN001"), "{findings:?}");

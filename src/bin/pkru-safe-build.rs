@@ -7,7 +7,7 @@
 //! like the artifact's three-step walkthrough (E1).
 //!
 //! ```text
-//! pkru-safe-build run       app.lir --distrust clib            # full pipeline + run
+//! pkru-safe-build run       app.lir --distrust clib            # checked pipeline + run
 //! pkru-safe-build annotate  app.lir --distrust clib            # dump the gated build
 //! pkru-safe-build profile   app.lir --distrust clib -o p.json  # stages 2–3
 //! pkru-safe-build enforce   app.lir --distrust clib -p p.json  # stage 4 + run
@@ -60,7 +60,10 @@ commands:
              gate is open; scans the module as-given, or stage-1 output
              with --stage1; non-zero exit on any finding (--json for a
              machine-readable report with reachability witnesses)
-  run        run the full pipeline (profile with --entry) and execute
+  run        run the full pipeline (profile with --entry) with the
+             static checks: scan and lint stage 1, cross-check the
+             dynamic profile against the static escape analysis; then
+             execute
   redteam    generate seeded Garmr-shaped attack modules (no input
              file) and vet each one: every attack must be rejected by
              the scan or stopped at run time (syscall filter, MPK
@@ -445,6 +448,20 @@ fn main() -> ExitCode {
     }
 }
 
+/// The module `lint` and `scan` examine: the stage-1 build with
+/// `--stage1`, the verified input otherwise.
+fn examined_module(
+    module: Module,
+    annotations: Annotations,
+    stage1: bool,
+) -> Result<Module, String> {
+    if stage1 {
+        return Pipeline::new(module, annotations).annotated_build().map_err(|e| e.to_string());
+    }
+    verify(&module)?;
+    Ok(module)
+}
+
 fn real_main(options: Options) -> Result<(), String> {
     let module = load_module(&options)?;
     let annotations = Annotations::distrusting(&options.distrust);
@@ -519,12 +536,7 @@ fn real_main(options: Options) -> Result<(), String> {
             Ok(())
         }
         "lint" => {
-            let linted = if options.stage1 {
-                Pipeline::new(module, annotations).annotated_build().map_err(|e| e.to_string())?
-            } else {
-                verify(&module)?;
-                module
-            };
+            let linted = examined_module(module, annotations, options.stage1)?;
             pkru_analysis::lint_module(&linted).map_err(|errs| {
                 errs.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("; ")
             })?;
@@ -532,12 +544,7 @@ fn real_main(options: Options) -> Result<(), String> {
             Ok(())
         }
         "scan" => {
-            let scanned = if options.stage1 {
-                Pipeline::new(module, annotations).annotated_build().map_err(|e| e.to_string())?
-            } else {
-                verify(&module)?;
-                module
-            };
+            let scanned = examined_module(module, annotations, options.stage1)?;
             let findings = pkru_analysis::scan_module(&scanned);
             if options.json {
                 println!("{}", scan_report_json(&findings));
